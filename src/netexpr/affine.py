@@ -1,10 +1,10 @@
 """Fit the per-layer affine wrap (w, b) around a scalar symbolic output.
 
-For a squared-error loss the per-neuron problem is quadratic in (w_j, b_j),
-so a single Newton step from any start lands on the global optimum; that
-path is used for small layer widths.  Wide layers and the softmax
-cross-entropy output loss go through a limited-memory BFGS minimizer with
-a backtracking Armijo line search.
+For a squared-error loss each neuron's (w_j, b_j) is ordinary least
+squares of its target column against [f, 1], solved in closed form at
+every layer width and for a whole population of scalars at once.  The
+softmax cross-entropy output loss goes through a limited-memory BFGS
+minimizer with a backtracking Armijo line search.
 
 Loss convention: mean over samples, sum over neurons (or classes).
 """
@@ -20,7 +20,6 @@ from .errors import DimensionMismatch
 MSE = "mse"
 CROSS_ENTROPY = "cross_entropy"
 
-NEWTON_WIDTH_LIMIT = 16     # widest layer still solved by the closed form
 LBFGS_MEMORY = 10
 LBFGS_TOL = 1e-8
 LBFGS_MAX_ITERS = 500
@@ -110,35 +109,41 @@ def loss_and_grad(params: AffineParams, problem: FitProblem):
     return loss, np.concatenate([gw, gb])
 
 
-def fit_affine_newton(problem: FitProblem) -> FitResult:
-    """One exact Newton step on the quadratic per-neuron MSE problem.
+def fit_affine_mse_rows(F: np.ndarray, targets: np.ndarray):
+    """Closed-form MSE fit of targets (n, width) against every row of F (P, n).
 
-    Equivalent to ordinary least squares of each target column against
-    [f, 1].  A zero-variance f falls back to w=0 and the column means.
+    Centered least squares: w = S_ft / S_ff, b = mean(t) - w * mean(f).  A
+    row whose spread S_ff is at most n * (4 eps max|f|)^2, or whose fit is
+    not finite, is degenerate and gets w=0, b=mean(t).  Every sum runs
+    along one row, unlike a BLAS product, so equal rows get bit-equal fits
+    wherever they sit and selection ties still go to the lowest index.
+    Returns w, b of shape (P, width) and the (P,) degenerate mask.
     """
+    n = F.shape[1]
+    t_mean = targets.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f_mean = F.mean(axis=1)
+        Fc = F - f_mean[:, None]
+        s_ff = (Fc * Fc).sum(axis=1)
+        s_ft = np.stack([(Fc * tc).sum(axis=1) for tc in (targets - t_mean).T], axis=1)
+        w = s_ft / s_ff[:, None]
+        b = t_mean - w * f_mean[:, None]
+        floor = n * (4.0 * np.finfo(float).eps * np.abs(F).max(axis=1)) ** 2
+        degenerate = ~((s_ff > floor) & np.isfinite(s_ff)
+                       & np.isfinite(w).all(axis=1) & np.isfinite(b).all(axis=1))
+    w[degenerate] = 0.0
+    b[degenerate] = t_mean
+    return w, b, degenerate
+
+
+def fit_affine_newton(problem: FitProblem) -> FitResult:
+    """Exact MSE optimum (one Newton step): ``fit_affine_mse_rows`` on one row."""
     if problem.loss_kind != MSE:
         raise ValueError("the closed-form step only applies to the mse loss")
-    f = problem.f_values
-    t = problem.targets
-    n = f.shape[0]
-    sf = f.sum()
-    sff = (f * f).sum()
-    hessian = (2.0 / n) * np.array([[sff, sf], [sf, float(n)]])
-    grad0 = (-2.0 / n) * np.vstack([f @ t, t.sum(axis=0)])   # gradient at w=b=0
-    degenerate = float(np.var(f)) == 0.0 or not np.all(np.isfinite(hessian))
-    if not degenerate:
-        try:
-            step = np.linalg.solve(hessian, -grad0)
-            degenerate = not np.all(np.isfinite(step))
-        except np.linalg.LinAlgError:
-            degenerate = True
-    if degenerate:
-        params = AffineParams(np.zeros(problem.width), t.mean(axis=0))
-        loss, _ = loss_and_grad(params, problem)
-        return FitResult(params, loss, 1, True, degenerate=True)
-    params = AffineParams(step[0], step[1])
+    w, b, degenerate = fit_affine_mse_rows(problem.f_values[None, :], problem.targets)
+    params = AffineParams(w[0], b[0])
     loss, _ = loss_and_grad(params, problem)
-    return FitResult(params, loss, 1, True)
+    return FitResult(params, loss, 1, True, degenerate=bool(degenerate[0]))
 
 
 def _initial_params(problem: FitProblem) -> AffineParams:
@@ -216,7 +221,7 @@ def fit_affine_lbfgs(problem: FitProblem, memory: int = LBFGS_MEMORY,
 
 
 def fit_affine(problem: FitProblem, lbfgs_max_iters: int = LBFGS_MAX_ITERS) -> FitResult:
-    """Dispatch: closed-form Newton for narrow MSE layers, L-BFGS otherwise."""
-    if problem.loss_kind == MSE and problem.width <= NEWTON_WIDTH_LIMIT:
+    """Dispatch on the loss: closed form for MSE, L-BFGS for cross-entropy."""
+    if problem.loss_kind == MSE:
         return fit_affine_newton(problem)
     return fit_affine_lbfgs(problem, max_iters=lbfgs_max_iters)

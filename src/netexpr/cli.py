@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -66,7 +67,10 @@ def _out_dir(args) -> Path:
 
 
 def _apply_config_file(args, parser):
-    """Fill unset CLI options from a key = value config file."""
+    """Fill unset CLI options from a key = value config file.
+
+    ``parser`` is the subcommand's parser, which holds the option defaults.
+    """
     if not args.config:
         return
     cfg = bench.parse_run_config(args.config)
@@ -173,17 +177,29 @@ def _split_samples_csv(path):
 
 def cmd_explain(args, parser) -> int:
     _apply_config_file(args, parser)
-    out = _out_dir(args)
+    if args.runs < 1:
+        raise ConfigError("--runs must be >= 1")
+    if args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
     model = mlp.load_weights(args.weights)
     X, names = _explain_inputs(args, model)
     if X.shape[1] != model.dims[0]:
         raise DataError(f"data has {X.shape[1]} features, model takes {model.dims[0]}")
-    trace = mlp.forward_trace(model, X)
     task = ev.CLASSIFICATION if model.head == mlp.SOFTMAX else ev.REGRESSION
     cadence = args.cadence if args.cadence is not None else \
         (50 if task == ev.CLASSIFICATION else 1)
 
     seeds = [args.seed + r for r in range(args.runs)]
+    try:
+        cfgs = [ev.EvolveConfig(
+            n_offspring=args.offspring, max_generations=args.generations,
+            mutation_prob=args.mutation, fitness_target=args.target,
+            affine_refit_every=cadence, seed=run_seed, n_rows=args.rows,
+            n_cols=args.cols, n_constants=args.constants) for run_seed in seeds]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    out = _out_dir(args)
+    trace = mlp.forward_trace(model, X)
     manifest = Manifest("explain", {
         "weights": args.weights, "benchmark": args.benchmark, "csv": args.csv,
         "samples": args.samples, "data_seed": args.data_seed, "task": task,
@@ -195,14 +211,9 @@ def cmd_explain(args, parser) -> int:
     }, seeds=seeds)
 
     summary_runs = []
-    for r, run_seed in enumerate(seeds):
+    for r, cfg in enumerate(cfgs):
         run_dir = out / f"run_{r}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        cfg = ev.EvolveConfig(
-            n_offspring=args.offspring, max_generations=args.generations,
-            mutation_prob=args.mutation, fitness_target=args.target,
-            affine_refit_every=cadence, seed=run_seed, n_rows=args.rows,
-            n_cols=args.cols, n_constants=args.constants, threads=args.threads)
         csv_path = manifest.add(f"run_{r}/convergence", run_dir / "convergence.csv")
         with open(csv_path, "w") as stream:
             best, log = ev.evolve(trace, task, cfg, log_stream=stream,
@@ -214,7 +225,7 @@ def cmd_explain(args, parser) -> int:
             json.dumps(report, indent=2))
         final = log.records[-1]
         summary_runs.append({
-            "run": r, "seed": run_seed, "generations": len(log.records),
+            "run": r, "seed": cfg.seed, "generations": len(log.records),
             "best_total": final.best_total, "mean_total": final.mean_total,
             "layer_mses": list(final.layer_mses), "output_loss": final.output_loss,
         })
@@ -374,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
-    p.set_defaults(fn=cmd_train)
+    p.set_defaults(fn=functools.partial(cmd_train, parser=p))
 
     p = sub.add_parser("explain", help="evolve per-layer expressions for a model")
     common(p)
@@ -386,7 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-seed", type=int, default=0,
                    help="seed for regenerating benchmark data")
     p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="recorded in the manifest; execution is single-threaded "
+                        "whatever the value")
     p.add_argument("--offspring", type=int, default=200)
     p.add_argument("--generations", type=int, default=5000)
     p.add_argument("--mutation", type=float, default=0.4)
@@ -399,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constants", type=int, default=1)
     p.add_argument("--no-timings", action="store_true",
                    help="omit elapsed_ms from convergence CSVs")
-    p.set_defaults(fn=cmd_explain)
+    p.set_defaults(fn=functools.partial(cmd_explain, parser=p))
 
     p = sub.add_parser("sample-boundary",
                        help="sample points near a classifier's decision boundary")
@@ -411,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", type=int, default=50000)
     p.add_argument("--keep", type=int, default=1000)
     p.add_argument("--margin", type=float, default=0.0)
-    p.set_defaults(fn=cmd_sample_boundary)
+    p.set_defaults(fn=functools.partial(cmd_sample_boundary, parser=p))
 
     p = sub.add_parser("eval", help="grid CSV over interpolation + 5x extrapolation")
     common(p, seed=False)
@@ -421,11 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default=None, help="per-feature lo:hi, comma separated")
     p.add_argument("--feature", type=int, default=0, help="feature swept by the grid")
     p.add_argument("--points", type=int, default=200)
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(fn=functools.partial(cmd_eval, parser=p))
 
     p = sub.add_parser("report", help="summarize explain runs in a directory")
     p.add_argument("--dir", required=True)
-    p.set_defaults(fn=cmd_report)
+    p.set_defaults(fn=functools.partial(cmd_report, parser=p))
 
     return parser
 
@@ -434,7 +447,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, parser)
+        return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
 import numpy as np
 
 from . import cgp
-from .affine import CROSS_ENTROPY, MSE, FitProblem, fit_affine
+from .affine import (CROSS_ENTROPY, MSE, AffineParams, FitProblem, fit_affine,
+                     fit_affine_mse_rows)
 from .errors import DimensionMismatch
 from .mlp import LayerTrace
 from .surrogate import (LayerChromosome, NetGenotype, apply_affine,
@@ -48,16 +48,21 @@ class EvolveConfig:
     n_cols: int = 10
     n_constants: int = 1
     levels_back: int | None = None
-    threads: int = 1
     lbfgs_max_iters: int = 500
 
     def __post_init__(self):
         if self.n_offspring < 1:
             raise ValueError("n_offspring must be >= 1")
+        if self.max_generations < 1:
+            raise ValueError("max_generations must be >= 1")
+        if not 0.0 <= self.mutation_prob <= 1.0:
+            raise ValueError("mutation_prob must be in [0, 1]")
         if self.fitness_target <= 0:
             raise ValueError("fitness_target must be > 0")
         if self.affine_refit_every < 1:
             raise ValueError("affine_refit_every must be >= 1")
+        cgp.CgpConfig(n_inputs=1, n_rows=self.n_rows, n_cols=self.n_cols,
+                      n_constants=self.n_constants, levels_back=self.levels_back)
 
 
 @dataclass(frozen=True)
@@ -154,55 +159,46 @@ def fitness(g: NetGenotype, trace: LayerTrace, task: str) -> FitnessReport:
     return FitnessReport(hidden, losses[-1], total)
 
 
-def _fit_and_score(c: LayerChromosome, inputs: np.ndarray, target: np.ndarray,
-                   kind: str, refit: bool, lbfgs_max_iters: int):
-    """Returns (chromosome, wrapped values, loss) for one position."""
-    f = chromosome_scalar(c, inputs)
-    if not np.all(np.isfinite(f)):
-        return c, apply_affine(np.nan_to_num(f), c.affine), OVERFLOW_PENALTY
-    if refit:
-        problem = FitProblem(f, target, kind)
-        result = fit_affine(problem, lbfgs_max_iters=lbfgs_max_iters)
-        c = c.with_affine(result.params)
-    h = apply_affine(f, c.affine)
-    return c, h, score_values(h, target, kind)
-
-
 def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
                           task: str, refit: bool = True,
-                          lbfgs_max_iters: int = 500,
-                          pool: ThreadPoolExecutor | None = None):
+                          lbfgs_max_iters: int = 500):
     """Assemble the per-position best chromosomes into one composite parent.
 
-    Positions are scanned in order; each individual's chromosome at
-    position i is scored with the already-selected prefix's output as
-    input, and ties go to the lowest population index.  Returns the
-    composite genotype and the (n_individuals, n_positions) loss matrix.
+    Positions are scanned in order.  At position i each individual's
+    scalar output over the already-selected prefix's output is one row of
+    F.  Rows that are not all finite score the overflow penalty and keep
+    their affine; the rest are refitted (one closed-form call for MSE) and
+    scored as ``fitness`` scores them.  Ties go to the lowest population
+    index.  Returns the composite genotype and the (n_individuals,
+    n_positions) loss matrix.
     """
     _check_task(task)
     if not population:
         raise ValueError("population must be non-empty")
     targets = _position_targets(trace, task)
-    n_positions = len(targets)
-    loss_matrix = np.empty((len(population), n_positions))
+    loss_matrix = np.empty((len(population), len(targets)))
     chosen: list[LayerChromosome] = []
     current = np.asarray(trace.x, dtype=float)
-    for pos in range(n_positions):
-        target, kind = targets[pos]
-
-        def job(indiv: NetGenotype):
-            return _fit_and_score(indiv.chromosomes[pos], current, target,
-                                  kind, refit, lbfgs_max_iters)
-
-        if pool is not None:
-            results = list(pool.map(job, population))
-        else:
-            results = [job(indiv) for indiv in population]
-        losses = np.array([r[2] for r in results])
+    for pos, (target, kind) in enumerate(targets):
+        chroms = [indiv.chromosomes[pos] for indiv in population]
+        F = np.stack([chromosome_scalar(c, current) for c in chroms])
+        rows = np.flatnonzero(np.isfinite(F).all(axis=1))
+        if refit and kind == MSE:
+            w, b, _ = fit_affine_mse_rows(F[rows], target)
+            for i, wi, bi in zip(rows, w, b):
+                chroms[i] = chroms[i].with_affine(AffineParams(wi, bi))
+        elif refit:
+            for i in rows:
+                fit = fit_affine(FitProblem(F[i], target, kind),
+                                 lbfgs_max_iters=lbfgs_max_iters)
+                chroms[i] = chroms[i].with_affine(fit.params)
+        losses = np.full(len(chroms), OVERFLOW_PENALTY)
+        for i in rows:
+            losses[i] = score_values(apply_affine(F[i], chroms[i].affine), target, kind)
         loss_matrix[:, pos] = losses
         best = int(np.argmin(losses))     # first minimum: lowest-index tie-break
-        chosen.append(results[best][0])
-        current = results[best][1]
+        chosen.append(chroms[best])
+        current = apply_affine(np.nan_to_num(F[best]), chroms[best].affine)
     return NetGenotype(tuple(chosen)), loss_matrix
 
 
@@ -223,11 +219,10 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
 
     The loop stops once the best-so-far total fitness reaches
     ``cfg.fitness_target`` or ``cfg.max_generations`` is hit.  Fully
-    reproducible from ``cfg.seed``: threading only parallelizes pure
-    chromosome evaluations.  ``initial`` individuals replace the front of
-    the random starting population.  With ``verify_fitness`` every logged
-    generation re-scores the parent through the plain fitness path and
-    asserts agreement.
+    reproducible from ``cfg.seed``.  ``initial`` individuals replace the
+    front of the random starting population.  With ``verify_fitness``
+    every logged generation re-scores the parent through the plain fitness
+    path and asserts agreement.
     """
     _check_task(task)
     fset = fset or cgp.default_function_set()
@@ -251,47 +246,42 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
     if log_stream is not None:
         log_stream.write(log.header(include_timing) + "\n")
 
-    pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
     best_geno: NetGenotype | None = None
     best_total = math.inf
     start = time.perf_counter()
-    try:
-        for gen in range(cfg.max_generations):
-            refit = gen % cfg.affine_refit_every == 0
-            parent, loss_matrix = select_layerwise_best(
-                population, trace, task, refit=refit,
-                lbfgs_max_iters=cfg.lbfgs_max_iters, pool=pool)
-            per_pos = loss_matrix.min(axis=0)
-            hidden = tuple(float(v) for v in per_pos[:-1])
-            output_loss = float(per_pos[-1])
-            parent_total = (sum(hidden) / len(hidden) if hidden else 0.0) + output_loss
-            if verify_fitness:
-                recomputed = fitness(parent, trace, task).total
-                if not math.isclose(recomputed, parent_total,
-                                    rel_tol=1e-9, abs_tol=1e-12):
-                    raise AssertionError(
-                        f"fitness decomposition mismatch at generation {gen}: "
-                        f"{recomputed} vs {parent_total}")
-            if parent_total <= best_total:       # ties drift to the newer parent
-                best_geno, best_total = parent, parent_total
-            rec = GenerationRecord(
-                generation=gen,
-                best_total=best_total,
-                mean_total=float(_combine(loss_matrix).mean()),
-                layer_mses=hidden,
-                output_loss=output_loss,
-                elapsed_ms=(time.perf_counter() - start) * 1000.0,
-            )
-            log.records.append(rec)
-            if log_stream is not None:
-                log_stream.write(log.row(rec, include_timing) + "\n")
-                log_stream.flush()
-            if best_total <= cfg.fitness_target:
-                break
-            offspring = [mutate_net(parent, cfg.mutation_prob, rng)
-                         for _ in range(cfg.n_offspring)]
-            population = offspring + [parent]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for gen in range(cfg.max_generations):
+        refit = gen % cfg.affine_refit_every == 0
+        parent, loss_matrix = select_layerwise_best(
+            population, trace, task, refit=refit,
+            lbfgs_max_iters=cfg.lbfgs_max_iters)
+        per_pos = loss_matrix.min(axis=0)
+        hidden = tuple(float(v) for v in per_pos[:-1])
+        output_loss = float(per_pos[-1])
+        parent_total = (sum(hidden) / len(hidden) if hidden else 0.0) + output_loss
+        if verify_fitness:
+            recomputed = fitness(parent, trace, task).total
+            if not math.isclose(recomputed, parent_total,
+                                rel_tol=1e-9, abs_tol=1e-12):
+                raise AssertionError(
+                    f"fitness decomposition mismatch at generation {gen}: "
+                    f"{recomputed} vs {parent_total}")
+        if parent_total <= best_total:       # ties drift to the newer parent
+            best_geno, best_total = parent, parent_total
+        rec = GenerationRecord(
+            generation=gen,
+            best_total=best_total,
+            mean_total=float(_combine(loss_matrix).mean()),
+            layer_mses=hidden,
+            output_loss=output_loss,
+            elapsed_ms=(time.perf_counter() - start) * 1000.0,
+        )
+        log.records.append(rec)
+        if log_stream is not None:
+            log_stream.write(log.row(rec, include_timing) + "\n")
+            log_stream.flush()
+        if best_total <= cfg.fitness_target:
+            break
+        offspring = [mutate_net(parent, cfg.mutation_prob, rng)
+                     for _ in range(cfg.n_offspring)]
+        population = offspring + [parent]
     return best_geno, log

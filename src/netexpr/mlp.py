@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericError, SchemaError
+from .errors import DataError, DimensionMismatch, NumericError, SchemaError
 
 LINEAR = "linear"
 SOFTMAX = "softmax"
@@ -131,11 +131,17 @@ def predict(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return forward_trace(model, X).y
 
 
-def _as_targets(y: np.ndarray, head: str) -> np.ndarray:
+def _as_targets(y: np.ndarray, head: str, n_classes: int | None = None) -> np.ndarray:
+    """Targets as a matrix; class ids are one-hot over ``n_classes`` columns,
+    by default as many as the largest id present needs."""
     y = np.asarray(y)
     if head == SOFTMAX:
         labels = y.astype(int).reshape(-1)
-        n_classes = int(labels.max()) + 1
+        if n_classes is None:
+            n_classes = int(labels.max()) + 1
+        elif labels.max() >= n_classes:
+            raise DataError(f"class id {int(labels.max())} is outside the "
+                            f"model's {n_classes} classes")
         return np.eye(n_classes)[labels]
     y = y.astype(float)
     return y.reshape(-1, 1) if y.ndim == 1 else y
@@ -238,12 +244,13 @@ def train(dataset: tuple[np.ndarray, np.ndarray], arch: list[int],
 
 def train_loss(model: MlpModel, X: np.ndarray, y: np.ndarray) -> float:
     """Loss under the model's own training criterion (MSE or cross-entropy)."""
-    return _loss(model, np.asarray(X, dtype=float), _as_targets(y, model.head))
+    return _loss(model, np.asarray(X, dtype=float),
+                 _as_targets(y, model.head, model.dims[-1]))
 
 
 def mse(model: MlpModel, X: np.ndarray, y: np.ndarray) -> float:
     pred = predict(model, X)
-    target = _as_targets(y, LINEAR if model.head == LINEAR else SOFTMAX)
+    target = _as_targets(y, model.head, model.dims[-1])
     return float(((pred - target) ** 2).mean())
 
 

@@ -115,6 +115,76 @@ class TestNewton:
             affine.fit_affine_newton(p)
 
 
+class TestBatchedRows:
+    def test_matches_normal_equations(self):
+        rng = np.random.default_rng(9)
+        for width in range(1, 21):
+            P, n = int(rng.integers(1, 51)), int(rng.integers(3, 80))
+            F = rng.normal(size=(P, n)) * rng.uniform(0.5, 3.0, size=(P, 1))
+            t = rng.normal(size=(n, width))
+            w, b, degenerate = affine.fit_affine_mse_rows(F, t)
+            assert w.shape == b.shape == (P, width) and not degenerate.any()
+            for row in range(P):
+                w_ref, b_ref = normal_equations_fit(F[row], t)
+                assert np.allclose(w[row], w_ref, rtol=1e-10, atol=1e-12)
+                assert np.allclose(b[row], b_ref, rtol=1e-10, atol=1e-12)
+
+    def test_equal_rows_get_bit_equal_fits_anywhere_in_the_batch(self):
+        rng = np.random.default_rng(13)
+        for P in range(190, 202):
+            for width in (1, 3):
+                F = rng.normal(size=(P, 160))
+                F[[6, P - 1]] = F[3]
+                w, b, _ = affine.fit_affine_mse_rows(F, rng.normal(size=(160, width)))
+                for row in (6, P - 1):
+                    assert np.array_equal(w[row], w[3])
+                    assert np.array_equal(b[row], b[3])
+
+    def test_single_row_is_the_newton_reference(self):
+        rng = np.random.default_rng(10)
+        p = random_mse_problem(rng, width=4)
+        w, b, _ = affine.fit_affine_mse_rows(p.f_values[None, :], p.targets)
+        res = affine.fit_affine_newton(p)
+        assert np.array_equal(res.params.w, w[0])
+        assert np.array_equal(res.params.b, b[0])
+
+    @pytest.mark.parametrize("offset", [1e6, 1e12])
+    def test_large_offset_keeps_the_fit(self, offset):
+        # f - offset is exact, so the oracle sees the same data unshifted
+        rng = np.random.default_rng(11)
+        base = rng.normal(size=(5, 40))
+        F = base + offset
+        t = rng.normal(size=(40, 3))
+        w, b, degenerate = affine.fit_affine_mse_rows(F, t)
+        assert not degenerate.any()
+        for row in range(5):
+            w_ref, b0_ref = normal_equations_fit(F[row] - offset, t)
+            assert np.allclose(w[row], w_ref, rtol=1e-6)
+            assert np.allclose(b[row], b0_ref - w_ref * offset, rtol=1e-6,
+                               atol=1e-6 * np.abs(w_ref).max() * offset)
+
+    def test_degenerate_rows_fall_back_to_mean(self):
+        rng = np.random.default_rng(12)
+        n = 30
+        t = rng.normal(size=(n, 2))
+        spread = rng.normal(size=n)
+        F = np.stack([
+            np.full(n, 5.0),                          # constant
+            np.full(n, 1e12),                         # constant, large
+            1e12 + np.where(spread > 0, 1.2e-4, 0.0),  # one-ulp steps at 1e12
+            np.where(spread > 0, np.inf, 1.0),        # non-finite
+            np.full(n, np.nan),
+            spread,                                   # ordinary row
+        ])
+        w, b, degenerate = affine.fit_affine_mse_rows(F, t)
+        assert degenerate.tolist() == [True] * 5 + [False]
+        assert np.all(w[:5] == 0.0)
+        assert np.all(b[:5] == t.mean(axis=0))
+        w_ref, b_ref = normal_equations_fit(spread, t)
+        assert np.allclose(w[5], w_ref, rtol=1e-10)
+        assert np.allclose(b[5], b_ref, rtol=1e-10)
+
+
 class TestLbfgs:
     def test_agrees_with_newton_on_mse(self):
         rng = np.random.default_rng(4)
@@ -166,13 +236,14 @@ class TestDispatch:
         res = affine.fit_affine(p)
         assert res.iterations == 1 and res.converged
 
-    def test_wide_mse_uses_lbfgs(self):
+    def test_wide_mse_uses_closed_form(self):
         rng = np.random.default_rng(8)
-        p = random_mse_problem(rng, n=60, width=affine.NEWTON_WIDTH_LIMIT + 1)
+        p = random_mse_problem(rng, n=60, width=17)
         res = affine.fit_affine(p)
-        newton = affine.fit_affine_newton(p)
-        denom = max(abs(newton.final_loss), 1e-12)
-        assert abs(res.final_loss - newton.final_loss) / denom < 1e-6
+        assert res.iterations == 1 and res.converged
+        w, b = normal_equations_fit(p.f_values, p.targets)
+        assert np.allclose(res.params.w, w, rtol=1e-10, atol=1e-12)
+        assert np.allclose(res.params.b, b, rtol=1e-10, atol=1e-12)
 
     def test_cross_entropy_uses_lbfgs(self):
         p = FitProblem(np.array([1.0, -1.0, 0.5]), np.eye(3)[[0, 1, 0]],

@@ -113,6 +113,41 @@ class TestExplain:
             results.append((out / "run_0" / "convergence.csv").read_bytes())
         assert results[0] == results[1]
 
+    def test_config_file_fills_defaulted_options(self, trained_k0, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("offspring = 7\ngenerations = 3\n")
+        out = tmp_path / "o"
+        assert main(["explain", "--config", str(cfg),
+                     "--weights", str(trained_k0 / "weights.json"),
+                     "--benchmark", "K0", "--seed", "0", "--target", "1e-9",
+                     "--out", str(out)]) == 0
+        config = Manifest.load(out / "manifest.json")["config"]
+        assert (config["offspring"], config["generations"]) == (7, 3)
+        lines = (out / "run_0" / "convergence.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3
+
+    def test_explicit_flag_overrides_config_file(self, trained_k0, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("offspring = 7\ngenerations = 2\n")
+        out = tmp_path / "o"
+        assert main(["explain", "--config", str(cfg), "--offspring", "5",
+                     "--weights", str(trained_k0 / "weights.json"),
+                     "--benchmark", "K0", "--seed", "0", "--target", "1e-9",
+                     "--out", str(out)]) == 0
+        assert Manifest.load(out / "manifest.json")["config"]["offspring"] == 5
+
+    @pytest.mark.parametrize("flag", [
+        "--runs=0", "--generations=0", "--offspring=0", "--cadence=0",
+        "--rows=0", "--mutation=2.0", "--mutation=-0.1", "--threads=0",
+    ])
+    def test_bad_option_exits_2_before_any_artifact(self, trained_k0, tmp_path,
+                                                    flag):
+        out = tmp_path / "o"
+        assert main(["explain", "--weights", str(trained_k0 / "weights.json"),
+                     "--benchmark", "K0", "--seed", "0", "--generations", "2",
+                     "--offspring", "4", flag, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_width_mismatch_exits_3(self, trained_k0, tmp_path):
         assert main(["explain", "--weights", str(trained_k0 / "weights.json"),
                      "--benchmark", "K1", "--seed", "0", "--runs", "1",

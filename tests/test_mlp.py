@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netexpr import mlp
-from netexpr.errors import DimensionMismatch, SchemaError
+from netexpr.errors import DataError, DimensionMismatch, SchemaError
 
 
 def toy_regression(rng, n=80):
@@ -112,6 +112,20 @@ class TestTrain:
         cfg = mlp.TrainConfig(learning_rate=1e6, epochs=60, seed=0)
         with pytest.raises(mlp.NumericError):
             mlp.train((X, y), [2], cfg)
+
+
+class TestSplitClasses:
+    def test_split_missing_top_class_scores_against_model_width(self):
+        model = mlp.MlpModel([(np.zeros((1, 3)), np.zeros(3))], head=mlp.SOFTMAX)
+        X = np.zeros((4, 1))
+        labels = np.array([0, 1, 1, 0])          # class 2 absent from this split
+        assert np.isclose(mlp.train_loss(model, X, labels), np.log(3))
+        assert np.isclose(mlp.mse(model, X, labels), (2 / 9 + 4 / 9) / 3)
+
+    def test_label_beyond_model_width_is_data_error(self):
+        model = mlp.MlpModel([(np.zeros((1, 2)), np.zeros(2))], head=mlp.SOFTMAX)
+        with pytest.raises(DataError):
+            mlp.train_loss(model, np.zeros((2, 1)), np.array([0, 2]))
 
 
 class TestWeightFiles:
