@@ -66,18 +66,40 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _config_value(action, key, value):
+    """A config-file value checked as the command line checks the option:
+    converted by the option's ``type`` from its text, then held to its
+    ``choices``; a flag takes true or false."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r} takes true or false, not {value!r}")
+        return value
+    if action.type is not None:
+        try:
+            value = action.type(str(value))
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: bad value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key!r}: {value!r} is not one of "
+                          f"{sorted(action.choices)}")
+    return value
+
+
 def _apply_config_file(args, parser):
     """Fill unset CLI options from a key = value config file.
 
-    ``parser`` is the subcommand's parser, which holds the option defaults.
+    ``parser`` is the subcommand's parser, which holds the option defaults
+    and the types and choices every value is checked against.
     """
     if not args.config:
         return
     cfg = bench.parse_run_config(args.config)
+    actions = {action.dest: action for action in parser._actions}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if not hasattr(args, attr) or attr not in actions:
             raise ConfigError(f"config key {key!r} is not a recognized option")
+        value = _config_value(actions[attr], key, value)
         if parser.get_default(attr) == getattr(args, attr):
             setattr(args, attr, value)
 

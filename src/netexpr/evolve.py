@@ -21,7 +21,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import cgp
-from .affine import (CROSS_ENTROPY, MSE, AffineParams, FitProblem, fit_affine,
+from .affine import (CROSS_ENTROPY, MSE, AffineParams, fit_affine_ce_rows,
                      fit_affine_mse_rows)
 from .errors import DimensionMismatch
 from .mlp import LayerTrace
@@ -48,6 +48,8 @@ class EvolveConfig:
     n_cols: int = 10
     n_constants: int = 1
     levels_back: int | None = None
+    # caps the Newton iterations of each cross-entropy fit; the name predates
+    # the Newton fitter and is kept for existing callers
     lbfgs_max_iters: int = 500
 
     def __post_init__(self):
@@ -167,10 +169,12 @@ def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
     Positions are scanned in order.  At position i each individual's
     scalar output over the already-selected prefix's output is one row of
     F.  Rows that are not all finite score the overflow penalty and keep
-    their affine; the rest are refitted (one closed-form call for MSE) and
-    scored as ``fitness`` scores them.  Ties go to the lowest population
-    index.  Returns the composite genotype and the (n_individuals,
-    n_positions) loss matrix.
+    their affine; the rest are refitted by one batched call (closed form
+    for MSE, Newton for cross-entropy, ``lbfgs_max_iters`` capping its
+    steps) and scored as ``fitness`` scores them, with the chosen row's
+    values fed on unchanged.  Ties go to the lowest population index.
+    Returns the composite genotype and the (n_individuals, n_positions)
+    loss matrix.
     """
     _check_task(task)
     if not population:
@@ -183,22 +187,20 @@ def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
         chroms = [indiv.chromosomes[pos] for indiv in population]
         F = np.stack([chromosome_scalar(c, current) for c in chroms])
         rows = np.flatnonzero(np.isfinite(F).all(axis=1))
-        if refit and kind == MSE:
-            w, b, _ = fit_affine_mse_rows(F[rows], target)
+        if refit:
+            if kind == MSE:
+                w, b, _ = fit_affine_mse_rows(F[rows], target)
+            else:
+                w, b, *_ = fit_affine_ce_rows(F[rows], target, lbfgs_max_iters)
             for i, wi, bi in zip(rows, w, b):
                 chroms[i] = chroms[i].with_affine(AffineParams(wi, bi))
-        elif refit:
-            for i in rows:
-                fit = fit_affine(FitProblem(F[i], target, kind),
-                                 lbfgs_max_iters=lbfgs_max_iters)
-                chroms[i] = chroms[i].with_affine(fit.params)
         losses = np.full(len(chroms), OVERFLOW_PENALTY)
         for i in rows:
             losses[i] = score_values(apply_affine(F[i], chroms[i].affine), target, kind)
         loss_matrix[:, pos] = losses
         best = int(np.argmin(losses))     # first minimum: lowest-index tie-break
         chosen.append(chroms[best])
-        current = apply_affine(np.nan_to_num(F[best]), chroms[best].affine)
+        current = apply_affine(F[best], chroms[best].affine)
     return NetGenotype(tuple(chosen)), loss_matrix
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from netexpr import affine
+from netexpr import affine, cgp
 from netexpr.affine import AffineParams, FitProblem
 
 from oracles import normal_equations_fit
@@ -183,6 +183,140 @@ class TestBatchedRows:
         w_ref, b_ref = normal_equations_fit(spread, t)
         assert np.allclose(w[5], w_ref, rtol=1e-10)
         assert np.allclose(b[5], b_ref, rtol=1e-10)
+
+
+def ce_targets(rng, n, width, soft):
+    if soft:
+        z = rng.normal(size=(n, width)) * 2.0
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+    return np.eye(width)[rng.integers(0, width, n)]
+
+
+def ce_rows(rng, n, count):
+    """Ordinary rows plus the hard cases: |f| up to 1e12, a 1e12 offset
+    with unit spread, the ln sentinel, and exp values clamped at 1e12."""
+    rows = [rng.normal(size=n) * rng.uniform(0.3, 3.0) for _ in range(count)]
+    rows.append(rng.normal(size=n) * 1e12)
+    rows.append(1e12 + rng.normal(size=n))
+    rows.append(np.where(rng.random(n) < 0.2, cgp.LN_SENTINEL, rng.normal(size=n)))
+    rows.append(np.clip(np.exp(rng.normal(size=n) * 20), None, cgp.CLAMP))
+    return np.stack(rows)
+
+
+class TestBatchedCrossEntropy:
+    def test_no_worse_than_lbfgs(self):
+        rng = np.random.default_rng(20)
+        for width in (2, 3, 4):
+            for soft in (True, False):
+                for _ in range(4):
+                    n = int(rng.integers(8, 60))
+                    t = ce_targets(rng, n, width, soft)
+                    F = ce_rows(rng, n, 4)
+                    fit = affine.fit_affine_ce_rows(F, t)
+                    assert fit.w.shape == fit.b.shape == (F.shape[0], width)
+                    assert not fit.degenerate.any()
+                    for row in range(F.shape[0]):
+                        p = FitProblem(F[row], t, affine.CROSS_ENTROPY)
+                        ref = affine.fit_affine_lbfgs(p).final_loss
+                        got, _ = affine.loss_and_grad(
+                            AffineParams(fit.w[row], fit.b[row]), p)
+                        assert got <= ref + 1e-9 * max(1.0, abs(ref))
+
+    def test_class_zero_is_pinned(self):
+        rng = np.random.default_rng(21)
+        t = ce_targets(rng, 40, 3, True)
+        fit = affine.fit_affine_ce_rows(ce_rows(rng, 40, 3), t)
+        assert np.all(fit.w[:, 0] == 0.0) and np.all(fit.b[:, 0] == 0.0)
+
+    def test_constant_rows_are_degenerate_constant_logits(self):
+        rng = np.random.default_rng(22)
+        n = 30
+        t = ce_targets(rng, n, 3, True)
+        F = np.stack([np.full(n, 5.0), np.full(n, 1e12), np.full(n, cgp.LN_SENTINEL),
+                      np.full(n, np.inf), rng.normal(size=n)])
+        fit = affine.fit_affine_ce_rows(F, t)
+        assert fit.degenerate.tolist() == [True] * 4 + [False]
+        assert np.all(fit.w[:4] == 0.0)
+        assert np.all(fit.iterations[:4] == 0)
+        # the best constant logits reproduce the mean target distribution
+        p = np.exp(fit.b[0]) / np.exp(fit.b[0]).sum()
+        assert np.allclose(p, t.mean(axis=0), rtol=1e-12)
+        assert np.array_equal(fit.b[1], fit.b[0])
+
+    def test_single_class_has_nothing_to_fit(self):
+        rng = np.random.default_rng(28)
+        fit = affine.fit_affine_ce_rows(ce_rows(rng, 20, 2), np.ones((20, 1)))
+        assert np.all(fit.w == 0.0) and np.all(fit.b == 0.0)
+        assert fit.converged.all() and np.all(fit.iterations == 0)
+
+    def test_absent_class_keeps_finite_parameters(self):
+        rng = np.random.default_rng(23)
+        n = 40
+        for absent in (0, 2):
+            labels = rng.choice([c for c in range(3) if c != absent], size=n)
+            t = np.eye(3)[labels]
+            F = ce_rows(rng, n, 3)
+            fit = affine.fit_affine_ce_rows(F, t)
+            assert np.isfinite(fit.w).all() and np.isfinite(fit.b).all()
+            for row in range(F.shape[0]):
+                p = FitProblem(F[row], t, affine.CROSS_ENTROPY)
+                ref = affine.fit_affine_lbfgs(p).final_loss
+                got, _ = affine.loss_and_grad(AffineParams(fit.w[row], fit.b[row]), p)
+                assert got <= ref + 1e-9 * max(1.0, abs(ref))
+
+    def test_equal_rows_get_bit_equal_fits_anywhere_in_the_batch(self):
+        rng = np.random.default_rng(24)
+        for P in (7, 33, 101, 190, 201):
+            for width in (2, 3):
+                n = int(rng.integers(100, 501))
+                F = ce_rows(rng, n, P - 4)
+                F[[1, P - 1]] = F[0]
+                F[P // 2] = F[P - 3]               # the 1e12-offset row, copied inward
+                fit = affine.fit_affine_ce_rows(F, ce_targets(rng, n, width, True))
+                for row, src in ((1, 0), (P - 1, 0), (P // 2, P - 3)):
+                    assert np.array_equal(fit.w[row], fit.w[src])
+                    assert np.array_equal(fit.b[row], fit.b[src])
+                    assert fit.iterations[row] == fit.iterations[src]
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 2, 5, 500])
+    def test_iterations_within_cap(self, max_iters):
+        rng = np.random.default_rng(25)
+        t = ce_targets(rng, 50, 3, False)
+        fit = affine.fit_affine_ce_rows(ce_rows(rng, 50, 6), t, max_iters)
+        assert fit.iterations.max() <= max_iters
+        if max_iters == 0:
+            assert np.all(fit.w == 0.0)
+
+    def test_converged_soft_rows_have_zero_gradient(self):
+        rng = np.random.default_rng(26)
+        checked = 0
+        for width in (2, 3, 4):
+            n = 80
+            t = ce_targets(rng, n, width, True)
+            F = ce_rows(rng, n, 6)
+            fit = affine.fit_affine_ce_rows(F, t)
+            for row in np.flatnonzero(fit.converged & ~fit.degenerate):
+                f = F[row]
+                if abs(f.mean()) > 1e6 * f.std():
+                    continue    # w * f + b rounds each logit by ~eps * |w f|
+                # relative: the w part is taken per unit of the row's RMS
+                _, grad = affine.loss_and_grad(AffineParams(fit.w[row], fit.b[row]),
+                                               FitProblem(f, t, affine.CROSS_ENTROPY))
+                grad[:width] /= np.sqrt((f * f).mean())
+                assert np.linalg.norm(grad) < 1e-6
+                checked += 1
+        assert checked >= 20
+
+    def test_fit_affine_is_one_row_of_the_batch(self):
+        rng = np.random.default_rng(27)
+        t = ce_targets(rng, 30, 3, True)
+        f = rng.normal(size=30)
+        res = affine.fit_affine(FitProblem(f, t, affine.CROSS_ENTROPY), lbfgs_max_iters=50)
+        fit = affine.fit_affine_ce_rows(f[None, :], t, 50)
+        assert np.array_equal(res.params.w, fit.w[0])
+        assert np.array_equal(res.params.b, fit.b[0])
+        assert res.iterations == fit.iterations[0] and res.converged
 
 
 class TestLbfgs:

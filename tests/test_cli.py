@@ -191,6 +191,43 @@ class TestSampleBoundary:
         assert code != 0
 
 
+class TestConfigFileValues:
+    @pytest.mark.parametrize("command,line", [
+        ("explain", "runs = two"),
+        ("explain", "offspring = 1.5"),
+        ("explain", "mutation = high"),
+        ("explain", "no-timings = 3"),
+        ("train", "optimizer = rmsprop"),
+        ("train", "epochs = [1, 2]"),
+    ])
+    def test_bad_value_exits_2_before_any_artifact(self, trained_k0, tmp_path,
+                                                   command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg), "--benchmark", "K0", "--seed", "0",
+                "--out", str(out)]
+        if command == "explain":
+            argv += ["--weights", str(trained_k0 / "weights.json"),
+                     "--generations", "2", "--offspring", "4"]
+        else:
+            argv += ["--epochs", "5"]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    def test_values_take_the_option_types(self, trained_k0, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text('runs = "2"\nmutation = 0.25\ntarget = 1e-9\n'
+                       "no-timings = true\n")
+        out = tmp_path / "o"
+        assert main(["explain", "--config", str(cfg),
+                     "--weights", str(trained_k0 / "weights.json"),
+                     "--benchmark", "K0", "--seed", "0", "--generations", "2",
+                     "--offspring", "4", "--out", str(out)]) == 0
+        config = Manifest.load(out / "manifest.json")["config"]
+        assert (config["runs"], config["mutation"], config["timings"]) == (2, 0.25, False)
+
+
 class TestEval:
     def make_identity_artifacts(self, tmp_path):
         # identity MLP: single linear layer y = x

@@ -152,6 +152,27 @@ class TestSelection:
         assert losses[0, 0] == ev.OVERFLOW_PENALTY
         assert np.array_equal(parent.chromosomes[0].affine.w, np.full(3, 7.0))
 
+    def test_all_non_finite_position_feeds_its_values_on(self):
+        # every row at position 0 is non-finite; the chosen row's values must
+        # reach position 1 as fitness() passes them, not cleaned of infs
+        trace, exact = planted_regression_setup()
+        c0 = single_op_chromosome("id", 0, 2, np.full(3, 0.5), np.zeros(3), 0)
+        broken = surrogate.NetGenotype((c0, exact.chromosomes[1]))
+        X = trace.x.copy()
+        X[0, 0] = np.inf
+        trace = LayerTrace(X, trace.h, trace.y)
+        parent, losses = ev.select_layerwise_best([broken, broken], trace,
+                                                  ev.REGRESSION)
+        report = ev.fitness(parent, trace, ev.REGRESSION)
+        assert losses.min(axis=0).tolist() == [ev.OVERFLOW_PENALTY] * 2
+        assert report.total == 2 * ev.OVERFLOW_PENALTY
+        cfg = ev.EvolveConfig(n_offspring=1, max_generations=3, mutation_prob=0.0,
+                              fitness_target=1e-12, seed=0, n_rows=1, n_cols=1,
+                              n_constants=0)
+        _, log = ev.evolve(trace, ev.REGRESSION, cfg, initial=[broken],
+                           verify_fitness=True)
+        assert log.records[-1].best_total == 2 * ev.OVERFLOW_PENALTY
+
     def test_no_refit_uses_existing_params(self):
         trace, net = planted_regression_setup()
         zeroed = surrogate.NetGenotype(tuple(
