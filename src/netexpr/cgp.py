@@ -13,6 +13,7 @@ with ``np.isfinite``.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -225,15 +226,25 @@ def validate_genotype(g: Genotype) -> None:
         raise ValueError("constants must be finite")
 
 
+@functools.lru_cache(maxsize=64)
+def _input_tables(config: CgpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per node: how many sources its inputs may address, and the shift that
+    maps a node-range rank past the columns outside ``levels_back``."""
+    cols = np.arange(config.n_nodes) // config.n_rows
+    choices = np.array([config.input_choices(c) for c in range(config.n_cols)])[cols]
+    shifts = np.array([config.input_shift(c) for c in range(config.n_cols)])[cols]
+    choices.setflags(write=False)
+    shifts.setflags(write=False)
+    return choices, shifts
+
+
 def random_genotype(config: CgpConfig, fset: FunctionSet,
                     rng: np.random.Generator) -> Genotype:
     """Draw a uniformly random valid genome; constants are uniform in [-1, 1]."""
     n_nodes = config.n_nodes
     genes = np.empty((n_nodes, 3), dtype=np.int64)
     genes[:, 0] = rng.integers(0, len(fset), n_nodes)
-    cols = np.arange(n_nodes) // config.n_rows
-    choices = np.array([config.input_choices(c) for c in range(config.n_cols)])[cols]
-    shifts = np.array([config.input_shift(c) for c in range(config.n_cols)])[cols]
+    choices, shifts = _input_tables(config)
     base = config.n_sources_before_nodes
     for slot in (1, 2):
         ranks = rng.integers(0, choices)
@@ -243,43 +254,54 @@ def random_genotype(config: CgpConfig, fset: FunctionSet,
     return Genotype(config, fset, genes, outputs, constants)
 
 
-def mutate(g: Genotype, per_gene_prob: float, rng: np.random.Generator,
-           const_sigma: float = 0.1, const_redraw_factor: float = 0.1) -> Genotype:
-    """Point-mutate each gene with the given probability.
+def mutate_many(g: Genotype, n: int, per_gene_prob: float,
+                rng: np.random.Generator, const_sigma: float = 0.1,
+                const_redraw_factor: float = 0.1) -> list[Genotype]:
+    """Point-mutate n copies of one genome as one (n, n_nodes, 3) gene tensor.
 
-    Function and input genes are resampled uniformly from their valid
-    value sets (so the observable change rate is p * (1 - 1/k) for k valid
-    values).  Output genes are never changed.  Constants get a Gaussian
-    nudge (sigma ``const_sigma``) with probability p and are redrawn
-    uniformly in [-1, 1] with probability ``const_redraw_factor`` * p.
-    The original genome is left untouched.
+    Each function and input gene of each copy is resampled with the given
+    probability, uniformly from its valid value set (so the observable
+    change rate is p * (1 - 1/k) for k valid values).  Output genes are
+    never changed.  Each constant gets a Gaussian nudge (sigma
+    ``const_sigma``) with probability p and is redrawn uniformly in
+    [-1, 1] with probability ``const_redraw_factor`` * p.  The number of
+    RNG calls does not depend on n.  Every offspring owns its arrays, and
+    the original genome is left untouched.
     """
     if not 0.0 <= per_gene_prob <= 1.0:
         raise ValueError("per_gene_prob must be in [0, 1]")
     cfg = g.config
-    genes = g.function_genes.copy()
+    genes = np.repeat(g.function_genes[None], n, axis=0)
     mask = rng.random(genes.shape) < per_gene_prob
 
-    hit = mask[:, 0]
+    hit = mask[..., 0]
     genes[hit, 0] = rng.integers(0, len(g.fset), int(hit.sum()))
 
-    cols = np.arange(cfg.n_nodes) // cfg.n_rows
-    choices = np.array([cfg.input_choices(c) for c in range(cfg.n_cols)])[cols]
-    shifts = np.array([cfg.input_shift(c) for c in range(cfg.n_cols)])[cols]
+    choices, shifts = _input_tables(cfg)
     base = cfg.n_sources_before_nodes
     for slot in (1, 2):
-        hit = mask[:, slot]
-        ranks = rng.integers(0, choices[hit])
-        genes[hit, slot] = np.where(ranks < base, ranks, ranks + shifts[hit])
+        hit = mask[..., slot]
+        node = np.nonzero(hit)[1]
+        ranks = rng.integers(0, choices[node])
+        genes[hit, slot] = np.where(ranks < base, ranks, ranks + shifts[node])
 
-    constants = g.constants.copy()
+    constants = np.repeat(g.constants[None], n, axis=0)
     if cfg.n_constants:
-        nudge = rng.random(cfg.n_constants) < per_gene_prob
+        nudge = rng.random(constants.shape) < per_gene_prob
         constants[nudge] += rng.normal(0.0, const_sigma, int(nudge.sum()))
-        redraw = rng.random(cfg.n_constants) < const_redraw_factor * per_gene_prob
+        redraw = rng.random(constants.shape) < const_redraw_factor * per_gene_prob
         constants[redraw] = rng.uniform(-1.0, 1.0, int(redraw.sum()))
 
-    return Genotype(cfg, g.fset, genes, g.output_genes.copy(), constants)
+    # copies, not views: a view would keep the whole wave alive
+    return [Genotype(cfg, g.fset, genes[i].copy(), g.output_genes.copy(),
+                     constants[i].copy()) for i in range(n)]
+
+
+def mutate(g: Genotype, per_gene_prob: float, rng: np.random.Generator,
+           const_sigma: float = 0.1, const_redraw_factor: float = 0.1) -> Genotype:
+    """One offspring: ``mutate_many`` with n = 1, same per-gene law."""
+    return mutate_many(g, 1, per_gene_prob, rng, const_sigma,
+                       const_redraw_factor)[0]
 
 
 def active_nodes(g: Genotype) -> set[int]:

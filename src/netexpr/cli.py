@@ -86,10 +86,12 @@ def _config_value(action, key, value):
 
 
 def _apply_config_file(args, parser):
-    """Fill unset CLI options from a key = value config file.
+    """Fill the options the command line did not give from a key = value
+    config file.
 
-    ``parser`` is the subcommand's parser, which holds the option defaults
-    and the types and choices every value is checked against.
+    ``parser`` is the subcommand's parser, which holds the types and
+    choices every value is checked against.  ``args.given`` names the
+    options the command line gave, whatever their values.
     """
     if not args.config:
         return
@@ -100,8 +102,23 @@ def _apply_config_file(args, parser):
         if not hasattr(args, attr) or attr not in actions:
             raise ConfigError(f"config key {key!r} is not a recognized option")
         value = _config_value(actions[attr], key, value)
-        if parser.get_default(attr) == getattr(args, attr):
+        if attr not in args.given:
             setattr(args, attr, value)
+
+
+def _given_options(argv) -> set[str]:
+    """Dests that argv sets itself: argv parsed again with every default
+    suppressed, so an option given at its default value still counts."""
+    def suppress(parser):
+        for action in parser._actions:
+            action.default = argparse.SUPPRESS
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    suppress(sub)
+
+    parser = build_parser()
+    suppress(parser)
+    return set(vars(parser.parse_args(argv)))
 
 
 def _parse_arch(value) -> list[int]:
@@ -129,7 +146,6 @@ def _load_table(args):
 
 def cmd_train(args, parser) -> int:
     _apply_config_file(args, parser)
-    out = _out_dir(args)
     X, y, names, spec = _load_table(args)
     arch = _parse_arch(args.arch if args.arch else (spec.arch if spec else None))
     optimizer = args.optimizer or (spec.optimizer if spec else "sgd")
@@ -137,10 +153,16 @@ def cmd_train(args, parser) -> int:
     epochs = args.epochs if args.epochs is not None else (spec.epochs if spec else 2000)
     batch = args.batch_size if args.batch_size is not None else \
         (spec.batch_size if spec else 32)
+    if any(w < 1 for w in arch):
+        raise ConfigError(f"hidden widths must be >= 1, got {arch}")
+    try:
+        cfg = mlp.TrainConfig(optimizer=optimizer, learning_rate=lr, epochs=epochs,
+                              batch_size=batch, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
+    out = _out_dir(args)
     (Xtr, ytr), (Xte, yte) = bench.split((X, y), seed=args.seed)
-    cfg = mlp.TrainConfig(optimizer=optimizer, learning_rate=lr, epochs=epochs,
-                          batch_size=batch, seed=args.seed)
     model = mlp.train((Xtr, ytr), arch, cfg)
 
     metrics = {
@@ -272,15 +294,18 @@ def cmd_explain(args, parser) -> int:
 
 def cmd_sample_boundary(args, parser) -> int:
     _apply_config_file(args, parser)
-    out = _out_dir(args)
     model = mlp.load_weights(args.weights)
     if model.head != mlp.SOFTMAX:
         raise DataError(f"{args.weights} is not a classifier (head is "
                         f"{model.head}); boundary sampling needs softmax")
     X, _, names, spec = _load_table(args)
     bounds = bdry.bounds_from_data(X, margin=args.margin)
-    cfg = bdry.BoundarySampleConfig(bounds=bounds, pool_size=args.pool,
-                                    keep_size=args.keep, seed=args.seed)
+    try:
+        cfg = bdry.BoundarySampleConfig(bounds=bounds, pool_size=args.pool,
+                                        keep_size=args.keep, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    out = _out_dir(args)
     sample = bdry.sample_near_boundary(model, cfg)
     manifest = Manifest("sample-boundary", {
         "weights": args.weights, "benchmark": args.benchmark, "csv": args.csv,
@@ -310,7 +335,8 @@ def _parse_domain(text: str) -> list[tuple[float, float]]:
 
 def cmd_eval(args, parser) -> int:
     _apply_config_file(args, parser)
-    out = _out_dir(args)
+    if args.points < 1:
+        raise ConfigError("--points must be >= 1")
     model = mlp.load_weights(args.weights)
     net = surrogate.net_from_json(Path(args.genotype).read_text())
     spec = bench.get_benchmark(args.benchmark) if args.benchmark else None
@@ -334,6 +360,7 @@ def cmd_eval(args, parser) -> int:
     X = np.tile([0.5 * (a + b) for a, b in ranges], (args.points, 1))
     X[:, k] = grid
 
+    out = _out_dir(args)
     y_nn = mlp.predict(model, X)[:, 0]
     y_expr = surrogate.genotype_forward(net, X)[-1].h_values[:, 0]
     names = list(spec.variables) if spec else [f"x{i}" for i in range(len(ranges))]
@@ -371,8 +398,16 @@ def cmd_report(args, parser) -> int:
         if not csv_path.exists():
             raise DataError(f"{run_dir} has no convergence.csv")
         lines = csv_path.read_text().splitlines()
+        if len(lines) < 2:
+            raise DataError(f"{csv_path} has no generation rows")
         header = lines[0].split(",")
-        last = [float(v) for v in lines[-1].split(",")]
+        try:
+            last = [float(v) for v in lines[-1].split(",")]
+        except ValueError:
+            last = []
+        if len(last) != len(header) or not {"best_total", "output_loss"} <= set(header):
+            raise DataError(f"{csv_path}: last row {lines[-1]!r} does not "
+                            f"match header {lines[0]!r}")
         finals.append(dict(zip(header, last)))
     layer_cols = [c for c in finals[0] if c.startswith("layer")]
     print(f"{'run':>4} {'best_total':>14} " +
@@ -468,6 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.given = _given_options(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

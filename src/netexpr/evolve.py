@@ -283,7 +283,6 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
             log_stream.flush()
         if best_total <= cfg.fitness_target:
             break
-        offspring = [mutate_net(parent, cfg.mutation_prob, rng)
-                     for _ in range(cfg.n_offspring)]
-        population = offspring + [parent]
+        population = mutate_net(parent, cfg.mutation_prob, rng,
+                                cfg.n_offspring) + [parent]
     return best_geno, log

@@ -119,13 +119,16 @@ def random_net_genotype(n_inputs: int, widths: list[int], fset: cgp.FunctionSet,
     return NetGenotype(tuple(chroms))
 
 
-def mutate_net(g: NetGenotype, per_gene_prob: float,
-               rng: np.random.Generator) -> NetGenotype:
-    """Mutate every chromosome's genome; affine params carry over as-is."""
-    return NetGenotype(tuple(
-        LayerChromosome(cgp.mutate(c.genotype, per_gene_prob, rng), c.affine,
-                        c.layer_index)
-        for c in g.chromosomes))
+def mutate_net(g: NetGenotype, per_gene_prob: float, rng: np.random.Generator,
+               n: int) -> list[NetGenotype]:
+    """n offspring of one network: one ``cgp.mutate_many`` wave per
+    position, in position order; affine params carry over as-is."""
+    waves = [cgp.mutate_many(c.genotype, n, per_gene_prob, rng)
+             for c in g.chromosomes]
+    return [NetGenotype(tuple(
+        LayerChromosome(genome, c.affine, c.layer_index)
+        for c, genome in zip(g.chromosomes, genomes)))
+        for genomes in zip(*waves)]
 
 
 def net_to_dict(g: NetGenotype) -> dict:

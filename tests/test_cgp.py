@@ -1,8 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 
 from netexpr import cgp
+from netexpr import evolve as ev
 from netexpr.errors import DimensionMismatch
+from netexpr.mlp import LayerTrace
 
 from oracles import parse_infix
 
@@ -206,6 +210,109 @@ class TestMutate:
             b = cgp.mutate(g, 0.5, r2)
             assert np.array_equal(a.function_genes, b.function_genes)
             assert np.array_equal(a.constants, b.constants)
+
+
+class TestMutateMany:
+    def test_empirical_change_rate_over_one_wave(self, fset):
+        # per gene, the share of a 10 000-wide wave that differs from the
+        # parent should be p * (1 - 1/k), k = valid value count
+        cfg = small_config(n_constants=0)
+        rng = np.random.default_rng(16)
+        g = cgp.random_genotype(cfg, fset, rng)
+        p = 0.4
+        trials = 10_000
+        wave = cgp.mutate_many(g, trials, p, rng)
+        changed = sum((m.function_genes != g.function_genes).astype(float)
+                      for m in wave)
+        rate = changed / trials
+        for j in range(cfg.n_nodes):
+            col = cfg.node_column(j)
+            for slot in range(3):
+                k = len(fset) if slot == 0 else cfg.input_choices(col)
+                q = p * (1 - 1 / k)
+                sigma = np.sqrt(q * (1 - q) / trials)
+                assert abs(rate[j, slot] - q) < 3 * sigma, (j, slot, rate[j, slot], q)
+
+    @pytest.mark.parametrize("levels_back", [1, 3])
+    @pytest.mark.parametrize("p", [0.03, 0.4, 1.0])
+    def test_every_offspring_valid(self, fset, levels_back, p):
+        rng = np.random.default_rng(17)
+        g = cgp.random_genotype(small_config(levels_back=levels_back, n_cols=4,
+                                             n_constants=2), fset, rng)
+        wave = cgp.mutate_many(g, 300, p, rng)
+        assert len(wave) == 300
+        for m in wave:
+            cgp.validate_genotype(m)
+            assert np.array_equal(m.output_genes, g.output_genes)
+
+    def test_prob_zero_gives_exact_copies(self, fset):
+        g = cgp.random_genotype(small_config(n_constants=2), fset,
+                                np.random.default_rng(18))
+        wave = cgp.mutate_many(g, 5, 0.0, np.random.default_rng(19))
+        assert len(wave) == 5
+        for m in wave:
+            assert np.array_equal(m.function_genes, g.function_genes)
+            assert np.array_equal(m.output_genes, g.output_genes)
+            assert np.array_equal(m.constants, g.constants)
+
+    def test_parent_untouched(self, fset):
+        g = cgp.random_genotype(small_config(n_constants=2), fset,
+                                np.random.default_rng(20))
+        before = (g.function_genes.copy(), g.output_genes.copy(), g.constants.copy())
+        cgp.mutate_many(g, 50, 1.0, np.random.default_rng(21))
+        after = (g.function_genes, g.output_genes, g.constants)
+        for a, b in zip(before, after):
+            assert np.array_equal(a, b)
+
+    def test_offspring_share_no_memory(self, fset):
+        g = cgp.random_genotype(small_config(n_constants=2), fset,
+                                np.random.default_rng(22))
+        wave = cgp.mutate_many(g, 6, 0.4, np.random.default_rng(23))
+        genomes = wave + [g]
+        fields = ("function_genes", "output_genes", "constants")
+        for i, a in enumerate(genomes):
+            for b in genomes[i + 1:]:
+                for field in fields:
+                    assert not np.shares_memory(getattr(a, field), getattr(b, field))
+        # each offspring owns its buffers: a view would keep the wave alive
+        for m in wave:
+            for field in fields:
+                assert getattr(m, field).base is None
+
+    def test_bad_probability_rejected(self, fset):
+        g = cgp.random_genotype(small_config(), fset, np.random.default_rng(24))
+        for p in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                cgp.mutate_many(g, 3, p, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+    def test_mutate_is_a_wave_of_one(self, fset, p):
+        g = cgp.random_genotype(small_config(n_constants=2), fset,
+                                np.random.default_rng(25))
+        r1, r2 = np.random.default_rng(26), np.random.default_rng(26)
+        for _ in range(10):
+            a = cgp.mutate(g, p, r1)
+            (b,) = cgp.mutate_many(g, 1, p, r2)
+            assert np.array_equal(a.function_genes, b.function_genes)
+            assert np.array_equal(a.output_genes, b.output_genes)
+            assert np.array_equal(a.constants, b.constants)
+
+    @pytest.mark.parametrize("task", [ev.REGRESSION, ev.CLASSIFICATION])
+    def test_evolve_csv_repeats_for_a_seed(self, task):
+        rng = np.random.default_rng(27)
+        X = rng.uniform(-1, 1, size=(40, 2))
+        h = [rng.normal(size=(40, 3))]
+        z = rng.normal(size=(40, 2))
+        y = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True) \
+            if task == ev.CLASSIFICATION else z[:, :1]
+        trace = LayerTrace(X, h, y)
+        cfg = ev.EvolveConfig(n_offspring=12, max_generations=8, mutation_prob=0.3,
+                              fitness_target=1e-12, seed=5, n_rows=2, n_cols=3)
+        streams = [io.StringIO(), io.StringIO()]
+        for stream in streams:
+            ev.evolve(trace, task, cfg, log_stream=stream, include_timing=False)
+        assert streams[0].getvalue() == streams[1].getvalue()
+        assert len(streams[0].getvalue().splitlines()) == 1 + 8
 
 
 class TestDecodeEvaluateConsistency:

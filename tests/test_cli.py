@@ -72,6 +72,16 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--seed", "0",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("flag", [
+        "--lr=0", "--lr=-0.5", "--batch-size=0", "--arch=0", "--arch=3,0",
+        "--epochs=-5",
+    ])
+    def test_bad_option_exits_2_before_any_artifact(self, tmp_path, flag):
+        out = tmp_path / "o"
+        assert main(["train", "--benchmark", "K0", "--seed", "0", "--epochs", "5",
+                     flag, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_diverging_loss_exits_4(self, tmp_path):
         rng = np.random.default_rng(0)
         X = np.full((20, 1), 1e300)
@@ -136,6 +146,18 @@ class TestExplain:
                      "--out", str(out)]) == 0
         assert Manifest.load(out / "manifest.json")["config"]["offspring"] == 5
 
+    def test_explicit_flag_at_its_default_overrides_config_file(self, trained_k0,
+                                                                tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("offspring = 7\ngenerations = 2\n")
+        out = tmp_path / "o"
+        assert main(["explain", "--config", str(cfg), "--offspring", "200",
+                     "--weights", str(trained_k0 / "weights.json"),
+                     "--benchmark", "K0", "--seed", "0", "--target", "1e-9",
+                     "--out", str(out)]) == 0
+        config = Manifest.load(out / "manifest.json")["config"]
+        assert (config["offspring"], config["generations"]) == (200, 2)
+
     @pytest.mark.parametrize("flag", [
         "--runs=0", "--generations=0", "--offspring=0", "--cadence=0",
         "--rows=0", "--mutation=2.0", "--mutation=-0.1", "--threads=0",
@@ -182,6 +204,17 @@ class TestSampleBoundary:
                      "--runs", "1", "--offspring", "10", "--generations", "3",
                      "--cadence", "1", "--out", str(x_out)])
         assert code == 0
+
+    @pytest.mark.parametrize("keep,pool", [("0", "1000"), ("10", "0"),
+                                           ("500", "100"), ("-1", "100")])
+    def test_bad_option_exits_2_before_any_artifact(self, toy_classifier, tmp_path,
+                                                    keep, pool):
+        cls_out, csv = toy_classifier
+        out = tmp_path / "b"
+        assert main(["sample-boundary", "--weights", str(cls_out / "weights.json"),
+                     "--csv", str(csv), "--pool", pool, "--keep", keep,
+                     "--seed", "2", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_regression_model_exits(self, trained_k0, tmp_path):
         # linear-head model cannot be boundary-sampled
@@ -276,6 +309,14 @@ class TestEval:
         extrap = manifest["config"]["extrapolation"]
         assert (extrap[1] - extrap[0]) == 5 * (interp[1] - interp[0])
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_bad_option_exits_2_before_any_artifact(self, tmp_path, points):
+        weights, gpath = self.make_identity_artifacts(tmp_path)
+        out = tmp_path / "o"
+        assert main(["eval", "--genotype", str(gpath), "--weights", str(weights),
+                     "--domain=-1:1", "--points", points, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_benchmark_grid_includes_truth(self, trained_k0, tmp_path):
         out = tmp_path / "o"
         genotype_out = tmp_path / "x"
@@ -305,6 +346,19 @@ class TestReport:
         assert "best:" in text and "mean:" in text
 
     def test_empty_dir_exits_3(self, tmp_path):
+        assert main(["report", "--dir", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("text", [
+        "generation,best_total,mean_total,output_loss\n",
+        "",
+        "generation,best_total,mean_total,output_loss\n0,1.0,oops,1.0\n",
+        "generation,best_total,mean_total,output_loss\n0,1.0,2.0\n",
+        "generation,mean_total\n0,1.0\n",
+    ])
+    def test_bad_convergence_csv_exits_3(self, tmp_path, text):
+        run_dir = tmp_path / "run_0"
+        run_dir.mkdir()
+        (run_dir / "convergence.csv").write_text(text)
         assert main(["report", "--dir", str(tmp_path)]) == 3
 
 
