@@ -9,13 +9,21 @@ may read from any source in a strictly earlier column (within
 All operators are protected: evaluation never raises on singular inputs,
 and overflow propagates as non-finite values that callers can detect
 with ``np.isfinite``.
+
+What a genome computes is its phenotype: the active nodes, reached
+backwards from the output genes, and the constants they read.  One
+vectorised pass (``phenotypes``) finds it for a whole (P, n_nodes, 3)
+gene tensor at once, as the step list that ``evaluate_genotype`` runs
+plus an exact byte key: equal keys compute equal values, bit for bit.
+Each ``Genotype`` caches both; mutation waves fill the cache as they are
+made, and ``analyse`` fills it for a stacked population.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -190,12 +198,15 @@ class Genotype:
     ``function_genes`` has one row per grid node: (opcode, input_a, input_b).
     Arity-1 ops ignore input_b, but the gene exists and can mutate.
     ``output_genes`` point at any source (input, constant, or node).
+    The phenotype (``phenotypes``) is cached on first use.
     """
     config: CgpConfig
     fset: FunctionSet
     function_genes: np.ndarray   # (n_nodes, 3) int
     output_genes: np.ndarray     # (n_outputs,) int
     constants: np.ndarray        # (n_constants,) float
+    _steps: tuple[int, ...] | None = field(default=None, init=False, repr=False)
+    _key: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.function_genes.setflags(write=False)
@@ -254,6 +265,96 @@ def random_genotype(config: CgpConfig, fset: FunctionSet,
     return Genotype(config, fset, genes, outputs, constants)
 
 
+@functools.lru_cache(maxsize=16)
+def _binary_ops(fset: FunctionSet) -> np.ndarray:
+    """Per opcode: whether the op reads its second input gene."""
+    binary = np.array([op.arity == 2 for op in fset.ops])
+    binary.setflags(write=False)
+    return binary
+
+
+def phenotypes(config: CgpConfig, fset: FunctionSet, genes: np.ndarray,
+               outputs: np.ndarray, constants: np.ndarray
+               ) -> tuple[list[tuple[int, ...]], list[bytes]]:
+    """Active steps and phenotype keys of P genomes in one pass.
+
+    ``genes`` is (P, n_nodes, 3), ``outputs`` (P, n_outputs) and
+    ``constants`` (P, n_constants).  Sources are marked as read column by
+    column, from the outputs back to the inputs, over the whole stack at
+    once; a node is active when it is read.  A genome's steps are
+    (node, opcode, input_a, input_b) for each active node in node order,
+    flattened into one tuple, with input_b = -1 for arity-1 ops.  Its key
+    is the bytes of the int64s [step count, output genes, steps, bit
+    patterns of the constants read]; the count and the steps fix how many
+    constants follow, so equal keys mean equal phenotypes.
+    """
+    P = genes.shape[0]
+    rows, base, n_out = config.n_rows, config.n_sources_before_nodes, config.n_outputs
+    genes = np.asarray(genes, dtype=np.int64)
+    binary = _binary_ops(fset)
+    read = np.zeros((P, config.n_sources), dtype=bool)
+    read[np.arange(P)[:, None], outputs] = True
+    for col in range(config.n_cols - 1, -1, -1):
+        owner, row = np.nonzero(read[:, base + col * rows:base + (col + 1) * rows])
+        live = genes[owner, col * rows + row]
+        read[owner, live[:, 1]] = True
+        two = binary[live[:, 0]]
+        read[owner[two], live[two, 2]] = True
+
+    owner, node = np.nonzero(read[:, base:])
+    live = genes[owner, node]
+    steps = np.stack([node, live[:, 0], live[:, 1],
+                      np.where(binary[live[:, 0]], live[:, 2], -1)], axis=1)
+    n_steps = np.bincount(owner, minlength=P)
+    c_owner, c_slot = np.nonzero(read[:, config.n_inputs:base])
+    const_bits = np.ascontiguousarray(constants, dtype=float).view(np.int64)
+
+    # every key's int64s, back to back in one buffer: a stable sort by
+    # genome keeps each genome's parts in the order they are listed here
+    genome = np.arange(P)
+    parts = [(genome, n_steps), (np.repeat(genome, n_out), outputs.reshape(-1)),
+             (np.repeat(owner, 4), steps.reshape(-1)),
+             (c_owner, const_bits[c_owner, c_slot])]
+    belongs = np.concatenate([p for p, _ in parts])
+    packed = np.concatenate([v for _, v in parts])[np.argsort(belongs, kind="stable")]
+    ends = np.cumsum(np.bincount(belongs, minlength=P)).tolist()
+    buf = packed.tobytes()
+    keys = [buf[8 * lo:8 * hi] for lo, hi in zip([0] + ends, ends)]
+    flat_steps = steps.reshape(-1).tolist()
+    ends = (4 * np.cumsum(n_steps)).tolist()
+    return [tuple(flat_steps[lo:hi]) for lo, hi in zip([0] + ends, ends)], keys
+
+
+def _cache(g: Genotype, steps: tuple[int, ...], key: bytes) -> Genotype:
+    object.__setattr__(g, "_steps", steps)
+    object.__setattr__(g, "_key", key)
+    return g
+
+
+def analyse(genomes: Sequence[Genotype]) -> None:
+    """Cache the phenotype of every genome that lacks one.  The uncached
+    genomes are stacked and analysed by one ``phenotypes`` pass per
+    (config, function set)."""
+    groups: dict = {}
+    for g in genomes:
+        if g._key is None:
+            groups.setdefault((g.config, id(g.fset)), []).append(g)
+    for group in groups.values():
+        first = group[0]
+        found = phenotypes(first.config, first.fset,
+                           np.stack([g.function_genes for g in group]),
+                           np.stack([g.output_genes for g in group]),
+                           np.stack([g.constants for g in group]))
+        for g, steps, key in zip(group, *found):
+            _cache(g, steps, key)
+
+
+def phenotype_keys(genomes: Sequence[Genotype]) -> list[bytes]:
+    """Each genome's phenotype key (see ``phenotypes``)."""
+    analyse(genomes)
+    return [g._key for g in genomes]
+
+
 def mutate_many(g: Genotype, n: int, per_gene_prob: float,
                 rng: np.random.Generator, const_sigma: float = 0.1,
                 const_redraw_factor: float = 0.1) -> list[Genotype]:
@@ -266,7 +367,8 @@ def mutate_many(g: Genotype, n: int, per_gene_prob: float,
     ``const_sigma``) with probability p and is redrawn uniformly in
     [-1, 1] with probability ``const_redraw_factor`` * p.  The number of
     RNG calls does not depend on n.  Every offspring owns its arrays, and
-    the original genome is left untouched.
+    the original genome is left untouched.  The wave's phenotypes are
+    found by one ``phenotypes`` pass and cached on the offspring.
     """
     if not 0.0 <= per_gene_prob <= 1.0:
         raise ValueError("per_gene_prob must be in [0, 1]")
@@ -292,9 +394,13 @@ def mutate_many(g: Genotype, n: int, per_gene_prob: float,
         redraw = rng.random(constants.shape) < const_redraw_factor * per_gene_prob
         constants[redraw] = rng.uniform(-1.0, 1.0, int(redraw.sum()))
 
+    steps, keys = phenotypes(cfg, g.fset, genes,
+                             np.broadcast_to(g.output_genes, (n, cfg.n_outputs)),
+                             constants)
     # copies, not views: a view would keep the whole wave alive
-    return [Genotype(cfg, g.fset, genes[i].copy(), g.output_genes.copy(),
-                     constants[i].copy()) for i in range(n)]
+    return [_cache(Genotype(cfg, g.fset, genes[i].copy(), g.output_genes.copy(),
+                            constants[i].copy()), steps[i], keys[i])
+            for i in range(n)]
 
 
 def mutate(g: Genotype, per_gene_prob: float, rng: np.random.Generator,
@@ -305,7 +411,8 @@ def mutate(g: Genotype, per_gene_prob: float, rng: np.random.Generator,
 
 
 def active_nodes(g: Genotype) -> set[int]:
-    """Grid nodes reachable backwards from the output genes."""
+    """Grid nodes reachable backwards from the output genes, by a
+    depth-first walk of one genome: the reference for ``phenotypes``."""
     cfg = g.config
     base = cfg.n_sources_before_nodes
     active: set[int] = set()
@@ -326,8 +433,8 @@ def active_nodes(g: Genotype) -> set[int]:
 def evaluate_genotype(g: Genotype, inputs: np.ndarray) -> list[np.ndarray]:
     """Evaluate the genome graph directly, one vector per output gene.
 
-    Only active nodes are computed.  Non-finite values propagate; callers
-    flag them with ``np.isfinite``.
+    Only active nodes are computed, by the cached phenotype's steps.
+    Non-finite values propagate; callers flag them with ``np.isfinite``.
     """
     cfg = g.config
     inputs = np.asarray(inputs, dtype=float)
@@ -341,15 +448,15 @@ def evaluate_genotype(g: Genotype, inputs: np.ndarray) -> list[np.ndarray]:
         values[i] = inputs[:, i]
     for k in range(cfg.n_constants):
         values[cfg.n_inputs + k] = np.full(n, g.constants[k])
+    if g._steps is None:
+        analyse([g])
+    ops = g.fset.ops
+    steps = iter(g._steps)
     with np.errstate(all="ignore"):
-        for j in sorted(active_nodes(g)):
-            code, a, b = (int(x) for x in g.function_genes[j])
-            op = g.fset[code]
-            if op.arity == 1:
-                values[base + j] = op.fn(values[a])
-            else:
-                values[base + j] = op.fn(values[a], values[b])
-    return [np.array(values[int(s)], dtype=float) for s in g.output_genes]
+        for j, code, a, b in zip(steps, steps, steps, steps):
+            fn = ops[code].fn
+            values[base + j] = fn(values[a]) if b < 0 else fn(values[a], values[b])
+    return [np.array(values[s], dtype=float) for s in g.output_genes.tolist()]
 
 
 # --- phenotype trees -------------------------------------------------------

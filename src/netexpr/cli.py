@@ -144,6 +144,19 @@ def _load_table(args):
     raise ConfigError("need --benchmark or --csv")
 
 
+def _train_head(task, y) -> str | None:
+    """The network head --task asks for; None leaves the guess from the
+    targets (class ids train a softmax head) to ``mlp.train``."""
+    if task is None:
+        return None
+    if task == ev.REGRESSION:
+        return mlp.LINEAR
+    if not np.issubdtype(np.asarray(y).dtype, np.integer):
+        raise ConfigError("--task classification needs class-id targets "
+                          "(non-negative integers)")
+    return mlp.SOFTMAX
+
+
 def cmd_train(args, parser) -> int:
     _apply_config_file(args, parser)
     X, y, names, spec = _load_table(args)
@@ -155,6 +168,7 @@ def cmd_train(args, parser) -> int:
         (spec.batch_size if spec else 32)
     if any(w < 1 for w in arch):
         raise ConfigError(f"hidden widths must be >= 1, got {arch}")
+    head = _train_head(args.task, y)
     try:
         cfg = mlp.TrainConfig(optimizer=optimizer, learning_rate=lr, epochs=epochs,
                               batch_size=batch, seed=args.seed)
@@ -163,7 +177,7 @@ def cmd_train(args, parser) -> int:
 
     out = _out_dir(args)
     (Xtr, ytr), (Xte, yte) = bench.split((X, y), seed=args.seed)
-    model = mlp.train((Xtr, ytr), arch, cfg)
+    model = mlp.train((Xtr, ytr), arch, cfg, head=head)
 
     metrics = {
         "train_loss": mlp.train_loss(model, Xtr, ytr),
@@ -178,7 +192,8 @@ def cmd_train(args, parser) -> int:
     manifest = Manifest("train", {
         "benchmark": args.benchmark, "csv": args.csv, "arch": arch,
         "optimizer": optimizer, "lr": lr, "epochs": epochs,
-        "batch_size": batch, "feature_names": names,
+        "batch_size": batch, "feature_names": names, "task": args.task,
+        "head": model.head,
     }, seeds=[args.seed])
     mlp.save_weights(model, manifest.add("weights", out / "weights.json"))
     manifest.add("metrics", out / "metrics.json").write_text(
@@ -362,7 +377,13 @@ def cmd_eval(args, parser) -> int:
 
     out = _out_dir(args)
     y_nn = mlp.predict(model, X)[:, 0]
-    y_expr = surrogate.genotype_forward(net, X)[-1].h_values[:, 0]
+    out_expr = surrogate.genotype_forward(net, X)[-1].h_values
+    if model.head == mlp.SOFTMAX:
+        # the surrogate's output layer is fitted as logits; y_nn is a
+        # probability
+        with np.errstate(over="ignore", invalid="ignore"):
+            out_expr = mlp.softmax(out_expr)
+    y_expr = out_expr[:, 0]
     names = list(spec.variables) if spec else [f"x{i}" for i in range(len(ranges))]
     header = names + ["y_nn", "y_expr"]
     cols = [X[:, j] for j in range(X.shape[1])] + [y_nn, y_expr]
@@ -442,6 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--task", choices=[ev.REGRESSION, ev.CLASSIFICATION],
+                   default=None,
+                   help="network head: linear for regression, softmax for "
+                        "classification (default: classification when every "
+                        "target is a non-negative integer)")
     p.set_defaults(fn=functools.partial(cmd_train, parser=p))
 
     p = sub.add_parser("explain", help="evolve per-layer expressions for a model")

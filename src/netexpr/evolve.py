@@ -9,6 +9,13 @@ Total fitness is the mean of the hidden-layer MSEs plus the output-layer
 loss (MSE for regression, soft-target cross-entropy for classification).
 A layer whose surrogate values are not finite scores a flat 1e12 penalty
 so broken expressions stay totally ordered and are never selected.
+
+At one position every individual reads the same input, so the population
+is scored as a matrix: individuals whose chromosomes share a phenotype key
+(``cgp.phenotype_keys``) share one evaluation, one affine fit and one
+loss, and all losses come from one batched pass (``score_rows``) that
+equals ``score_values`` bit for bit.  Selection, and so the convergence
+log, is the same as scoring every individual on its own.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ REGRESSION = "regression"
 CLASSIFICATION = "classification"
 
 OVERFLOW_PENALTY = 1e12
+SCORE_BLOCK = 1 << 15    # predictions per block of the batched loss pass
 
 
 @dataclass
@@ -161,20 +169,68 @@ def fitness(g: NetGenotype, trace: LayerTrace, task: str) -> FitnessReport:
     return FitnessReport(hidden, losses[-1], total)
 
 
+def score_rows(F: np.ndarray, W: np.ndarray, B: np.ndarray, target: np.ndarray,
+               kind: str) -> np.ndarray:
+    """``score_values(apply_affine(F[i], (W[i], B[i])), target, kind)`` for
+    every row i of F (R, n), bit for bit.
+
+    Each row's predictions are flattened to one (n * width) row and
+    reduced along it, as ``score_values`` reduces its whole array; no BLAS
+    product or running statistics.  Rows are taken in blocks of at most
+    SCORE_BLOCK predictions, so the temporaries stay small.
+    """
+    R, n = F.shape
+    width = target.shape[1]
+    losses = np.empty(R)
+    step = max(1, SCORE_BLOCK // (n * width))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, R, step):
+            block = slice(lo, lo + step)
+            # one buffer, updated in place: predictions, then the summands
+            x = F[block, :, None] * W[block, None, :]
+            x += B[block, None, :]
+            flat = x.reshape(x.shape[0], -1)
+            finite = np.isfinite(flat).all(axis=1)
+            if kind == MSE:
+                x -= target
+                x *= x
+                loss = flat.sum(axis=1) / (n * width)
+            else:
+                x -= x.max(axis=2, keepdims=True)
+                x -= np.log(np.exp(x).sum(axis=2, keepdims=True))
+                x *= target
+                loss = -flat.sum(axis=1) / n
+            loss[~(finite & np.isfinite(loss))] = OVERFLOW_PENALTY
+            losses[block] = loss
+    return losses
+
+
+def _distinct(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Where each distinct key first occurs, and the distinct slot of every key."""
+    slot: dict = {}
+    row_of = np.array([slot.setdefault(key, len(slot)) for key in keys], dtype=np.intp)
+    return np.unique(row_of, return_index=True)[1], row_of
+
+
 def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
                           task: str, refit: bool = True,
                           lbfgs_max_iters: int = 500):
     """Assemble the per-position best chromosomes into one composite parent.
 
-    Positions are scanned in order.  At position i each individual's
-    scalar output over the already-selected prefix's output is one row of
-    F.  Rows that are not all finite score the overflow penalty and keep
-    their affine; the rest are refitted by one batched call (closed form
-    for MSE, Newton for cross-entropy, ``lbfgs_max_iters`` capping its
-    steps) and scored as ``fitness`` scores them, with the chosen row's
-    values fed on unchanged.  Ties go to the lowest population index.
-    Returns the composite genotype and the (n_individuals, n_positions)
-    loss matrix.
+    Positions are scanned in order.  At position i every individual sees
+    the already-selected prefix's output, so individuals with equal
+    phenotype keys (``cgp.phenotype_keys``) have equal scalar outputs:
+    each distinct key is evaluated once and its row of F stands for all
+    of them.  Rows that are not all finite score the overflow penalty and
+    keep their affine.  With ``refit`` the distinct finite rows are
+    refitted by one batched call (closed form for MSE, Newton for
+    cross-entropy, ``lbfgs_max_iters`` capping its steps), so duplicates
+    share one fit and one loss; without it every individual with a finite
+    row is scored with its own affine.  Losses come from ``score_rows``,
+    equal to what ``fitness`` gives; only the chosen individual gets a
+    refitted chromosome, and its values are fed on unchanged.
+    Ties go to the lowest population index.  Returns the composite
+    genotype and the (n_individuals, n_positions) loss matrix.
     """
     _check_task(task)
     if not population:
@@ -185,22 +241,34 @@ def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
     current = np.asarray(trace.x, dtype=float)
     for pos, (target, kind) in enumerate(targets):
         chroms = [indiv.chromosomes[pos] for indiv in population]
-        F = np.stack([chromosome_scalar(c, current) for c in chroms])
-        rows = np.flatnonzero(np.isfinite(F).all(axis=1))
+        firsts, row_of = _distinct(cgp.phenotype_keys([c.genotype for c in chroms]))
+        F = np.stack([chromosome_scalar(chroms[i], current) for i in firsts])
+        finite = np.isfinite(F).all(axis=1)
         if refit:
+            # one fit and one loss per distinct finite row, shared by its duplicates
+            rows = np.flatnonzero(finite)
             if kind == MSE:
-                w, b, _ = fit_affine_mse_rows(F[rows], target)
+                W, B, _ = fit_affine_mse_rows(F[rows], target)
             else:
-                w, b, *_ = fit_affine_ce_rows(F[rows], target, lbfgs_max_iters)
-            for i, wi, bi in zip(rows, w, b):
-                chroms[i] = chroms[i].with_affine(AffineParams(wi, bi))
-        losses = np.full(len(chroms), OVERFLOW_PENALTY)
-        for i in rows:
-            losses[i] = score_values(apply_affine(F[i], chroms[i].affine), target, kind)
-        loss_matrix[:, pos] = losses
+                W, B, *_ = fit_affine_ce_rows(F[rows], target, lbfgs_max_iters)
+            scored = np.full(len(firsts), OVERFLOW_PENALTY)
+            scored[rows] = score_rows(F[rows], W, B, target, kind)
+            losses = scored[row_of]
+        else:
+            losses = np.full(len(chroms), OVERFLOW_PENALTY)
+            live = np.flatnonzero(finite[row_of])
+            if live.size:
+                losses[live] = score_rows(
+                    F[row_of[live]], np.stack([chroms[i].affine.w for i in live]),
+                    np.stack([chroms[i].affine.b for i in live]), target, kind)
         best = int(np.argmin(losses))     # first minimum: lowest-index tie-break
-        chosen.append(chroms[best])
-        current = apply_affine(F[best], chroms[best].affine)
+        choice = chroms[best]
+        if refit and finite[row_of[best]]:
+            k = int(np.searchsorted(rows, row_of[best]))
+            choice = choice.with_affine(AffineParams(W[k].copy(), B[k].copy()))
+        loss_matrix[:, pos] = losses
+        chosen.append(choice)
+        current = apply_affine(F[row_of[best]], choice.affine)
     return NetGenotype(tuple(chosen)), loss_matrix
 
 
@@ -283,6 +351,9 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
             log_stream.flush()
         if best_total <= cfg.fitness_target:
             break
+        # let the scored population go before the next wave is made, so the
+        # two (and their cached phenotypes) are never alive at once
+        del population
         population = mutate_net(parent, cfg.mutation_prob, rng,
                                 cfg.n_offspring) + [parent]
     return best_geno, log

@@ -315,6 +315,116 @@ class TestMutateMany:
         assert len(streams[0].getvalue().splitlines()) == 1 + 8
 
 
+def stacked(genomes):
+    return (np.stack([g.function_genes for g in genomes]),
+            np.stack([g.output_genes for g in genomes]),
+            np.stack([g.constants for g in genomes]))
+
+
+def with_genes(g, genes=None, constants=None):
+    """A fresh genome (empty phenotype cache) with some fields replaced."""
+    return cgp.Genotype(g.config, g.fset,
+                        g.function_genes.copy() if genes is None else genes,
+                        g.output_genes.copy(),
+                        g.constants.copy() if constants is None else constants)
+
+
+class TestPhenotypes:
+    @pytest.mark.parametrize("levels_back", [1, None])
+    @pytest.mark.parametrize("n_outputs", [1, 3])
+    def test_wave_pass_matches_active_nodes(self, fset, levels_back, n_outputs):
+        cfg = small_config(n_rows=3, n_cols=5, n_constants=2,
+                           levels_back=levels_back, n_outputs=n_outputs)
+        rng = np.random.default_rng(30)
+        genomes = [cgp.random_genotype(cfg, fset, rng) for _ in range(300)]
+        steps, keys = cgp.phenotypes(cfg, fset, *stacked(genomes))
+        assert len(steps) == len(keys) == len(genomes)
+        for g, s in zip(genomes, steps):
+            nodes = list(s[0::4])
+            assert nodes == sorted(cgp.active_nodes(g))
+            for j, code, a, b in zip(*(s[k::4] for k in range(4))):
+                assert (code, a) == tuple(g.function_genes[j, :2])
+                assert b == (g.function_genes[j, 2] if fset[code].arity == 2 else -1)
+
+    def test_wave_cache_matches_a_pass_of_one(self, fset):
+        g = cgp.random_genotype(small_config(n_rows=3, n_cols=4, n_constants=2),
+                                fset, np.random.default_rng(31))
+        for m in cgp.mutate_many(g, 40, 0.3, np.random.default_rng(32)):
+            alone = with_genes(m)
+            assert cgp.phenotype_keys([m]) == cgp.phenotype_keys([alone])
+            assert m._steps == alone._steps
+
+    def test_equal_keys_give_bit_equal_outputs(self, fset):
+        cfg = small_config(n_rows=2, n_cols=3, n_constants=2, n_outputs=2)
+        rng = np.random.default_rng(33)
+        X = rng.uniform(-3, 3, size=(50, 3))
+        groups: dict = {}
+        for _ in range(10):
+            parent = cgp.random_genotype(cfg, fset, rng)
+            for m in cgp.mutate_many(parent, 60, 0.15, rng):
+                groups.setdefault(cgp.phenotype_keys([m])[0], []).append(m)
+        shared = [ms for ms in groups.values() if len(ms) > 1]
+        # the duplicates are not all plain copies of their genes
+        assert any(not np.array_equal(ms[0].function_genes, m.function_genes)
+                   or not np.array_equal(ms[0].constants, m.constants)
+                   for ms in shared for m in ms[1:])
+        for ms in shared:
+            first = cgp.evaluate_genotype(ms[0], X)
+            for m in ms[1:]:
+                for a, b in zip(first, cgp.evaluate_genotype(m, X)):
+                    assert np.array_equal(a, b, equal_nan=True)
+
+    def test_constants_in_the_key_only_when_read(self, fset):
+        cfg = cgp.CgpConfig(n_inputs=2, n_rows=1, n_cols=2, n_constants=2)
+        add, sin = fset.by_name("+").code, fset.by_name("sin").code
+        # node 0 = x0 + c0 (source 2); node 1 = sin(node 0); c1 is never read
+        genes = np.array([[add, 0, 2], [sin, 4, 1]], dtype=np.int64)
+        g = cgp.Genotype(cfg, fset, genes, np.array([5]), np.array([0.5, -0.25]))
+
+        def key(genes=None, constants=None):
+            return cgp.phenotype_keys([with_genes(g, genes, constants)])[0]
+
+        unread = key(constants=np.array([0.5, 0.75]))
+        assert unread == key()
+        assert key(constants=np.array([np.nextafter(0.5, 1.0), -0.25])) != key()
+        # sin ignores its second input gene, and nothing reads node 0 twice
+        other_b = genes.copy()
+        other_b[1, 2] = 0
+        assert key(genes=other_b) == key()
+        other_a = genes.copy()
+        other_a[0, 1] = 1
+        assert key(genes=other_a) != key()
+
+    def test_inactive_genes_do_not_change_the_key(self, three_output_genome):
+        g = three_output_genome
+        genes = g.function_genes.copy()
+        genes[8] = [2, 3, 4]      # column 4 is unreachable
+        genes[9] = [0, 2, 2]
+        assert (cgp.phenotype_keys([with_genes(g, genes)])
+                == cgp.phenotype_keys([with_genes(g)]))
+
+    def test_evaluate_runs_the_cached_steps(self, fset, monkeypatch):
+        rng = np.random.default_rng(34)
+        g = cgp.random_genotype(small_config(n_rows=3, n_cols=4), fset, rng)
+        X = rng.uniform(-1, 1, size=(20, 3))
+        expected = cgp.evaluate_genotype(with_genes(g), X)
+
+        def no_walk(genome):
+            raise AssertionError("evaluate_genotype walked the graph")
+
+        monkeypatch.setattr(cgp, "active_nodes", no_walk)
+        cgp.analyse([g])
+        for a, b in zip(expected, cgp.evaluate_genotype(g, X)):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_analyse_groups_mixed_configs(self, fset):
+        rng = np.random.default_rng(35)
+        cfgs = [small_config(n_rows=2, n_cols=3), small_config(n_rows=4, n_cols=2)]
+        genomes = [cgp.random_genotype(cfgs[i % 2], fset, rng) for i in range(20)]
+        keys = cgp.phenotype_keys(genomes)
+        assert keys == [cgp.phenotype_keys([with_genes(g)])[0] for g in genomes]
+
+
 class TestDecodeEvaluateConsistency:
     def test_tree_matches_graph_on_random_genomes(self, fset):
         rng = np.random.default_rng(12)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netexpr import mlp
+from netexpr import mlp, surrogate
 from netexpr.cli import Manifest, main
 
 
@@ -81,6 +81,45 @@ class TestTrain:
         assert main(["train", "--benchmark", "K0", "--seed", "0", "--epochs", "5",
                      flag, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("targets", [
+        [0.5, 1.0, 2.0, 0.0],        # not integral
+        [-1, 0, 1, 2],               # negative
+        [0, 1, 2, 3e6],              # beyond any class id
+    ])
+    def test_classification_task_needs_class_ids(self, tmp_path, targets):
+        X = np.linspace(-1, 1, 8).reshape(-1, 1)
+        csv = tmp_path / "d.csv"
+        mlp.save_dataset_csv(csv, X, np.array(targets * 2, dtype=float))
+        out = tmp_path / "o"
+        assert main(["train", "--csv", str(csv), "--arch", "2", "--epochs", "1",
+                     "--seed", "0", "--task", "classification",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_classification_task_on_a_benchmark_exits_2(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["train", "--benchmark", "K0", "--epochs", "1", "--seed", "0",
+                     "--task", "classification", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task,head", [
+        (None, mlp.SOFTMAX), ("classification", mlp.SOFTMAX),
+        ("regression", mlp.LINEAR),
+    ])
+    def test_task_sets_the_head_of_count_targets(self, tmp_path, task, head):
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-1, 1, size=(40, 2))
+        csv = tmp_path / "counts.csv"
+        mlp.save_dataset_csv(csv, X, rng.poisson(3.0, size=40))
+        out = tmp_path / "o"
+        argv = ["train", "--csv", str(csv), "--arch", "3", "--epochs", "2",
+                "--seed", "0", "--out", str(out)]
+        assert main(argv + (["--task", task] if task else [])) == 0
+        assert mlp.load_weights(out / "weights.json").head == head
+        config = Manifest.load(out / "manifest.json")["config"]
+        assert config["head"] == head
+        assert config["task"] == task
 
     def test_diverging_loss_exits_4(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -316,6 +355,25 @@ class TestEval:
         assert main(["eval", "--genotype", str(gpath), "--weights", str(weights),
                      "--domain=-1:1", "--points", points, "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_classifier_y_expr_is_a_probability(self, toy_classifier, tmp_path):
+        model_dir, csv = toy_classifier
+        weights = model_dir / "weights.json"
+        explained = tmp_path / "x"
+        assert main(["explain", "--weights", str(weights), "--csv", str(csv),
+                     "--seed", "4", "--offspring", "8", "--generations", "2",
+                     "--cadence", "1", "--out", str(explained)]) == 0
+        genotype = explained / "run_0" / "genotype.json"
+        out = tmp_path / "o"
+        assert main(["eval", "--genotype", str(genotype), "--weights", str(weights),
+                     "--domain=-2:2,-2:2", "--points", "25", "--out", str(out)]) == 0
+        header = (out / "grid.csv").read_text().split("\n", 1)[0].split(",")
+        grid = np.loadtxt(out / "grid.csv", delimiter=",", skiprows=1)
+        net = surrogate.net_from_json(genotype.read_text())
+        logits = surrogate.genotype_forward(net, grid[:, :2])[-1].h_values
+        y_expr = grid[:, header.index("y_expr")]
+        assert np.array_equal(y_expr, mlp.softmax(logits)[:, 0])
+        assert np.all((0.0 <= y_expr) & (y_expr <= 1.0))
 
     def test_benchmark_grid_includes_truth(self, trained_k0, tmp_path):
         out = tmp_path / "o"

@@ -1,5 +1,6 @@
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from netexpr import cgp, evolve as ev, surrogate
 from netexpr.affine import AffineParams
 from netexpr.errors import DimensionMismatch
 from netexpr.mlp import LayerTrace
+from netexpr.surrogate import apply_affine
 
 from conftest import planted_regression_setup, single_op_chromosome
 from oracles import fitness_by_hand
@@ -185,12 +187,182 @@ class TestSelection:
         assert with_refit[0, 0] < without[0, 0]
 
 
+def soft_targets(rng, n, width):
+    z = rng.normal(size=(n, width))
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+class TestScoreRows:
+    @pytest.mark.parametrize("kind", [ev.MSE, ev.CROSS_ENTROPY])
+    @pytest.mark.parametrize("n,width", [(5, 1), (160, 1), (40, 3), (500, 10),
+                                         (3000, 3), (9000, 1), (2, 12)])
+    def test_equals_score_values_bit_for_bit(self, kind, n, width):
+        rng = np.random.default_rng(n * 31 + width)
+        R = 24
+        target = (soft_targets(rng, n, width) if kind == ev.CROSS_ENTROPY
+                  else rng.normal(size=(n, width)) * 3.0)
+        F = rng.normal(size=(R, n)) * rng.choice([1e-6, 1.0, 1e3], size=(R, 1))
+        W = rng.normal(size=(R, width)) * 5.0
+        B = rng.normal(size=(R, width))
+        F[1] = F[0]                      # equal rows with different params
+        F[2, 0], W[2], B[2] = 10.0, 1e308, 0.0   # predictions overflow to inf
+        F[3, 0], W[3] = 1e200, 1.0       # finite predictions, the loss overflows
+        W[4], B[4] = 0.0, -1e300         # cross-entropy logits far apart
+        got = ev.score_rows(F, W, B, target, kind)
+        want = [ev.score_values(apply_affine(F[i], AffineParams(W[i], B[i])),
+                                target, kind) for i in range(R)]
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+        assert got[2] == ev.OVERFLOW_PENALTY
+        if kind == ev.MSE:
+            assert got[3] == ev.OVERFLOW_PENALTY
+
+    def test_small_blocks_give_the_same_losses(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        F, W, B = rng.normal(size=(30, 50)), rng.normal(size=(30, 4)), rng.normal(size=(30, 4))
+        target = rng.normal(size=(50, 4))
+        whole = ev.score_rows(F, W, B, target, ev.MSE)
+        monkeypatch.setattr(ev, "SCORE_BLOCK", 7)
+        assert ev.score_rows(F, W, B, target, ev.MSE).tolist() == whole.tolist()
+
+    def test_no_rows(self):
+        target = np.zeros((10, 2))
+        out = ev.score_rows(np.zeros((0, 10)), np.zeros((0, 2)), np.zeros((0, 2)),
+                            target, ev.MSE)
+        assert out.shape == (0,)
+
+
+def select_without_dedup(population, trace, task, refit=True, lbfgs_max_iters=500):
+    """select_layerwise_best as it was before duplicate phenotypes were
+    skipped: every row evaluated, fitted and scored by score_values."""
+    targets = ev._position_targets(trace, task)
+    loss_matrix = np.empty((len(population), len(targets)))
+    chosen = []
+    current = np.asarray(trace.x, dtype=float)
+    for pos, (target, kind) in enumerate(targets):
+        chroms = [indiv.chromosomes[pos] for indiv in population]
+        F = np.stack([surrogate.chromosome_scalar(c, current) for c in chroms])
+        rows = np.flatnonzero(np.isfinite(F).all(axis=1))
+        if refit:
+            if kind == ev.MSE:
+                w, b, _ = ev.fit_affine_mse_rows(F[rows], target)
+            else:
+                w, b, *_ = ev.fit_affine_ce_rows(F[rows], target, lbfgs_max_iters)
+            for i, wi, bi in zip(rows, w, b):
+                chroms[i] = chroms[i].with_affine(AffineParams(wi, bi))
+        losses = np.full(len(chroms), ev.OVERFLOW_PENALTY)
+        for i in rows:
+            losses[i] = ev.score_values(apply_affine(F[i], chroms[i].affine),
+                                        target, kind)
+        loss_matrix[:, pos] = losses
+        best = int(np.argmin(losses))
+        chosen.append(chroms[best])
+        current = apply_affine(F[best], chroms[best].affine)
+    return surrogate.NetGenotype(tuple(chosen)), loss_matrix
+
+
+def population_with_duplicates(rng, d, widths, size=40):
+    """Offspring waves of a few parents (many share a phenotype), exact
+    copies, copies that differ only in genes nothing reads, and copies
+    with other affine params."""
+    parents = [random_net(rng, d, widths) for _ in range(4)]
+    pop = []
+    for p in parents:
+        pop += surrogate.mutate_net(p, 0.1, rng, size // 4)
+    for i in rng.choice(len(pop), 6, replace=False):
+        pop.append(pop[i])
+        chroms = []
+        for c in pop[i].chromosomes:
+            g = c.genotype
+            genes = g.function_genes.copy()
+            inactive = sorted(set(range(g.config.n_nodes)) - cgp.active_nodes(g))
+            if inactive:
+                genes[inactive[0], 0] = (genes[inactive[0], 0] + 1) % len(g.fset)
+            twin = cgp.Genotype(g.config, g.fset, genes, g.output_genes.copy(),
+                                g.constants.copy())
+            chroms.append(surrogate.LayerChromosome(
+                twin, AffineParams(c.affine.w * 2.0, c.affine.b + 1.0), c.layer_index))
+        pop.append(surrogate.NetGenotype(tuple(chroms)))
+    return pop
+
+
+class TestDuplicatePhenotypes:
+    @pytest.mark.parametrize("task,widths", [
+        (ev.REGRESSION, (3, 1)),
+        (ev.REGRESSION, (4, 2, 1)),
+        (ev.CLASSIFICATION, (3, 2)),
+        (ev.CLASSIFICATION, (3, 3)),
+    ])
+    @pytest.mark.parametrize("refit", [True, False])
+    def test_same_losses_and_parent_as_without_dedup(self, task, widths, refit):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            trace = random_trace(rng, widths=widths, task=task)
+            pop = population_with_duplicates(rng, 2, widths)
+            parent, losses = ev.select_layerwise_best(pop, trace, task, refit=refit,
+                                                      lbfgs_max_iters=50)
+            ref_parent, ref_losses = select_without_dedup(pop, trace, task, refit,
+                                                          lbfgs_max_iters=50)
+            assert np.array_equal(losses, ref_losses)
+            for c, r in zip(parent.chromosomes, ref_parent.chromosomes):
+                assert c.genotype is r.genotype
+                assert np.array_equal(c.affine.w, r.affine.w)
+                assert np.array_equal(c.affine.b, r.affine.b)
+
+    def test_one_evaluation_per_distinct_phenotype(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        trace = random_trace(rng, widths=(3, 1))
+        pop = population_with_duplicates(rng, 2, (3, 1))
+        calls = []
+
+        def counted(c, inputs):
+            calls.append(c.layer_index)
+            return surrogate.chromosome_scalar(c, inputs)
+
+        monkeypatch.setattr(ev, "chromosome_scalar", counted)
+        ev.select_layerwise_best(pop, trace, ev.REGRESSION)
+        for pos in range(2):
+            keys = cgp.phenotype_keys([p.chromosomes[pos].genotype for p in pop])
+            assert calls.count(pos) == len(set(keys)) < len(pop)
+
+    def test_non_finite_duplicates_take_the_penalty(self):
+        trace, exact = planted_regression_setup()
+        c0 = single_op_chromosome("id", 0, 2, np.full(3, 7.0), np.zeros(3), 0)
+        broken = surrogate.NetGenotype((c0, exact.chromosomes[1]))
+        X = trace.x.copy()
+        X[0, 0] = np.inf
+        trace = LayerTrace(X, trace.h, trace.y)
+        pop = [broken, exact, broken, exact]
+        for refit in (True, False):
+            parent, losses = ev.select_layerwise_best(pop, trace, ev.REGRESSION,
+                                                      refit=refit)
+            _, ref = select_without_dedup(pop, trace, ev.REGRESSION, refit)
+            assert np.array_equal(losses, ref)
+            assert losses[0, 0] == losses[2, 0] == ev.OVERFLOW_PENALTY
+
+
 class TestEvolve:
     def small_cfg(self, **kw):
         base = dict(n_offspring=10, max_generations=15, mutation_prob=0.3,
                     fitness_target=1e-4, seed=1, n_rows=2, n_cols=3)
         base.update(kw)
         return ev.EvolveConfig(**base)
+
+    def test_scored_wave_is_freed_before_the_next_is_made(self, monkeypatch):
+        # two populations (and their cached phenotypes) are never alive at once
+        waves = []
+
+        def tracked(parent, p, rng, n):
+            assert all(ref() is None for wave in waves for ref in wave)
+            wave = surrogate.mutate_net(parent, p, rng, n)
+            waves.append([weakref.ref(child) for child in wave])
+            return wave
+
+        monkeypatch.setattr(ev, "mutate_net", tracked)
+        trace = random_trace(np.random.default_rng(43), widths=(3, 1))
+        _, log = ev.evolve(trace, ev.REGRESSION,
+                           self.small_cfg(max_generations=5, fitness_target=1e-30))
+        assert len(log.records) == len(waves) == 5
 
     def test_huge_target_stops_after_one_generation(self):
         rng = np.random.default_rng(6)
