@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+TRAIN_FRACTION = 0.8    # share of a shuffled dataset that ``split`` trains on
+
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
@@ -146,14 +148,15 @@ def generate(spec: BenchmarkSpec, seed: int = 0):
     return X, y
 
 
-def split(dataset, train_fraction: float = 0.8, seed: int = 0):
-    """Seeded shuffle split into (train, test), train size floor(f * n)."""
+def split(dataset, seed: int = 0):
+    """Seeded shuffle split into (train, test), train size
+    floor(TRAIN_FRACTION * n)."""
     X, y = dataset
     n = X.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples to split")
     idx = np.random.default_rng(seed).permutation(n)
-    cut = math.floor(train_fraction * n)
+    cut = math.floor(TRAIN_FRACTION * n)
     tr, te = idx[:cut], idx[cut:]
     return (X[tr], y[tr]), (X[te], y[te])
 

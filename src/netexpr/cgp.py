@@ -33,6 +33,8 @@ from .errors import DimensionMismatch, SchemaError
 DIV_EPS = 1e-9       # |denominator| below this returns the numerator
 LN_SENTINEL = -1e6   # value of ln at exactly zero
 CLAMP = 1e12         # output clamp for tan and exp
+CONST_SIGMA = 0.1    # std of a mutation's Gaussian nudge to a constant
+CONST_REDRAW = 0.1   # a constant's redraw chance, as a fraction of p
 
 
 def p_add(a, b):
@@ -356,16 +358,15 @@ def phenotype_keys(genomes: Sequence[Genotype]) -> list[bytes]:
 
 
 def mutate_many(g: Genotype, n: int, per_gene_prob: float,
-                rng: np.random.Generator, const_sigma: float = 0.1,
-                const_redraw_factor: float = 0.1) -> list[Genotype]:
+                rng: np.random.Generator) -> list[Genotype]:
     """Point-mutate n copies of one genome as one (n, n_nodes, 3) gene tensor.
 
     Each function and input gene of each copy is resampled with the given
     probability, uniformly from its valid value set (so the observable
     change rate is p * (1 - 1/k) for k valid values).  Output genes are
     never changed.  Each constant gets a Gaussian nudge (sigma
-    ``const_sigma``) with probability p and is redrawn uniformly in
-    [-1, 1] with probability ``const_redraw_factor`` * p.  The number of
+    ``CONST_SIGMA``) with probability p and is redrawn uniformly in
+    [-1, 1] with probability ``CONST_REDRAW`` * p.  The number of
     RNG calls does not depend on n.  Every offspring owns its arrays, and
     the original genome is left untouched.  The wave's phenotypes are
     found by one ``phenotypes`` pass and cached on the offspring.
@@ -390,8 +391,8 @@ def mutate_many(g: Genotype, n: int, per_gene_prob: float,
     constants = np.repeat(g.constants[None], n, axis=0)
     if cfg.n_constants:
         nudge = rng.random(constants.shape) < per_gene_prob
-        constants[nudge] += rng.normal(0.0, const_sigma, int(nudge.sum()))
-        redraw = rng.random(constants.shape) < const_redraw_factor * per_gene_prob
+        constants[nudge] += rng.normal(0.0, CONST_SIGMA, int(nudge.sum()))
+        redraw = rng.random(constants.shape) < CONST_REDRAW * per_gene_prob
         constants[redraw] = rng.uniform(-1.0, 1.0, int(redraw.sum()))
 
     steps, keys = phenotypes(cfg, g.fset, genes,
@@ -403,11 +404,9 @@ def mutate_many(g: Genotype, n: int, per_gene_prob: float,
             for i in range(n)]
 
 
-def mutate(g: Genotype, per_gene_prob: float, rng: np.random.Generator,
-           const_sigma: float = 0.1, const_redraw_factor: float = 0.1) -> Genotype:
+def mutate(g: Genotype, per_gene_prob: float, rng: np.random.Generator) -> Genotype:
     """One offspring: ``mutate_many`` with n = 1, same per-gene law."""
-    return mutate_many(g, 1, per_gene_prob, rng, const_sigma,
-                       const_redraw_factor)[0]
+    return mutate_many(g, 1, per_gene_prob, rng)[0]
 
 
 def active_nodes(g: Genotype) -> set[int]:

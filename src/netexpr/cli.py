@@ -4,13 +4,16 @@ Every randomized command takes an explicit --seed; outputs are UTF-8
 CSV/JSON files under --out, and each command writes a manifest recording
 its config snapshot, seeds, and every artifact path.
 
+A ``--config`` file's ``key = value`` lines are parsed as ``--key=value``
+options ahead of the command line's, so argparse checks both alike and a
+flag on the command line wins.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -66,66 +69,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _config_value(action, key, value):
-    """A config-file value checked as the command line checks the option:
-    converted by the option's ``type`` from its text, then held to its
-    ``choices``; a flag takes true or false."""
-    if action.nargs == 0:
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} takes true or false, not {value!r}")
-        return value
-    if action.type is not None:
-        try:
-            value = action.type(str(value))
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: bad value {value!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ConfigError(f"config key {key!r}: {value!r} is not one of "
-                          f"{sorted(action.choices)}")
-    return value
-
-
-def _apply_config_file(args, parser):
-    """Fill the options the command line did not give from a key = value
-    config file.
-
-    ``parser`` is the subcommand's parser, which holds the types and
-    choices every value is checked against.  ``args.given`` names the
-    options the command line gave, whatever their values.
-    """
-    if not args.config:
-        return
-    cfg = bench.parse_run_config(args.config)
-    actions = {action.dest: action for action in parser._actions}
-    for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr not in actions:
-            raise ConfigError(f"config key {key!r} is not a recognized option")
-        value = _config_value(actions[attr], key, value)
-        if attr not in args.given:
-            setattr(args, attr, value)
-
-
-def _given_options(argv) -> set[str]:
-    """Dests that argv sets itself: argv parsed again with every default
-    suppressed, so an option given at its default value still counts."""
-    def suppress(parser):
-        for action in parser._actions:
-            action.default = argparse.SUPPRESS
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    suppress(sub)
-
-    parser = build_parser()
-    suppress(parser)
-    return set(vars(parser.parse_args(argv)))
-
-
 def _parse_arch(value) -> list[int]:
     if value is None:
         raise ConfigError("no architecture given and none implied by a benchmark")
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
+    if isinstance(value, tuple):     # a benchmark's own architecture
+        return list(value)
     try:
         return [int(tok) for tok in str(value).split(",") if tok.strip()]
     except ValueError:
@@ -157,8 +105,7 @@ def _train_head(task, y) -> str | None:
     return mlp.SOFTMAX
 
 
-def cmd_train(args, parser) -> int:
-    _apply_config_file(args, parser)
+def cmd_train(args) -> int:
     X, y, names, spec = _load_table(args)
     arch = _parse_arch(args.arch if args.arch else (spec.arch if spec else None))
     optimizer = args.optimizer or (spec.optimizer if spec else "sgd")
@@ -234,8 +181,7 @@ def _split_samples_csv(path):
     return full[:, :feat_end], header[:feat_end]
 
 
-def cmd_explain(args, parser) -> int:
-    _apply_config_file(args, parser)
+def cmd_explain(args) -> int:
     if args.runs < 1:
         raise ConfigError("--runs must be >= 1")
     if args.threads < 1:
@@ -307,8 +253,7 @@ def cmd_explain(args, parser) -> int:
     return 0
 
 
-def cmd_sample_boundary(args, parser) -> int:
-    _apply_config_file(args, parser)
+def cmd_sample_boundary(args) -> int:
     model = mlp.load_weights(args.weights)
     if model.head != mlp.SOFTMAX:
         raise DataError(f"{args.weights} is not a classifier (head is "
@@ -348,8 +293,7 @@ def _parse_domain(text: str) -> list[tuple[float, float]]:
     return out
 
 
-def cmd_eval(args, parser) -> int:
-    _apply_config_file(args, parser)
+def cmd_eval(args) -> int:
     if args.points < 1:
         raise ConfigError("--points must be >= 1")
     model = mlp.load_weights(args.weights)
@@ -409,7 +353,7 @@ def cmd_eval(args, parser) -> int:
     return 0
 
 
-def cmd_report(args, parser) -> int:
+def cmd_report(args) -> int:
     run_dirs = sorted(Path(args.dir).glob("run_*"))
     if not run_dirs:
         raise DataError(f"no run_* directories under {args.dir}")
@@ -468,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="network head: linear for regression, softmax for "
                         "classification (default: classification when every "
                         "target is a non-negative integer)")
-    p.set_defaults(fn=functools.partial(cmd_train, parser=p))
+    p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("explain", help="evolve per-layer expressions for a model")
     common(p)
@@ -495,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constants", type=int, default=1)
     p.add_argument("--no-timings", action="store_true",
                    help="omit elapsed_ms from convergence CSVs")
-    p.set_defaults(fn=functools.partial(cmd_explain, parser=p))
+    p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser("sample-boundary",
                        help="sample points near a classifier's decision boundary")
@@ -507,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", type=int, default=50000)
     p.add_argument("--keep", type=int, default=1000)
     p.add_argument("--margin", type=float, default=0.0)
-    p.set_defaults(fn=functools.partial(cmd_sample_boundary, parser=p))
+    p.set_defaults(fn=cmd_sample_boundary)
 
     p = sub.add_parser("eval", help="grid CSV over interpolation + 5x extrapolation")
     common(p, seed=False)
@@ -517,21 +461,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default=None, help="per-feature lo:hi, comma separated")
     p.add_argument("--feature", type=int, default=0, help="feature swept by the grid")
     p.add_argument("--points", type=int, default=200)
-    p.set_defaults(fn=functools.partial(cmd_eval, parser=p))
+    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("report", help="summarize explain runs in a directory")
     p.add_argument("--dir", required=True)
-    p.set_defaults(fn=functools.partial(cmd_report, parser=p))
+    p.set_defaults(fn=cmd_report)
 
     return parser
 
 
+def _config_argv(parser, command: str, path) -> list[str]:
+    """``command``'s key = value config file as ``--option=value`` tokens,
+    which its parser then types and checks as it does the command line.
+
+    A flag takes true (given) or false (left out); a list is joined with
+    commas, so ``arch = [10, 10]`` reads as ``--arch=10,10``.
+    """
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {action.dest: action for action in sub.choices[command]._actions
+               if action.dest not in ("help", "config")}
+    argv = []
+    for key, value in bench.parse_run_config(path).items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"config key {key!r} is not a recognized option")
+        option = action.option_strings[-1]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ConfigError(f"config key {key!r} takes true or false, "
+                                  f"not {value!r}")
+            argv += [option] if value else []
+        else:
+            if isinstance(value, list):
+                value = ",".join(str(v) for v in value)
+            argv.append(f"{option}={value}")
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    args.given = _given_options(argv)
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # parse again with the file's options first, so that the
+            # command line's come later and win
+            argv = sys.argv[1:] if argv is None else list(argv)
+            rest = argv[argv.index(args.command) + 1:]
+            args = parser.parse_args(
+                [args.command, *_config_argv(parser, args.command, args.config),
+                 *rest])
         return args.fn(args)
+    except SystemExit as exc:    # argparse: 2 for a bad option, 0 after --help
+        return exc.code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

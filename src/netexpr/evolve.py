@@ -55,7 +55,6 @@ class EvolveConfig:
     n_rows: int = 10
     n_cols: int = 10
     n_constants: int = 1
-    levels_back: int | None = None
     # caps the Newton iterations of each cross-entropy fit; the name predates
     # the Newton fitter and is kept for existing callers
     lbfgs_max_iters: int = 500
@@ -72,7 +71,7 @@ class EvolveConfig:
         if self.affine_refit_every < 1:
             raise ValueError("affine_refit_every must be >= 1")
         cgp.CgpConfig(n_inputs=1, n_rows=self.n_rows, n_cols=self.n_cols,
-                      n_constants=self.n_constants, levels_back=self.levels_back)
+                      n_constants=self.n_constants)
 
 
 @dataclass(frozen=True)
@@ -221,12 +220,13 @@ def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
     the already-selected prefix's output, so individuals with equal
     phenotype keys (``cgp.phenotype_keys``) have equal scalar outputs:
     each distinct key is evaluated once and its row of F stands for all
-    of them.  Rows that are not all finite score the overflow penalty and
-    keep their affine.  With ``refit`` the distinct finite rows are
-    refitted by one batched call (closed form for MSE, Newton for
-    cross-entropy, ``lbfgs_max_iters`` capping its steps), so duplicates
-    share one fit and one loss; without it every individual with a finite
-    row is scored with its own affine.  Losses come from ``score_rows``,
+    of them.  Without ``refit`` a row stands only for individuals that
+    also share one affine object, whose params it is scored with.  Rows
+    that are not all finite score the overflow penalty and keep their
+    affine.  With ``refit`` the distinct finite rows are refitted by one
+    batched call (closed form for MSE, Newton for cross-entropy,
+    ``lbfgs_max_iters`` capping its steps).  Either way duplicates share
+    one loss, scored once.  Losses come from ``score_rows``,
     equal to what ``fitness`` gives; only the chosen individual gets a
     refitted chromosome, and its values are fed on unchanged.
     Ties go to the lowest population index.  Returns the composite
@@ -241,26 +241,27 @@ def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
     current = np.asarray(trace.x, dtype=float)
     for pos, (target, kind) in enumerate(targets):
         chroms = [indiv.chromosomes[pos] for indiv in population]
-        firsts, row_of = _distinct(cgp.phenotype_keys([c.genotype for c in chroms]))
+        keys = cgp.phenotype_keys([c.genotype for c in chroms])
+        if not refit:
+            # individuals score alike only with the same affine too; in
+            # ``evolve`` every offspring shares its parent's
+            keys = [(key, id(c.affine)) for key, c in zip(keys, chroms)]
+        firsts, row_of = _distinct(keys)
         F = np.stack([chromosome_scalar(chroms[i], current) for i in firsts])
         finite = np.isfinite(F).all(axis=1)
-        if refit:
-            # one fit and one loss per distinct finite row, shared by its duplicates
-            rows = np.flatnonzero(finite)
-            if kind == MSE:
-                W, B, _ = fit_affine_mse_rows(F[rows], target)
-            else:
-                W, B, *_ = fit_affine_ce_rows(F[rows], target, lbfgs_max_iters)
-            scored = np.full(len(firsts), OVERFLOW_PENALTY)
-            scored[rows] = score_rows(F[rows], W, B, target, kind)
-            losses = scored[row_of]
+        # one loss (and with refit one fit) per distinct finite row, shared
+        # by its duplicates
+        rows = np.flatnonzero(finite)
+        if not refit:
+            W = np.stack([chroms[i].affine.w for i in firsts])[rows]
+            B = np.stack([chroms[i].affine.b for i in firsts])[rows]
+        elif kind == MSE:
+            W, B, _ = fit_affine_mse_rows(F[rows], target)
         else:
-            losses = np.full(len(chroms), OVERFLOW_PENALTY)
-            live = np.flatnonzero(finite[row_of])
-            if live.size:
-                losses[live] = score_rows(
-                    F[row_of[live]], np.stack([chroms[i].affine.w for i in live]),
-                    np.stack([chroms[i].affine.b for i in live]), target, kind)
+            W, B, *_ = fit_affine_ce_rows(F[rows], target, lbfgs_max_iters)
+        scored = np.full(len(firsts), OVERFLOW_PENALTY)
+        scored[rows] = score_rows(F[rows], W, B, target, kind)
+        losses = scored[row_of]
         best = int(np.argmin(losses))     # first minimum: lowest-index tie-break
         choice = chroms[best]
         if refit and finite[row_of[best]]:
@@ -302,8 +303,7 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
 
     population: list[NetGenotype] = [
         random_net_genotype(n_inputs, widths, fset, rng, n_rows=cfg.n_rows,
-                            n_cols=cfg.n_cols, n_constants=cfg.n_constants,
-                            levels_back=cfg.levels_back)
+                            n_cols=cfg.n_cols, n_constants=cfg.n_constants)
         for _ in range(cfg.n_offspring)]
     if initial:
         for i, indiv in enumerate(initial[:len(population)]):
@@ -349,7 +349,7 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
         if log_stream is not None:
             log_stream.write(log.row(rec, include_timing) + "\n")
             log_stream.flush()
-        if best_total <= cfg.fitness_target:
+        if best_total <= cfg.fitness_target or gen + 1 == cfg.max_generations:
             break
         # let the scored population go before the next wave is made, so the
         # two (and their cached phenotypes) are never alive at once

@@ -19,6 +19,8 @@ LINEAR = "linear"
 SOFTMAX = "softmax"
 
 WEIGHTS_SCHEMA_VERSION = 1
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -59,14 +61,6 @@ class MlpModel:
         """Dimension chain [d_in, hidden..., d_out]."""
         return [self.layers[0][0].shape[0]] + [W.shape[1] for W, _ in self.layers]
 
-    @property
-    def n_hidden(self) -> int:
-        return len(self.layers) - 1
-
-    @property
-    def hidden_widths(self) -> list[int]:
-        return [W.shape[1] for W, _ in self.layers[:-1]]
-
 
 @dataclass
 class LayerTrace:
@@ -88,8 +82,6 @@ class TrainConfig:
     epochs: int = 2000
     batch_size: int = 32
     seed: int = 0
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -214,7 +206,7 @@ def train(dataset: tuple[np.ndarray, np.ndarray], arch: list[int],
     step = 0
     n = X.shape[0]
     batch = min(cfg.batch_size, n)
-    b1, b2 = cfg.adam_betas
+    b1, b2 = ADAM_BETAS
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -236,8 +228,8 @@ def train(dataset: tuple[np.ndarray, np.ndarray], arch: list[int],
                     c1 = 1 - b1 ** step
                     c2 = 1 - b2 ** step
                     model.layers[i] = (
-                        W - cfg.learning_rate * (mW / c1) / (np.sqrt(vW / c2) + cfg.adam_eps),
-                        b - cfg.learning_rate * (mb / c1) / (np.sqrt(vb / c2) + cfg.adam_eps),
+                        W - cfg.learning_rate * (mW / c1) / (np.sqrt(vW / c2) + ADAM_EPS),
+                        b - cfg.learning_rate * (mb / c1) / (np.sqrt(vb / c2) + ADAM_EPS),
                     )
         if epoch % 50 == 0 or epoch == cfg.epochs - 1:
             loss = _loss(model, X, T)

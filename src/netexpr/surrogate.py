@@ -99,8 +99,7 @@ def genotype_forward(g: NetGenotype, x: np.ndarray) -> list[LayerOutput]:
 
 def random_net_genotype(n_inputs: int, widths: list[int], fset: cgp.FunctionSet,
                         rng: np.random.Generator, n_rows: int = 10,
-                        n_cols: int = 10, n_constants: int = 1,
-                        levels_back: int | None = None) -> NetGenotype:
+                        n_cols: int = 10, n_constants: int = 1) -> NetGenotype:
     """Random chromosomes chained to the given layer widths.
 
     Affine params start at w=1, b=0 and are meant to be fitted before the
@@ -110,8 +109,7 @@ def random_net_genotype(n_inputs: int, widths: list[int], fset: cgp.FunctionSet,
     prev = n_inputs
     for i, width in enumerate(widths):
         cfg = cgp.CgpConfig(n_inputs=prev, n_rows=n_rows, n_cols=n_cols,
-                            n_constants=n_constants, levels_back=levels_back,
-                            n_outputs=1)
+                            n_constants=n_constants, n_outputs=1)
         genome = cgp.random_genotype(cfg, fset, rng)
         chroms.append(LayerChromosome(genome, AffineParams(np.ones(width),
                                                            np.zeros(width)), i))

@@ -200,6 +200,7 @@ class TestExplain:
     @pytest.mark.parametrize("flag", [
         "--runs=0", "--generations=0", "--offspring=0", "--cadence=0",
         "--rows=0", "--mutation=2.0", "--mutation=-0.1", "--threads=0",
+        "--runs=two",
     ])
     def test_bad_option_exits_2_before_any_artifact(self, trained_k0, tmp_path,
                                                     flag):
@@ -271,6 +272,8 @@ class TestConfigFileValues:
         ("explain", "no-timings = 3"),
         ("train", "optimizer = rmsprop"),
         ("train", "epochs = [1, 2]"),
+        ("train", "help = true"),
+        ("explain", "config = x.cfg"),
     ])
     def test_bad_value_exits_2_before_any_artifact(self, trained_k0, tmp_path,
                                                    command, line):
@@ -286,6 +289,14 @@ class TestConfigFileValues:
             argv += ["--epochs", "5"]
         assert main(argv) == 2
         assert not out.exists()
+
+    def test_untyped_value_is_read_as_text(self, tmp_path, monkeypatch):
+        # csv = 5 names the file "5", which is missing: a data error
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("csv = 5\n")
+        assert main(["train", "--config", str(cfg), "--arch", "3", "--seed", "0",
+                     "--out", str(tmp_path / "o")]) == 3
 
     def test_values_take_the_option_types(self, trained_k0, tmp_path):
         cfg = tmp_path / "run.cfg"
