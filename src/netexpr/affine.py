@@ -84,7 +84,7 @@ class FitResult:
     degenerate: bool = False
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
+def log_softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
@@ -106,7 +106,7 @@ def loss_and_grad(params: AffineParams, problem: FitProblem):
         loss = float((r * r).sum() / n)
         gz = 2.0 * r / n
     else:
-        logp = _log_softmax(z)
+        logp = log_softmax(z)
         loss = float(-(t * logp).sum() / n)
         gz = (np.exp(logp) - t) / n
     gw = (gz * f[:, None]).sum(axis=0)

@@ -50,10 +50,7 @@ def boundary_distance(probs: np.ndarray) -> float:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1:
         raise DimensionMismatch("probs must be a vector")
-    if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
-        raise ValueError("probs must be non-negative and sum to 1")
-    c = probs.shape[0]
-    return float(np.abs(probs - 1.0 / c).sum())
+    return float(boundary_distances(probs[None])[0])
 
 
 def boundary_distances(probs: np.ndarray) -> np.ndarray:

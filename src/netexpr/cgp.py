@@ -184,14 +184,6 @@ class CgpConfig:
             return 0
         return (column - self.levels_back) * self.n_rows
 
-    def valid_input_sources(self, column: int) -> np.ndarray:
-        """All source indices a node in the given column may read from."""
-        base = self.n_sources_before_nodes
-        lead = np.arange(base)
-        lo = max(0, column - self.levels_back)
-        nodes = np.arange(base + lo * self.n_rows, base + column * self.n_rows)
-        return np.concatenate([lead, nodes])
-
 
 @dataclass(frozen=True, eq=False)
 class Genotype:
@@ -227,12 +219,16 @@ def validate_genotype(g: Genotype) -> None:
         raise ValueError("constants vector has wrong shape")
     if np.any(g.function_genes[:, 0] < 0) or np.any(g.function_genes[:, 0] >= len(g.fset)):
         raise ValueError("opcode out of range")
-    for j in range(cfg.n_nodes):
-        col = cfg.node_column(j)
-        valid = set(cfg.valid_input_sources(col).tolist())
-        for slot in (1, 2):
-            if int(g.function_genes[j, slot]) not in valid:
-                raise ValueError(f"node {j} input gene {slot} out of range")
+    # the window mutation draws from: an input or constant, or a node whose
+    # rank (source minus the column's shift) is below the column's choices
+    choices, shifts = _input_tables(cfg)
+    src = g.function_genes[:, 1:]
+    base = cfg.n_sources_before_nodes
+    rank = src - shifts[:, None]
+    bad = ~(((0 <= src) & (src < base)) | ((base <= rank) & (rank < choices[:, None])))
+    if bad.any():
+        j, slot = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise ValueError(f"node {j} input gene {slot + 1} out of range")
     if np.any(g.output_genes < 0) or np.any(g.output_genes >= cfg.n_sources):
         raise ValueError("output gene out of range")
     if not np.all(np.isfinite(g.constants)):

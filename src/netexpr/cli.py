@@ -4,9 +4,10 @@ Every randomized command takes an explicit --seed; outputs are UTF-8
 CSV/JSON files under --out, and each command writes a manifest recording
 its config snapshot, seeds, and every artifact path.
 
-A ``--config`` file's ``key = value`` lines are parsed as ``--key=value``
-options ahead of the command line's, so argparse checks both alike and a
-flag on the command line wins.
+A ``--config`` file's ``key = value`` lines can set any option of the
+command, required ones included: they become ``--key=value`` tokens
+between the command and the rest of the command line, which is parsed
+once, so argparse checks both alike and a flag on the command line wins.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -108,11 +109,12 @@ def _train_head(task, y) -> str | None:
 def cmd_train(args) -> int:
     X, y, names, spec = _load_table(args)
     arch = _parse_arch(args.arch if args.arch else (spec.arch if spec else None))
-    optimizer = args.optimizer or (spec.optimizer if spec else "sgd")
-    lr = args.lr if args.lr is not None else (spec.learning_rate if spec else 0.01)
-    epochs = args.epochs if args.epochs is not None else (spec.epochs if spec else 2000)
-    batch = args.batch_size if args.batch_size is not None else \
-        (spec.batch_size if spec else 32)
+    # a benchmark's own training setup, else TrainConfig's; same field names
+    defaults = spec or mlp.TrainConfig()
+    optimizer = args.optimizer or defaults.optimizer
+    lr = args.lr if args.lr is not None else defaults.learning_rate
+    epochs = args.epochs if args.epochs is not None else defaults.epochs
+    batch = args.batch_size if args.batch_size is not None else defaults.batch_size
     if any(w < 1 for w in arch):
         raise ConfigError(f"hidden widths must be >= 1, got {arch}")
     head = _train_head(args.task, y)
@@ -470,16 +472,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_argv(parser, command: str, path) -> list[str]:
-    """``command``'s key = value config file as ``--option=value`` tokens,
-    which its parser then types and checks as it does the command line.
+def _config_argv(command_parser, path) -> list[str]:
+    """A key = value config file as ``--option=value`` tokens of one
+    command, which its parser then types and checks as it does the
+    command line.
 
     A flag takes true (given) or false (left out); a list is joined with
     commas, so ``arch = [10, 10]`` reads as ``--arch=10,10``.
     """
-    sub = next(action for action in parser._actions
-               if isinstance(action, argparse._SubParsersAction))
-    options = {action.dest: action for action in sub.choices[command]._actions
+    options = {action.dest: action for action in command_parser._actions
                if action.dest not in ("help", "config")}
     argv = []
     for key, value in bench.parse_run_config(path).items():
@@ -501,16 +502,19 @@ def _config_argv(parser, command: str, path) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        # the config file's options go between the command and the rest of
+        # the command line, so that the command line's come later and win
+        pre = argparse.ArgumentParser(prog=" ".join([parser.prog, *argv[:1]]),
+                                      add_help=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv[1:])[0].config
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        if path and argv[0] in commands:
+            argv[1:1] = _config_argv(commands[argv[0]], path)
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            # parse again with the file's options first, so that the
-            # command line's come later and win
-            argv = sys.argv[1:] if argv is None else list(argv)
-            rest = argv[argv.index(args.command) + 1:]
-            args = parser.parse_args(
-                [args.command, *_config_argv(parser, args.command, args.config),
-                 *rest])
         return args.fn(args)
     except SystemExit as exc:    # argparse: 2 for a bad option, 0 after --help
         return exc.code

@@ -28,8 +28,8 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import cgp
-from .affine import (CROSS_ENTROPY, MSE, AffineParams, fit_affine_ce_rows,
-                     fit_affine_mse_rows)
+from .affine import (CROSS_ENTROPY, LBFGS_MAX_ITERS, MSE, AffineParams,
+                     fit_affine_ce_rows, fit_affine_mse_rows, log_softmax)
 from .errors import DimensionMismatch
 from .mlp import LayerTrace
 from .surrogate import (LayerChromosome, NetGenotype, apply_affine,
@@ -57,7 +57,7 @@ class EvolveConfig:
     n_constants: int = 1
     # caps the Newton iterations of each cross-entropy fit; the name predates
     # the Newton fitter and is kept for existing callers
-    lbfgs_max_iters: int = 500
+    lbfgs_max_iters: int = LBFGS_MAX_ITERS
 
     def __post_init__(self):
         if self.n_offspring < 1:
@@ -139,9 +139,7 @@ def score_values(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
             d = pred - target
             loss = float((d * d).mean())
         else:
-            z = pred - pred.max(axis=1, keepdims=True)
-            logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-            loss = float(-(target * logp).sum() / pred.shape[0])
+            loss = float(-(target * log_softmax(pred)).sum() / pred.shape[0])
     return loss if math.isfinite(loss) else OVERFLOW_PENALTY
 
 
@@ -213,7 +211,7 @@ def _distinct(keys) -> tuple[np.ndarray, np.ndarray]:
 
 def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
                           task: str, refit: bool = True,
-                          lbfgs_max_iters: int = 500):
+                          lbfgs_max_iters: int = LBFGS_MAX_ITERS):
     """Assemble the per-position best chromosomes into one composite parent.
 
     Positions are scanned in order.  At position i every individual sees
@@ -221,14 +219,15 @@ def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
     phenotype keys (``cgp.phenotype_keys``) have equal scalar outputs:
     each distinct key is evaluated once and its row of F stands for all
     of them.  Without ``refit`` a row stands only for individuals that
-    also share one affine object, whose params it is scored with.  Rows
-    that are not all finite score the overflow penalty and keep their
-    affine.  With ``refit`` the distinct finite rows are refitted by one
-    batched call (closed form for MSE, Newton for cross-entropy,
-    ``lbfgs_max_iters`` capping its steps).  Either way duplicates share
-    one loss, scored once.  Losses come from ``score_rows``,
-    equal to what ``fitness`` gives; only the chosen individual gets a
-    refitted chromosome, and its values are fed on unchanged.
+    also share one affine object, whose params it is scored with.  With
+    ``refit`` the distinct rows are refitted by one batched call (closed
+    form for MSE, Newton for cross-entropy, ``lbfgs_max_iters`` capping
+    its steps).  Either way duplicates share one loss, scored once.
+    Losses come from ``score_rows``, equal to what ``fitness`` gives, so
+    rows that are not all finite score the overflow penalty (the fitters
+    mark them degenerate).  Only the chosen individual gets a refitted
+    chromosome, unless its row is not finite: then it keeps its affine.
+    Its values are fed on unchanged.
     Ties go to the lowest population index.  Returns the composite
     genotype and the (n_individuals, n_positions) loss matrix.
     """
@@ -248,28 +247,24 @@ def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
             keys = [(key, id(c.affine)) for key, c in zip(keys, chroms)]
         firsts, row_of = _distinct(keys)
         F = np.stack([chromosome_scalar(chroms[i], current) for i in firsts])
-        finite = np.isfinite(F).all(axis=1)
-        # one loss (and with refit one fit) per distinct finite row, shared
-        # by its duplicates
-        rows = np.flatnonzero(finite)
+        # one loss (and with refit one fit) per distinct row, shared by its
+        # duplicates
         if not refit:
-            W = np.stack([chroms[i].affine.w for i in firsts])[rows]
-            B = np.stack([chroms[i].affine.b for i in firsts])[rows]
+            W = np.stack([chroms[i].affine.w for i in firsts])
+            B = np.stack([chroms[i].affine.b for i in firsts])
         elif kind == MSE:
-            W, B, _ = fit_affine_mse_rows(F[rows], target)
+            W, B, _ = fit_affine_mse_rows(F, target)
         else:
-            W, B, *_ = fit_affine_ce_rows(F[rows], target, lbfgs_max_iters)
-        scored = np.full(len(firsts), OVERFLOW_PENALTY)
-        scored[rows] = score_rows(F[rows], W, B, target, kind)
-        losses = scored[row_of]
+            W, B, *_ = fit_affine_ce_rows(F, target, lbfgs_max_iters)
+        losses = score_rows(F, W, B, target, kind)[row_of]
         best = int(np.argmin(losses))     # first minimum: lowest-index tie-break
+        k = row_of[best]
         choice = chroms[best]
-        if refit and finite[row_of[best]]:
-            k = int(np.searchsorted(rows, row_of[best]))
+        if refit and np.isfinite(F[k]).all():
             choice = choice.with_affine(AffineParams(W[k].copy(), B[k].copy()))
         loss_matrix[:, pos] = losses
         chosen.append(choice)
-        current = apply_affine(F[row_of[best]], choice.affine)
+        current = apply_affine(F[k], choice.affine)
     return NetGenotype(tuple(chosen)), loss_matrix
 
 

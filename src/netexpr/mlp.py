@@ -106,21 +106,24 @@ def init_model(n_inputs: int, hidden: list[int], n_outputs: int, head: str,
     return MlpModel(layers, head)
 
 
+def _forward(model: MlpModel, X: np.ndarray):
+    """Unchecked pass: [X, each hidden post-activation] and the head's logits."""
+    acts = [X]
+    for W, b in model.layers[:-1]:
+        acts.append(sigmoid(acts[-1] @ W + b))
+    W, b = model.layers[-1]
+    return acts, acts[-1] @ W + b
+
+
 def forward_trace(model: MlpModel, X: np.ndarray) -> LayerTrace:
     """Forward pass capturing each hidden layer's post-activation output."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.dims[0]:
         raise DimensionMismatch(
             f"expected {model.dims[0]} input columns, got shape {X.shape}")
-    h: list[np.ndarray] = []
-    a = X
-    for W, b in model.layers[:-1]:
-        a = sigmoid(a @ W + b)
-        h.append(a)
-    W, b = model.layers[-1]
-    z = a @ W + b
+    acts, z = _forward(model, X)
     y = softmax(z) if model.head == SOFTMAX else z
-    return LayerTrace(X, h, y)
+    return LayerTrace(X, acts[1:], y)
 
 
 def predict(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -155,13 +158,7 @@ def _loss(model: MlpModel, X: np.ndarray, T: np.ndarray) -> float:
 def _gradients(model: MlpModel, X: np.ndarray, T: np.ndarray):
     """Backprop for mean squared error (linear head) or cross-entropy (softmax)."""
     n = X.shape[0]
-    acts = [X]
-    a = X
-    for W, b in model.layers[:-1]:
-        a = sigmoid(a @ W + b)
-        acts.append(a)
-    W, b = model.layers[-1]
-    z = a @ W + b
+    acts, z = _forward(model, X)
     if model.head == SOFTMAX:
         delta = (softmax(z) - T) / n
     else:

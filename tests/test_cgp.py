@@ -468,6 +468,41 @@ class TestToInfix:
                                   equal_nan=True)
 
 
+class TestValidateGenotype:
+    @pytest.mark.parametrize("levels_back", [1, 2, 4])
+    def test_input_window_matches_straight_line_oracle(self, fset, levels_back):
+        cfg = small_config(n_inputs=2, n_cols=4, n_constants=1,
+                           levels_back=levels_back)
+        g = cgp.random_genotype(cfg, fset, np.random.default_rng(19))
+        base = cfg.n_sources_before_nodes
+        for j in range(cfg.n_nodes):
+            col = j // cfg.n_rows
+            first = max(0, col - levels_back)
+            window = (set(range(base))
+                      | set(range(base + first * cfg.n_rows, base + col * cfg.n_rows)))
+            for slot in (1, 2):
+                for src in range(-2, cfg.n_sources + 2):
+                    genes = g.function_genes.copy()
+                    genes[j, slot] = src
+                    m = cgp.Genotype(cfg, fset, genes, g.output_genes.copy(),
+                                     g.constants.copy())
+                    if src in window:
+                        cgp.validate_genotype(m)
+                    else:
+                        with pytest.raises(ValueError) as exc:
+                            cgp.validate_genotype(m)
+                        assert str(exc.value) == f"node {j} input gene {slot} out of range"
+
+    def test_first_bad_gene_is_named(self, fset):
+        cfg = small_config(levels_back=1)
+        g = cgp.random_genotype(cfg, fset, np.random.default_rng(20))
+        genes = g.function_genes.copy()
+        genes[3, 2] = genes[4, 1] = cfg.n_sources
+        m = cgp.Genotype(cfg, fset, genes, g.output_genes.copy(), g.constants.copy())
+        with pytest.raises(ValueError, match="node 3 input gene 2 out of range"):
+            cgp.validate_genotype(m)
+
+
 class TestSerialization:
     def test_round_trip(self, fset):
         g = cgp.random_genotype(small_config(), fset, np.random.default_rng(14))

@@ -311,6 +311,44 @@ class TestConfigFileValues:
         assert (config["runs"], config["mutation"], config["timings"]) == (2, 0.25, False)
 
 
+class TestConfigFileRequiredOptions:
+    """A config file may supply the options a command requires."""
+
+    def test_train_takes_its_seed_from_the_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\nepochs = 5\n")
+        out = tmp_path / "o"
+        assert main(["train", "--benchmark", "K0", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert Manifest.load(out / "manifest.json")["seeds"] == [5]
+
+    def test_explain_takes_weights_and_seed_from_the_file(self, trained_k0, tmp_path):
+        weights = str(trained_k0 / "weights.json")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"weights = {json.dumps(weights)}\nseed = 3\n"
+                       "generations = 2\noffspring = 4\n")
+        out = tmp_path / "o"
+        assert main(["explain", "--config", str(cfg), "--benchmark", "K0",
+                     "--out", str(out)]) == 0
+        manifest = Manifest.load(out / "manifest.json")
+        assert manifest["seeds"] == [3]
+        assert manifest["config"]["weights"] == weights
+
+    def test_eval_takes_its_genotype_from_the_file(self, tmp_path):
+        weights, gpath = TestEval().make_identity_artifacts(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"genotype = {json.dumps(str(gpath))}\n")
+        out = tmp_path / "o"
+        assert main(["eval", "--config", str(cfg), "--weights", str(weights),
+                     "--domain=-1:1", "--points", "5", "--out", str(out)]) == 0
+        assert Manifest.load(out / "manifest.json")["config"]["genotype"] == str(gpath)
+
+    @pytest.mark.parametrize("argv,code", [([], 2), (["--help"], 0),
+                                           (["train", "--help"], 0)])
+    def test_command_line_without_a_run(self, argv, code):
+        assert main(argv) == code
+
+
 class TestEval:
     def make_identity_artifacts(self, tmp_path):
         # identity MLP: single linear layer y = x

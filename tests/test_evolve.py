@@ -154,6 +154,26 @@ class TestSelection:
         assert losses[0, 0] == ev.OVERFLOW_PENALTY
         assert np.array_equal(parent.chromosomes[0].affine.w, np.full(3, 7.0))
 
+    def test_cross_entropy_non_finite_row_takes_penalty_and_keeps_affine(self):
+        rng = np.random.default_rng(3)
+        trace = random_trace(rng, n=40, widths=(3,), task=ev.CLASSIFICATION)
+        X = trace.x.copy()
+        X[0, 0] = np.inf
+        trace = LayerTrace(X, trace.h, trace.y)
+        broken = surrogate.NetGenotype((
+            single_op_chromosome("id", 0, 2, np.full(3, 7.0), np.zeros(3), 0),))
+        finite = surrogate.NetGenotype((
+            single_op_chromosome("sin", 1, 2, np.ones(3), np.zeros(3), 0),))
+        _, losses = ev.select_layerwise_best([broken, finite], trace,
+                                             ev.CLASSIFICATION, lbfgs_max_iters=50)
+        assert losses[0, 0] == ev.OVERFLOW_PENALTY
+        assert losses[1, 0] < ev.OVERFLOW_PENALTY
+        parent, losses = ev.select_layerwise_best([broken], trace, ev.CLASSIFICATION,
+                                                  lbfgs_max_iters=50)
+        assert losses[0, 0] == ev.OVERFLOW_PENALTY
+        assert np.array_equal(parent.chromosomes[0].affine.w, np.full(3, 7.0))
+        assert np.array_equal(parent.chromosomes[0].affine.b, np.zeros(3))
+
     def test_all_non_finite_position_feeds_its_values_on(self):
         # every row at position 0 is non-finite; the chosen row's values must
         # reach position 1 as fitness() passes them, not cleaned of infs
