@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .mlp import SOFTMAX, MlpModel, predict
+from .errors import DimensionMismatch, SchemaError
+from .mlp import SOFTMAX, MlpModel, predict, read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -91,17 +91,27 @@ def sample_near_boundary(model: MlpModel, cfg: BoundarySampleConfig) -> Boundary
     return BoundarySample(pool[keep], probs[keep], d[keep])
 
 
+def _class_columns(n_classes: int) -> list[str]:
+    return [f"p_{k}" for k in range(n_classes)] + ["d"]
+
+
 def write_boundary_csv(path: str | Path, sample: BoundarySample,
                        feature_names: list[str] | None = None) -> None:
     """features..., p_0..p_{C-1}, d  -- one row per kept point."""
-    n_features = sample.x.shape[1]
-    n_classes = sample.probs.shape[1]
-    names = feature_names or [f"x{i}" for i in range(n_features)]
-    header = names + [f"p_{k}" for k in range(n_classes)] + ["d"]
-    lines = [",".join(header)]
-    for row, p, d in zip(sample.x, sample.probs, sample.distance):
-        cells = [repr(float(v)) for v in row]
-        cells += [repr(float(v)) for v in p]
-        cells.append(repr(float(d)))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    names = feature_names or [f"x{i}" for i in range(sample.x.shape[1])]
+    write_table(path, names + _class_columns(sample.probs.shape[1]),
+                [*sample.x.T, *sample.probs.T, sample.distance])
+
+
+def read_boundary_csv(path: str | Path, model: MlpModel):
+    """(X, feature_names) from a ``write_boundary_csv`` file: its first
+    ``model.dims[0]`` columns, whatever their names, which must be followed
+    by exactly ``p_0..p_{C-1}, d`` for the model's C classes."""
+    header, rows = read_table(path)
+    n_features = model.dims[0]
+    expected = _class_columns(model.dims[-1])
+    if header[n_features:] != expected:
+        raise SchemaError(
+            f"samples file {path}: expected {n_features} feature columns, then "
+            f"{','.join(expected)}; got header {','.join(header)}")
+    return rows[:, :n_features], header[:n_features]

@@ -247,17 +247,22 @@ def _input_tables(config: CgpConfig) -> tuple[np.ndarray, np.ndarray]:
     return choices, shifts
 
 
+def _draw_sources(config: CgpConfig, nodes: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """One input gene for each listed node, uniform over its valid sources."""
+    choices, shifts = _input_tables(config)
+    ranks = rng.integers(0, choices[nodes])
+    return np.where(ranks < config.n_sources_before_nodes, ranks, ranks + shifts[nodes])
+
+
 def random_genotype(config: CgpConfig, fset: FunctionSet,
                     rng: np.random.Generator) -> Genotype:
     """Draw a uniformly random valid genome; constants are uniform in [-1, 1]."""
     n_nodes = config.n_nodes
     genes = np.empty((n_nodes, 3), dtype=np.int64)
     genes[:, 0] = rng.integers(0, len(fset), n_nodes)
-    choices, shifts = _input_tables(config)
-    base = config.n_sources_before_nodes
     for slot in (1, 2):
-        ranks = rng.integers(0, choices)
-        genes[:, slot] = np.where(ranks < base, ranks, ranks + shifts)
+        genes[:, slot] = _draw_sources(config, np.arange(n_nodes), rng)
     outputs = rng.integers(0, config.n_sources, config.n_outputs)
     constants = rng.uniform(-1.0, 1.0, config.n_constants)
     return Genotype(config, fset, genes, outputs, constants)
@@ -376,13 +381,9 @@ def mutate_many(g: Genotype, n: int, per_gene_prob: float,
     hit = mask[..., 0]
     genes[hit, 0] = rng.integers(0, len(g.fset), int(hit.sum()))
 
-    choices, shifts = _input_tables(cfg)
-    base = cfg.n_sources_before_nodes
     for slot in (1, 2):
         hit = mask[..., slot]
-        node = np.nonzero(hit)[1]
-        ranks = rng.integers(0, choices[node])
-        genes[hit, slot] = np.where(ranks < base, ranks, ranks + shifts[node])
+        genes[hit, slot] = _draw_sources(cfg, np.nonzero(hit)[1], rng)
 
     constants = np.repeat(g.constants[None], n, axis=0)
     if cfg.n_constants:

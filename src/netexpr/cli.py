@@ -156,7 +156,7 @@ def cmd_train(args) -> int:
 def _explain_inputs(args, model):
     """Input rows for tracing: benchmark train split, a CSV, or sampled points."""
     if args.samples:
-        return _split_samples_csv(args.samples)
+        return bdry.read_boundary_csv(args.samples, model)
     if args.benchmark:
         spec = bench.get_benchmark(args.benchmark)
         X, y = bench.generate(spec, seed=args.data_seed)
@@ -166,21 +166,6 @@ def _explain_inputs(args, model):
         X, _, names = mlp.load_dataset_csv(args.csv)
         return X, names
     raise ConfigError("need --benchmark, --csv, or --samples")
-
-
-def _split_samples_csv(path):
-    """Read a sample-boundary CSV back: feature columns end before p_0."""
-    X, last, names = mlp.load_dataset_csv(path)
-    full = np.column_stack([X, np.asarray(last, dtype=float)])
-    header = names + ["d"]
-    feat_end = len(header)
-    for i, name in enumerate(header):
-        if name.startswith("p_") or name == "d":
-            feat_end = i
-            break
-    if feat_end == 0:
-        raise DataError(f"samples file {path} has no feature columns")
-    return full[:, :feat_end], header[:feat_end]
 
 
 def cmd_explain(args) -> int:
@@ -345,10 +330,7 @@ def cmd_eval(args) -> int:
         "extrapolation": [lo - 2 * width, hi + 2 * width],
     }, seeds=[])
     path = manifest.add("grid", out / "grid.csv")
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(args.points):
-            fh.write(",".join(repr(float(c[i])) for c in cols) + "\n")
+    mlp.write_table(path, header, cols)
     manifest.save(out)
     print(f"wrote {args.points}-point grid over "
           f"[{grid[0]:.6g}, {grid[-1]:.6g}] to {path}")
@@ -362,20 +344,13 @@ def cmd_report(args) -> int:
     finals = []
     for run_dir in run_dirs:
         csv_path = run_dir / "convergence.csv"
-        if not csv_path.exists():
-            raise DataError(f"{run_dir} has no convergence.csv")
-        lines = csv_path.read_text().splitlines()
-        if len(lines) < 2:
-            raise DataError(f"{csv_path} has no generation rows")
-        header = lines[0].split(",")
-        try:
-            last = [float(v) for v in lines[-1].split(",")]
-        except ValueError:
-            last = []
-        if len(last) != len(header) or not {"best_total", "output_loss"} <= set(header):
-            raise DataError(f"{csv_path}: last row {lines[-1]!r} does not "
-                            f"match header {lines[0]!r}")
-        finals.append(dict(zip(header, last)))
+        header, rows = mlp.read_table(csv_path)
+        if not {"best_total", "output_loss"} <= set(header):
+            raise DataError(f"{csv_path} has no best_total or output_loss column")
+        if finals and header != list(finals[0]):
+            raise DataError(f"{csv_path}: header {','.join(header)} differs from "
+                            f"{run_dirs[0].name}'s {','.join(finals[0])}")
+        finals.append(dict(zip(header, rows[-1].tolist())))
     layer_cols = [c for c in finals[0] if c.startswith("layer")]
     print(f"{'run':>4} {'best_total':>14} " +
           " ".join(f"{c:>12}" for c in layer_cols) + f" {'output_loss':>12}")

@@ -78,7 +78,11 @@ class EvolveConfig:
 class FitnessReport:
     per_layer_mse: tuple[float, ...]   # hidden layers only
     output_loss: float
-    total: float
+
+    @property
+    def total(self) -> float:
+        hidden = self.per_layer_mse
+        return (sum(hidden) / len(hidden) if hidden else 0.0) + self.output_loss
 
 
 @dataclass(frozen=True)
@@ -161,9 +165,7 @@ def fitness(g: NetGenotype, trace: LayerTrace, task: str) -> FitnessReport:
     outs = genotype_forward(g, trace.x)
     losses = [score_values(o.h_values, t, kind)
               for o, (t, kind) in zip(outs, targets)]
-    hidden = tuple(losses[:-1])
-    total = (sum(hidden) / len(hidden) if hidden else 0.0) + losses[-1]
-    return FitnessReport(hidden, losses[-1], total)
+    return FitnessReport(tuple(losses[:-1]), losses[-1])
 
 
 def score_rows(F: np.ndarray, W: np.ndarray, B: np.ndarray, target: np.ndarray,
@@ -319,25 +321,23 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
         parent, loss_matrix = select_layerwise_best(
             population, trace, task, refit=refit,
             lbfgs_max_iters=cfg.lbfgs_max_iters)
-        per_pos = loss_matrix.min(axis=0)
-        hidden = tuple(float(v) for v in per_pos[:-1])
-        output_loss = float(per_pos[-1])
-        parent_total = (sum(hidden) / len(hidden) if hidden else 0.0) + output_loss
+        per_pos = loss_matrix.min(axis=0).tolist()
+        report = FitnessReport(tuple(per_pos[:-1]), per_pos[-1])
         if verify_fitness:
             recomputed = fitness(parent, trace, task).total
-            if not math.isclose(recomputed, parent_total,
+            if not math.isclose(recomputed, report.total,
                                 rel_tol=1e-9, abs_tol=1e-12):
                 raise AssertionError(
                     f"fitness decomposition mismatch at generation {gen}: "
-                    f"{recomputed} vs {parent_total}")
-        if parent_total <= best_total:       # ties drift to the newer parent
-            best_geno, best_total = parent, parent_total
+                    f"{recomputed} vs {report.total}")
+        if report.total <= best_total:       # ties drift to the newer parent
+            best_geno, best_total = parent, report.total
         rec = GenerationRecord(
             generation=gen,
             best_total=best_total,
             mean_total=float(_combine(loss_matrix).mean()),
-            layer_mses=hidden,
-            output_loss=output_loss,
+            layer_mses=report.per_layer_mse,
+            output_loss=report.output_loss,
             elapsed_ms=(time.perf_counter() - start) * 1000.0,
         )
         log.records.append(rec)

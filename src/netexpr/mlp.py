@@ -286,40 +286,52 @@ def load_weights(path: str | Path) -> MlpModel:
     return model
 
 
-# --- dataset CSV -----------------------------------------------------------
+# --- CSV tables ------------------------------------------------------------
+
+def write_table(path: str | Path, header: list[str], columns) -> None:
+    """Header row, then one row per index of the equal-length columns:
+    integer columns as ints, every other cell as ``repr(float)``."""
+    cells = [map(str, c.tolist()) if np.issubdtype(c.dtype, np.integer)
+             else map(repr, c.astype(float).tolist()) for c in map(np.asarray, columns)]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """The header and an (n, len(header)) float matrix of a ``write_table``
+    file; blank lines are skipped.  Raises SchemaError if the file cannot
+    be read, has no data rows, or has a ragged or non-numeric row."""
+    try:
+        lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    if len(lines) < 2:
+        raise SchemaError(f"{path} has no data rows")
+    header = lines[0].split(",")
+    try:    # a non-numeric cell or rows of unequal length
+        rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    if rows.shape[1] != len(header):
+        raise SchemaError(f"{path}: rows have {rows.shape[1]} cells, "
+                          f"the header {len(header)}")
+    return header, rows
+
 
 def save_dataset_csv(path: str | Path, X: np.ndarray, y: np.ndarray,
                      feature_names: list[str] | None = None,
                      target_name: str = "y") -> None:
     """Header row, feature columns, then one target column."""
-    X = np.asarray(X)
-    y = np.asarray(y).reshape(-1)
+    X = np.asarray(X, dtype=float)
     names = feature_names or [f"x{i}" for i in range(X.shape[1])]
-    lines = [",".join(names + [target_name])]
-    integer_target = np.issubdtype(y.dtype, np.integer)
-    for row, t in zip(X, y):
-        cells = [repr(float(v)) for v in row]
-        cells.append(str(int(t)) if integer_target else repr(float(t)))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, names + [target_name], [*X.T, np.asarray(y).reshape(-1)])
 
 
 def load_dataset_csv(path: str | Path):
     """Returns (X, y, feature_names); y is int when every value is integral."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise SchemaError(f"cannot read dataset {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise SchemaError(f"dataset {path} has no data rows")
-    header = lines[0].split(",")
-    try:
-        rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
-    except ValueError as exc:
-        raise SchemaError(f"dataset {path}: {exc}") from exc
-    if rows.shape[1] != len(header) or rows.shape[1] < 2:
-        raise SchemaError(f"dataset {path}: column count mismatch")
+    header, rows = read_table(path)
+    if len(header) < 2:
+        raise SchemaError(f"dataset {path} needs a feature and a target column")
     X, y = rows[:, :-1], rows[:, -1]
     # class ids are small non-negative integers; anything else stays float
     if (np.all(np.isfinite(y)) and np.all(y == np.round(y))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from netexpr import boundary, mlp
+from netexpr.errors import DataError
 
 
 def constant_uniform_model(n_features=2, n_classes=2):
@@ -128,3 +129,26 @@ class TestCsv:
         assert len(lines) == 4
         cells = lines[1].split(",")
         assert float(cells[2]) == 0.5 and float(cells[4]) == 0.0
+
+    @pytest.mark.parametrize("names", [None, ["a", "d"], ["d", "p_x"], ["p_1", "d"]])
+    def test_round_trip_whatever_the_feature_names(self, tmp_path, names):
+        rng = np.random.default_rng(10)
+        model = mlp.init_model(2, [3], 2, mlp.SOFTMAX, rng)
+        cfg = boundary.BoundarySampleConfig(bounds=[[-1, 1], [-1, 1]],
+                                            pool_size=200, keep_size=20, seed=11)
+        sample = boundary.sample_near_boundary(model, cfg)
+        path = tmp_path / "s.csv"
+        boundary.write_boundary_csv(path, sample, feature_names=names)
+        X, got = boundary.read_boundary_csv(path, model)
+        assert got == (names or ["x0", "x1"])
+        assert np.array_equal(X, sample.x)
+
+    @pytest.mark.parametrize("n_features,n_classes", [(2, 3), (2, 1), (1, 2), (3, 2)])
+    def test_other_model_is_data_error(self, tmp_path, n_features, n_classes):
+        cfg = boundary.BoundarySampleConfig(bounds=[[-1, 1], [-1, 1]],
+                                            pool_size=20, keep_size=3, seed=12)
+        sample = boundary.sample_near_boundary(constant_uniform_model(), cfg)
+        path = tmp_path / "s.csv"
+        boundary.write_boundary_csv(path, sample, feature_names=["a", "d"])
+        with pytest.raises(DataError, match="s.csv"):
+            boundary.read_boundary_csv(path, constant_uniform_model(n_features, n_classes))

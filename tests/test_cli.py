@@ -245,6 +245,38 @@ class TestSampleBoundary:
                      "--cadence", "1", "--out", str(x_out)])
         assert code == 0
 
+    @pytest.mark.parametrize("names", [["a", "d"], ["p_x", "d"]])
+    def test_features_named_like_class_columns(self, toy_classifier, tmp_path, names):
+        cls_out, csv = toy_classifier
+        X, y, _ = mlp.load_dataset_csv(csv)
+        named = tmp_path / "named.csv"
+        mlp.save_dataset_csv(named, X, y, names)
+        weights = str(cls_out / "weights.json")
+        assert main(["sample-boundary", "--weights", weights, "--csv", str(named),
+                     "--pool", "500", "--keep", "40", "--seed", "2",
+                     "--out", str(tmp_path / "b")]) == 0
+        assert main(["explain", "--weights", weights,
+                     "--samples", str(tmp_path / "b" / "samples.csv"), "--seed", "6",
+                     "--offspring", "10", "--generations", "2", "--cadence", "1",
+                     "--out", str(tmp_path / "x")]) == 0
+
+    @pytest.mark.parametrize("text", [
+        "x0,x1,p_0,p_1,p_2,d\n0.1,0.2,0.3,0.3,0.4,0.1\n",
+        "x0,x1,p_0,d\n0.1,0.2,1.0,0.0\n",
+        "x0,p_0,p_1,d\n0.1,0.5,0.5,0.0\n",
+        "x0,x1,p_0,p_1\n0.1,0.2,0.5,0.5\n",
+    ])
+    def test_samples_not_from_the_model_exit_3(self, toy_classifier, tmp_path, capsys,
+                                               text):
+        cls_out, _ = toy_classifier
+        samples = tmp_path / "samples.csv"
+        samples.write_text(text)
+        assert main(["explain", "--weights", str(cls_out / "weights.json"),
+                     "--samples", str(samples), "--seed", "6", "--offspring", "10",
+                     "--generations", "2", "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("keep,pool", [("0", "1000"), ("10", "0"),
                                            ("500", "100"), ("-1", "100")])
     def test_bad_option_exits_2_before_any_artifact(self, toy_classifier, tmp_path,
@@ -467,6 +499,18 @@ class TestReport:
         run_dir.mkdir()
         (run_dir / "convergence.csv").write_text(text)
         assert main(["report", "--dir", str(tmp_path)]) == 3
+
+    def test_runs_with_other_columns_exit_3(self, tmp_path, capsys):
+        for run, header, row in [
+                ("run_0", "generation,best_total,mean_total,layer0_mse,layer1_mse,"
+                          "output_loss", "0,1.0,2.0,0.5,0.5,0.5"),
+                ("run_1", "generation,best_total,mean_total,layer0_mse,output_loss",
+                 "0,1.0,2.0,0.5,0.5")]:
+            (tmp_path / run).mkdir()
+            (tmp_path / run / "convergence.csv").write_text(f"{header}\n{row}\n")
+        assert main(["report", "--dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "run_1" in err
 
 
 class TestManifest:

@@ -203,3 +203,27 @@ class TestDatasetCsv:
     def test_missing_file_is_schema_error(self, tmp_path):
         with pytest.raises(SchemaError):
             mlp.load_dataset_csv(tmp_path / "nope.csv")
+
+    def test_table_cells_round_trip(self, tmp_path):
+        path = tmp_path / "t.csv"
+        ids = np.array([3, 0, 12])
+        values = np.array([0.1, -2.5e-300, np.inf])
+        mlp.write_table(path, ["id", "v"], [ids, values])
+        assert path.read_text() == "id,v\n3,0.1\n0,-2.5e-300\n12,inf\n"
+        header, rows = mlp.read_table(path)
+        assert header == ["id", "v"]
+        assert np.array_equal(rows, np.column_stack([ids, values]))
+
+    @pytest.mark.parametrize("data", [
+        b"a,b\n1.0,2.0\n3.0\n",
+        b"a,b\n1.0,2.0,3.0\n",
+        b"a,b\n1.0,two\n",
+        b"a,b\n",
+        b"",
+        b"a,b\n\xff,1.0\n",
+    ])
+    def test_bad_table_is_schema_error(self, tmp_path, data):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        with pytest.raises(SchemaError):
+            mlp.read_table(path)
