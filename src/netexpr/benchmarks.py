@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 TRAIN_FRACTION = 0.8    # share of a shuffled dataset that ``split`` trains on
 
@@ -154,7 +154,7 @@ def split(dataset, seed: int = 0):
     X, y = dataset
     n = X.shape[0]
     if n < 2:
-        raise ValueError("need at least 2 samples to split")
+        raise DataError(f"need at least 2 samples to split, got {n}")
     idx = np.random.default_rng(seed).permutation(n)
     cut = math.floor(TRAIN_FRACTION * n)
     tr, te = idx[:cut], idx[cut:]
@@ -164,8 +164,8 @@ def split(dataset, seed: int = 0):
 def parse_run_config(path: str | Path) -> dict:
     """Flat key = value file; values are JSON with a bare-string fallback."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

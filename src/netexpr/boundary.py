@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, SchemaError
+from .errors import ConfigError, DimensionMismatch, SchemaError
 from .mlp import SOFTMAX, MlpModel, predict, read_table, write_table
 
 
@@ -27,13 +27,13 @@ class BoundarySampleConfig:
     def __post_init__(self):
         object.__setattr__(self, "bounds", np.asarray(self.bounds, dtype=float))
         if self.bounds.ndim != 2 or self.bounds.shape[1] != 2:
-            raise ValueError("bounds must be (n_features, 2)")
+            raise ConfigError("bounds must be (n_features, 2)")
         if not np.all(np.isfinite(self.bounds)):
-            raise ValueError("bounds must be finite")
+            raise ConfigError("bounds must be finite")
         if np.any(self.bounds[:, 0] > self.bounds[:, 1]):
-            raise ValueError("each bound must have min <= max")
+            raise ConfigError("each bound must have min <= max")
         if not 1 <= self.keep_size <= self.pool_size:
-            raise ValueError("need 1 <= keep_size <= pool_size")
+            raise ConfigError("need 1 <= keep_size <= pool_size")
 
 
 def bounds_from_data(X: np.ndarray, margin: float = 0.0) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, SchemaError
+from .errors import ConfigError, DimensionMismatch, SchemaError
 
 DIV_EPS = 1e-9       # |denominator| below this returns the numerator
 LN_SENTINEL = -1e6   # value of ln at exactly zero
@@ -149,13 +149,13 @@ class CgpConfig:
 
     def __post_init__(self):
         if self.n_inputs < 1 or self.n_rows < 1 or self.n_cols < 1 or self.n_outputs < 1:
-            raise ValueError("counts must be >= 1")
+            raise ConfigError("counts must be >= 1")
         if self.n_constants < 0:
-            raise ValueError("n_constants must be >= 0")
+            raise ConfigError("n_constants must be >= 0")
         if self.levels_back is None:
             object.__setattr__(self, "levels_back", self.n_cols)
         if not 1 <= self.levels_back <= self.n_cols:
-            raise ValueError("levels_back must be in 1..n_cols")
+            raise ConfigError("levels_back must be in 1..n_cols")
 
     @property
     def n_nodes(self) -> int:

@@ -9,13 +9,21 @@ command, required ones included: they become ``--key=value`` tokens
 between the command and the rest of the command line, which is parsed
 once, so argparse checks both alike and a flag on the command line wins.
 
+Each setting has one home.  The defaults of the evolution and grid
+options are read from ``EvolveConfig`` and ``CgpConfig``, those of the
+boundary pool from ``BoundarySampleConfig``.  argparse types every value
+but ``--domain`` (the manifest records its text); the config classes
+check the rest.  Both raise ``ConfigError``.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Every exit 2 prints one ``config error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,6 +32,7 @@ import numpy as np
 
 from . import benchmarks as bench
 from . import boundary as bdry
+from . import cgp
 from . import evolve as ev
 from . import mlp
 from . import surrogate
@@ -70,17 +79,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _parse_arch(value) -> list[int]:
-    if value is None:
-        raise ConfigError("no architecture given and none implied by a benchmark")
-    if isinstance(value, tuple):     # a benchmark's own architecture
-        return list(value)
-    try:
-        return [int(tok) for tok in str(value).split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"bad architecture {value!r}; expected e.g. 3,3") from None
-
-
 def _load_table(args):
     """Dataset from --benchmark or --csv; returns (X, y, names, spec|None)."""
     if args.benchmark:
@@ -108,24 +106,21 @@ def _train_head(task, y) -> str | None:
 
 def cmd_train(args) -> int:
     X, y, names, spec = _load_table(args)
-    arch = _parse_arch(args.arch if args.arch else (spec.arch if spec else None))
+    arch = args.arch or (list(spec.arch) if spec else None)
+    if not arch:
+        raise ConfigError("no architecture given and none implied by a benchmark")
     # a benchmark's own training setup, else TrainConfig's; same field names
     defaults = spec or mlp.TrainConfig()
     optimizer = args.optimizer or defaults.optimizer
     lr = args.lr if args.lr is not None else defaults.learning_rate
     epochs = args.epochs if args.epochs is not None else defaults.epochs
     batch = args.batch_size if args.batch_size is not None else defaults.batch_size
-    if any(w < 1 for w in arch):
-        raise ConfigError(f"hidden widths must be >= 1, got {arch}")
     head = _train_head(args.task, y)
-    try:
-        cfg = mlp.TrainConfig(optimizer=optimizer, learning_rate=lr, epochs=epochs,
-                              batch_size=batch, seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = mlp.TrainConfig(optimizer=optimizer, learning_rate=lr, epochs=epochs,
+                          batch_size=batch, seed=args.seed)
+    (Xtr, ytr), (Xte, yte) = bench.split((X, y), seed=args.seed)
 
     out = _out_dir(args)
-    (Xtr, ytr), (Xte, yte) = bench.split((X, y), seed=args.seed)
     model = mlp.train((Xtr, ytr), arch, cfg, head=head)
 
     metrics = {
@@ -169,27 +164,21 @@ def _explain_inputs(args, model):
 
 
 def cmd_explain(args) -> int:
-    if args.runs < 1:
-        raise ConfigError("--runs must be >= 1")
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
     model = mlp.load_weights(args.weights)
     X, names = _explain_inputs(args, model)
     if X.shape[1] != model.dims[0]:
         raise DataError(f"data has {X.shape[1]} features, model takes {model.dims[0]}")
     task = ev.CLASSIFICATION if model.head == mlp.SOFTMAX else ev.REGRESSION
-    cadence = args.cadence if args.cadence is not None else \
-        (50 if task == ev.CLASSIFICATION else 1)
+    cadence = args.cadence if args.cadence is not None else (
+        ev.CLASSIFIER_REFIT_EVERY if task == ev.CLASSIFICATION
+        else ev.EvolveConfig.affine_refit_every)
 
     seeds = [args.seed + r for r in range(args.runs)]
-    try:
-        cfgs = [ev.EvolveConfig(
-            n_offspring=args.offspring, max_generations=args.generations,
-            mutation_prob=args.mutation, fitness_target=args.target,
-            affine_refit_every=cadence, seed=run_seed, n_rows=args.rows,
-            n_cols=args.cols, n_constants=args.constants) for run_seed in seeds]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfgs = [ev.EvolveConfig(
+        n_offspring=args.offspring, max_generations=args.generations,
+        mutation_prob=args.mutation, fitness_target=args.target,
+        affine_refit_every=cadence, seed=run_seed, n_rows=args.rows,
+        n_cols=args.cols, n_constants=args.constants) for run_seed in seeds]
     out = _out_dir(args)
     trace = mlp.forward_trace(model, X)
     manifest = Manifest("explain", {
@@ -247,11 +236,8 @@ def cmd_sample_boundary(args) -> int:
                         f"{model.head}); boundary sampling needs softmax")
     X, _, names, spec = _load_table(args)
     bounds = bdry.bounds_from_data(X, margin=args.margin)
-    try:
-        cfg = bdry.BoundarySampleConfig(bounds=bounds, pool_size=args.pool,
-                                        keep_size=args.keep, seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = bdry.BoundarySampleConfig(bounds=bounds, pool_size=args.pool,
+                                    keep_size=args.keep, seed=args.seed)
     out = _out_dir(args)
     sample = bdry.sample_near_boundary(model, cfg)
     manifest = Manifest("sample-boundary", {
@@ -274,15 +260,13 @@ def _parse_domain(text: str) -> list[tuple[float, float]]:
             lo, hi = (float(v) for v in part.split(":"))
         except ValueError:
             raise ConfigError(f"bad domain {part!r}; expected lo:hi") from None
-        if lo > hi:
-            raise ConfigError(f"domain {part!r} has lo > hi")
+        if not -np.inf < lo <= hi < np.inf:
+            raise ConfigError(f"domain {part!r} needs finite lo <= hi")
         out.append((lo, hi))
     return out
 
 
 def cmd_eval(args) -> int:
-    if args.points < 1:
-        raise ConfigError("--points must be >= 1")
     model = mlp.load_weights(args.weights)
     net = surrogate.net_from_json(Path(args.genotype).read_text())
     spec = bench.get_benchmark(args.benchmark) if args.benchmark else None
@@ -363,8 +347,36 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with two changes.  An error prints the usage line and
+    raises ConfigError, so that ``main`` has one exit-2 path.  A value
+    that starts with ``-`` and a digit, as in ``--domain -2:2``, is read
+    as a value, as argparse does from Python 3.13 on."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
+def count(text: str) -> int:
+    """Option type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def widths(text: str) -> list[int]:
+    """Option type: hidden-layer widths such as 3,3, each >= 1."""
+    return [count(tok) for tok in text.split(",") if tok.strip()]
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="netexpr",
         description="Extract per-layer symbolic expressions from trained MLPs.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -379,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--benchmark", default=None)
     p.add_argument("--csv", default=None)
-    p.add_argument("--arch", default=None, help="hidden widths, e.g. 3,3")
+    p.add_argument("--arch", type=widths, default=None, help="hidden widths, e.g. 3,3")
     p.add_argument("--optimizer", choices=["sgd", "adam"], default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
@@ -400,20 +412,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV from sample-boundary to trace instead of a dataset")
     p.add_argument("--data-seed", type=int, default=0,
                    help="seed for regenerating benchmark data")
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--runs", type=count, default=1)
+    p.add_argument("--threads", type=count, default=1,
                    help="recorded in the manifest; execution is single-threaded "
                         "whatever the value")
-    p.add_argument("--offspring", type=int, default=200)
-    p.add_argument("--generations", type=int, default=5000)
-    p.add_argument("--mutation", type=float, default=0.4)
-    p.add_argument("--target", type=float, default=1e-4)
+    p.add_argument("--offspring", type=int, default=ev.EvolveConfig.n_offspring)
+    p.add_argument("--generations", type=int, default=ev.EvolveConfig.max_generations)
+    p.add_argument("--mutation", type=float, default=ev.EvolveConfig.mutation_prob)
+    p.add_argument("--target", type=float, default=ev.EvolveConfig.fitness_target)
     p.add_argument("--cadence", type=int, default=None,
-                   help="generations between affine refits "
-                        "(default 1 for regression, 50 for classification)")
-    p.add_argument("--rows", type=int, default=10)
-    p.add_argument("--cols", type=int, default=10)
-    p.add_argument("--constants", type=int, default=1)
+                   help="generations between affine refits (default "
+                        f"{ev.EvolveConfig.affine_refit_every} for regression, "
+                        f"{ev.CLASSIFIER_REFIT_EVERY} for classification)")
+    p.add_argument("--rows", type=int, default=cgp.CgpConfig.n_rows)
+    p.add_argument("--cols", type=int, default=cgp.CgpConfig.n_cols)
+    p.add_argument("--constants", type=int, default=cgp.CgpConfig.n_constants)
     p.add_argument("--no-timings", action="store_true",
                    help="omit elapsed_ms from convergence CSVs")
     p.set_defaults(fn=cmd_explain)
@@ -425,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmark", default=None)
     p.add_argument("--csv", default=None,
                    help="dataset whose per-feature range bounds the pool")
-    p.add_argument("--pool", type=int, default=50000)
-    p.add_argument("--keep", type=int, default=1000)
+    p.add_argument("--pool", type=int, default=bdry.BoundarySampleConfig.pool_size)
+    p.add_argument("--keep", type=int, default=bdry.BoundarySampleConfig.keep_size)
     p.add_argument("--margin", type=float, default=0.0)
     p.set_defaults(fn=cmd_sample_boundary)
 
@@ -437,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmark", default=None)
     p.add_argument("--domain", default=None, help="per-feature lo:hi, comma separated")
     p.add_argument("--feature", type=int, default=0, help="feature swept by the grid")
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=count, default=200)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("report", help="summarize explain runs in a directory")
@@ -461,16 +474,20 @@ def _config_argv(command_parser, path) -> list[str]:
     for key, value in bench.parse_run_config(path).items():
         action = options.get(key.replace("-", "_"))
         if action is None:
-            raise ConfigError(f"config key {key!r} is not a recognized option")
+            raise ConfigError(f"{path}: config key {key!r} is not a recognized option")
         option = action.option_strings[-1]
         if action.nargs == 0:
             if not isinstance(value, bool):
-                raise ConfigError(f"config key {key!r} takes true or false, "
+                raise ConfigError(f"{path}: config key {key!r} takes true or false, "
                                   f"not {value!r}")
             argv += [option] if value else []
         else:
             if isinstance(value, list):
                 value = ",".join(str(v) for v in value)
+            try:    # argparse's own type and choices check, here to name the file
+                command_parser._get_values(action, [str(value)])
+            except argparse.ArgumentError as exc:
+                command_parser.error(f"{path}: {exc}")
             argv.append(f"{option}={value}")
     return argv
 
@@ -481,8 +498,7 @@ def main(argv=None) -> int:
     try:
         # the config file's options go between the command and the rest of
         # the command line, so that the command line's come later and win
-        pre = argparse.ArgumentParser(prog=" ".join([parser.prog, *argv[:1]]),
-                                      add_help=False)
+        pre = _Parser(prog=" ".join([parser.prog, *argv[:1]]), add_help=False)
         pre.add_argument("--config")
         path = pre.parse_known_args(argv[1:])[0].config
         commands = next(action for action in parser._actions
@@ -491,7 +507,7 @@ def main(argv=None) -> int:
             argv[1:1] = _config_argv(commands[argv[0]], path)
         args = parser.parse_args(argv)
         return args.fn(args)
-    except SystemExit as exc:    # argparse: 2 for a bad option, 0 after --help
+    except SystemExit as exc:    # argparse, after --help
         return exc.code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Shared exception types, mapped to CLI exit codes in cli.py."""
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Bad or missing configuration (CLI exit code 2)."""
 
 

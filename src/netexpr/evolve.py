@@ -30,7 +30,7 @@ import numpy as np
 from . import cgp
 from .affine import (CROSS_ENTROPY, LBFGS_MAX_ITERS, MSE, AffineParams,
                      fit_affine_ce_rows, fit_affine_mse_rows, log_softmax)
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 from .mlp import LayerTrace
 from .surrogate import (LayerChromosome, NetGenotype, apply_affine,
                         chromosome_scalar, genotype_forward, mutate_net,
@@ -38,6 +38,8 @@ from .surrogate import (LayerChromosome, NetGenotype, apply_affine,
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
+
+CLASSIFIER_REFIT_EVERY = 50    # explain's affine refit cadence for a classifier
 
 OVERFLOW_PENALTY = 1e12
 SCORE_BLOCK = 1 << 15    # predictions per block of the batched loss pass
@@ -50,26 +52,26 @@ class EvolveConfig:
     max_generations: int = 5000
     mutation_prob: float = 0.4
     fitness_target: float = 1e-4
-    affine_refit_every: int = 1     # classification runs typically use 50
+    affine_refit_every: int = 1
     seed: int = 0
-    n_rows: int = 10
-    n_cols: int = 10
-    n_constants: int = 1
+    n_rows: int = cgp.CgpConfig.n_rows
+    n_cols: int = cgp.CgpConfig.n_cols
+    n_constants: int = cgp.CgpConfig.n_constants
     # caps the Newton iterations of each cross-entropy fit; the name predates
     # the Newton fitter and is kept for existing callers
     lbfgs_max_iters: int = LBFGS_MAX_ITERS
 
     def __post_init__(self):
         if self.n_offspring < 1:
-            raise ValueError("n_offspring must be >= 1")
+            raise ConfigError("n_offspring must be >= 1")
         if self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
+            raise ConfigError("max_generations must be >= 1")
         if not 0.0 <= self.mutation_prob <= 1.0:
-            raise ValueError("mutation_prob must be in [0, 1]")
-        if self.fitness_target <= 0:
-            raise ValueError("fitness_target must be > 0")
+            raise ConfigError("mutation_prob must be in [0, 1]")
+        if not self.fitness_target > 0:
+            raise ConfigError("fitness_target must be > 0")
         if self.affine_refit_every < 1:
-            raise ValueError("affine_refit_every must be >= 1")
+            raise ConfigError("affine_refit_every must be >= 1")
         cgp.CgpConfig(n_inputs=1, n_rows=self.n_rows, n_cols=self.n_cols,
                       n_constants=self.n_constants)
 

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DimensionMismatch, NumericError, SchemaError
+from .errors import (ConfigError, DataError, DimensionMismatch, NumericError,
+                     SchemaError)
 
 LINEAR = "linear"
 SOFTMAX = "softmax"
@@ -84,14 +85,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
 def init_model(n_inputs: int, hidden: list[int], n_outputs: int, head: str,

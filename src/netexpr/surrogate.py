@@ -98,8 +98,8 @@ def genotype_forward(g: NetGenotype, x: np.ndarray) -> list[LayerOutput]:
 
 
 def random_net_genotype(n_inputs: int, widths: list[int], fset: cgp.FunctionSet,
-                        rng: np.random.Generator, n_rows: int = 10,
-                        n_cols: int = 10, n_constants: int = 1) -> NetGenotype:
+                        rng: np.random.Generator, n_rows: int, n_cols: int,
+                        n_constants: int = cgp.CgpConfig.n_constants) -> NetGenotype:
     """Random chromosomes chained to the given layer widths.
 
     Affine params start at w=1, b=0 and are meant to be fitted before the

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from netexpr import evolve as ev
 from netexpr import mlp, surrogate
 from netexpr.cli import Manifest, main
 
@@ -74,12 +75,21 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag", [
         "--lr=0", "--lr=-0.5", "--batch-size=0", "--arch=0", "--arch=3,0",
-        "--epochs=-5",
+        "--epochs=-5", "--lr=nan", "--lr=inf",
     ])
     def test_bad_option_exits_2_before_any_artifact(self, tmp_path, flag):
         out = tmp_path / "o"
         assert main(["train", "--benchmark", "K0", "--seed", "0", "--epochs", "5",
                      flag, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_one_row_csv_exits_3_before_any_artifact(self, tmp_path, capsys):
+        csv = tmp_path / "one.csv"
+        mlp.save_dataset_csv(csv, np.array([[0.5]]), np.array([1.5]))
+        out = tmp_path / "o"
+        assert main(["train", "--csv", str(csv), "--arch", "2", "--epochs", "1",
+                     "--seed", "0", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("data error:")
         assert not out.exists()
 
     @pytest.mark.parametrize("targets", [
@@ -200,7 +210,7 @@ class TestExplain:
     @pytest.mark.parametrize("flag", [
         "--runs=0", "--generations=0", "--offspring=0", "--cadence=0",
         "--rows=0", "--mutation=2.0", "--mutation=-0.1", "--threads=0",
-        "--runs=two",
+        "--runs=two", "--target=nan",
     ])
     def test_bad_option_exits_2_before_any_artifact(self, trained_k0, tmp_path,
                                                     flag):
@@ -209,6 +219,23 @@ class TestExplain:
                      "--benchmark", "K0", "--seed", "0", "--generations", "2",
                      "--offspring", "4", flag, "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_defaults_come_from_evolve_config(self, trained_k0, tmp_path,
+                                              monkeypatch):
+        # the parser reads EvolveConfig when it is built; a short run keeps
+        # this quick
+        monkeypatch.setattr(ev.EvolveConfig, "n_offspring", 4)
+        monkeypatch.setattr(ev.EvolveConfig, "max_generations", 2)
+        out = tmp_path / "o"
+        assert main(["explain", "--weights", str(trained_k0 / "weights.json"),
+                     "--benchmark", "K0", "--seed", "0", "--out", str(out)]) == 0
+        config = Manifest.load(out / "manifest.json")["config"]
+        cfg = ev.EvolveConfig
+        assert ([config[key] for key in ("offspring", "generations", "mutation",
+                                         "target", "cadence", "rows", "cols",
+                                         "constants")]
+                == [4, 2, cfg.mutation_prob, cfg.fitness_target,
+                    cfg.affine_refit_every, cfg.n_rows, cfg.n_cols, cfg.n_constants])
 
     def test_width_mismatch_exits_3(self, trained_k0, tmp_path):
         assert main(["explain", "--weights", str(trained_k0 / "weights.json"),
@@ -321,6 +348,33 @@ class TestConfigFileValues:
             argv += ["--epochs", "5"]
         assert main(argv) == 2
         assert not out.exists()
+
+    def test_file_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"benchmark = K\xf60\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--seed", "0",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,line,names_file", [
+        ("--runs=two", "", False),              # a flag argparse rejects
+        ("", "runs = two", True),               # a file value argparse rejects
+        ("--generations=0", "", False),         # a value EvolveConfig rejects
+    ])
+    def test_exit_2_prints_a_config_error_line(self, trained_k0, tmp_path, capsys,
+                                               flag, line, names_file):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        argv = ["explain", "--config", str(cfg), "--benchmark", "K0", "--seed", "0",
+                "--weights", str(trained_k0 / "weights.json"),
+                "--out", str(tmp_path / "o")]
+        assert main(argv + ([flag] if flag else [])) == 2
+        errors = [err for err in capsys.readouterr().err.splitlines()
+                  if err.startswith("config error:")]
+        assert len(errors) == 1
+        assert (str(cfg) in errors[0]) == names_file
 
     def test_untyped_value_is_read_as_text(self, tmp_path, monkeypatch):
         # csv = 5 names the file "5", which is missing: a data error
@@ -436,6 +490,32 @@ class TestEval:
         assert main(["eval", "--genotype", str(gpath), "--weights", str(weights),
                      "--domain=-1:1", "--points", points, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("domain", ["nan:1", "-inf:1", "-1:inf", "1:-1", "1"])
+    def test_bad_domain_exits_2_before_any_artifact(self, tmp_path, domain):
+        weights, gpath = self.make_identity_artifacts(tmp_path)
+        out = tmp_path / "o"
+        assert main(["eval", "--genotype", str(gpath), "--weights", str(weights),
+                     f"--domain={domain}", "--points", "5", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_negative_domain_as_a_separate_argument(self, tmp_path):
+        # y = x0 + x1 for both the network and its expression
+        weights = tmp_path / "w.json"
+        mlp.save_weights(mlp.MlpModel([(np.ones((2, 1)), np.zeros(1))]), weights)
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"chromosomes": [{
+            "cgp": {"config": {"n_inputs": 2, "n_rows": 1, "n_cols": 1,
+                               "n_constants": 0, "levels_back": 1, "n_outputs": 1},
+                    "function_genes": [0, 0, 1], "output_genes": [2],
+                    "constants": []},
+            "w": [1.0], "b": [0.0], "layer_index": 0}]}))
+        out = tmp_path / "o"
+        assert main(["eval", "--genotype", str(gpath), "--weights", str(weights),
+                     "--domain", "-2:2,-2:2", "--points", "5", "--out", str(out)]) == 0
+        assert Manifest.load(out / "manifest.json")["config"]["domain"] == "-2:2,-2:2"
+        grid = np.loadtxt(out / "grid.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(grid[:, 2], grid[:, 3])
 
     def test_classifier_y_expr_is_a_probability(self, toy_classifier, tmp_path):
         model_dir, csv = toy_classifier
