@@ -91,11 +91,11 @@ def _load_table(args):
     raise ConfigError("need --benchmark or --csv")
 
 
-def _train_head(task, y) -> str | None:
-    """The network head --task asks for; None leaves the guess from the
-    targets (class ids train a softmax head) to ``mlp.train``."""
+def _train_head(task, y) -> str:
+    """The network head --task asks for, else the one the targets imply
+    (class ids train a softmax head)."""
     if task is None:
-        return None
+        return mlp.guess_head(y)
     if task == ev.REGRESSION:
         return mlp.LINEAR
     if not np.issubdtype(np.asarray(y).dtype, np.integer):
@@ -119,6 +119,10 @@ def cmd_train(args) -> int:
     cfg = mlp.TrainConfig(optimizer=optimizer, learning_rate=lr, epochs=epochs,
                           batch_size=batch, seed=args.seed)
     (Xtr, ytr), (Xte, yte) = bench.split((X, y), seed=args.seed)
+    # the train split's largest class id sets the model's class count
+    if head == mlp.SOFTMAX and yte.max() > ytr.max():
+        raise DataError(f"class id {int(yte.max())} is in the test split only; "
+                        f"the train split's ids end at {int(ytr.max())}")
 
     out = _out_dir(args)
     model = mlp.train((Xtr, ytr), arch, cfg, head=head)
@@ -395,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimizer", choices=["sgd", "adam"], default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--batch-size", type=count, default=None)
     p.add_argument("--task", choices=[ev.REGRESSION, ev.CLASSIFICATION],
                    default=None,
                    help="network head: linear for regression, softmax for "
@@ -416,16 +420,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=count, default=1,
                    help="recorded in the manifest; execution is single-threaded "
                         "whatever the value")
-    p.add_argument("--offspring", type=int, default=ev.EvolveConfig.n_offspring)
-    p.add_argument("--generations", type=int, default=ev.EvolveConfig.max_generations)
+    p.add_argument("--offspring", type=count, default=ev.EvolveConfig.n_offspring)
+    p.add_argument("--generations", type=count, default=ev.EvolveConfig.max_generations)
     p.add_argument("--mutation", type=float, default=ev.EvolveConfig.mutation_prob)
     p.add_argument("--target", type=float, default=ev.EvolveConfig.fitness_target)
-    p.add_argument("--cadence", type=int, default=None,
+    p.add_argument("--cadence", type=count, default=None,
                    help="generations between affine refits (default "
                         f"{ev.EvolveConfig.affine_refit_every} for regression, "
                         f"{ev.CLASSIFIER_REFIT_EVERY} for classification)")
-    p.add_argument("--rows", type=int, default=cgp.CgpConfig.n_rows)
-    p.add_argument("--cols", type=int, default=cgp.CgpConfig.n_cols)
+    p.add_argument("--rows", type=count, default=cgp.CgpConfig.n_rows)
+    p.add_argument("--cols", type=count, default=cgp.CgpConfig.n_cols)
     p.add_argument("--constants", type=int, default=cgp.CgpConfig.n_constants)
     p.add_argument("--no-timings", action="store_true",
                    help="omit elapsed_ms from convergence CSVs")
@@ -438,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmark", default=None)
     p.add_argument("--csv", default=None,
                    help="dataset whose per-feature range bounds the pool")
-    p.add_argument("--pool", type=int, default=bdry.BoundarySampleConfig.pool_size)
-    p.add_argument("--keep", type=int, default=bdry.BoundarySampleConfig.keep_size)
+    p.add_argument("--pool", type=count, default=bdry.BoundarySampleConfig.pool_size)
+    p.add_argument("--keep", type=count, default=bdry.BoundarySampleConfig.keep_size)
     p.add_argument("--margin", type=float, default=0.0)
     p.set_defaults(fn=cmd_sample_boundary)
 

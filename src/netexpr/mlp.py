@@ -3,6 +3,11 @@
 Kept deliberately small: dense layers only, SGD or Adam, per-layer
 activation capture for downstream modelling, JSON weight files that
 round-trip bit-exactly.
+
+Training keeps every parameter in one flat vector, of which the model's
+(W, b) layers are views.  Each step concatenates the layer gradients
+once and updates the whole vector: SGD in one subtraction, Adam through
+one first- and one second-moment vector updated in place.
 """
 
 from __future__ import annotations
@@ -25,12 +30,16 @@ ADAM_EPS = 1e-8
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function from e = exp(-|z|), which never overflows:
+    1/(1+e) where z >= 0, e/(1+e) elsewhere, in two full-size buffers."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = np.add(e, 1.0)
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=d)
+    np.copyto(e, d, where=z >= 0)
+    return e
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -131,6 +140,11 @@ def predict(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return forward_trace(model, X).y
 
 
+def guess_head(y: np.ndarray) -> str:
+    """Softmax for integer class-id targets, linear for any other."""
+    return SOFTMAX if np.issubdtype(np.asarray(y).dtype, np.integer) else LINEAR
+
+
 def _as_targets(y: np.ndarray, head: str, n_classes: int | None = None) -> np.ndarray:
     """Targets as a matrix; class ids are one-hot over ``n_classes`` columns,
     by default as many as the largest id present needs."""
@@ -189,18 +203,24 @@ def train(dataset: tuple[np.ndarray, np.ndarray], arch: list[int],
     if any(w < 1 for w in arch):
         raise ValueError("hidden widths must be >= 1")
     if head is None:
-        head = SOFTMAX if np.issubdtype(np.asarray(y).dtype, np.integer) else LINEAR
+        head = guess_head(y)
     T = _as_targets(y, head)
     if T.shape[0] != X.shape[0]:
         raise DimensionMismatch("X and y disagree on sample count")
 
     rng = np.random.default_rng(cfg.seed)
     model = init_model(X.shape[1], arch, T.shape[1], head, rng)
+    # one flat parameter vector; the model's layers are views into it
+    theta = np.concatenate([p.ravel() for layer in model.layers for p in layer])
+    layers, start = [], 0
+    for W, b in model.layers:
+        mid = start + W.size
+        layers.append((theta[start:mid].reshape(W.shape), theta[mid:mid + b.size]))
+        start = mid + b.size
+    model.layers = layers
 
-    moments = None
     if cfg.optimizer == "adam":
-        moments = [(np.zeros_like(W), np.zeros_like(b),
-                    np.zeros_like(W), np.zeros_like(b)) for W, b in model.layers]
+        m, v = np.zeros_like(theta), np.zeros_like(theta)
     step = 0
     n = X.shape[0]
     batch = min(cfg.batch_size, n)
@@ -208,31 +228,26 @@ def train(dataset: tuple[np.ndarray, np.ndarray], arch: list[int],
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        Xo, To = X[order], T[order]
         for lo in range(0, n, batch):
-            idx = order[lo:lo + batch]
-            grads = _gradients(model, X[idx], T[idx])
+            grads = _gradients(model, Xo[lo:lo + batch], To[lo:lo + batch])
+            g = np.concatenate([p.ravel() for layer in grads for p in layer])
             step += 1
-            for i, ((W, b), (gW, gb)) in enumerate(zip(model.layers, grads)):
-                if cfg.optimizer == "sgd":
-                    model.layers[i] = (W - cfg.learning_rate * gW,
-                                       b - cfg.learning_rate * gb)
-                else:
-                    mW, mb, vW, vb = moments[i]
-                    mW = b1 * mW + (1 - b1) * gW
-                    mb = b1 * mb + (1 - b1) * gb
-                    vW = b2 * vW + (1 - b2) * gW * gW
-                    vb = b2 * vb + (1 - b2) * gb * gb
-                    moments[i] = (mW, mb, vW, vb)
-                    c1 = 1 - b1 ** step
-                    c2 = 1 - b2 ** step
-                    model.layers[i] = (
-                        W - cfg.learning_rate * (mW / c1) / (np.sqrt(vW / c2) + ADAM_EPS),
-                        b - cfg.learning_rate * (mb / c1) / (np.sqrt(vb / c2) + ADAM_EPS),
-                    )
+            if cfg.optimizer == "sgd":
+                theta -= cfg.learning_rate * g
+            else:   # b1 * m + (1 - b1) * g and its v twin, op for op, in place
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * g * g
+                c1 = 1 - b1 ** step
+                c2 = 1 - b2 ** step
+                theta -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         if epoch % 50 == 0 or epoch == cfg.epochs - 1:
             loss = _loss(model, X, T)
             if not np.isfinite(loss):
                 raise NumericError(f"training loss went non-finite at epoch {epoch}")
+    model.layers = [(W.copy(), b.copy()) for W, b in layers]
     return model
 
 

@@ -2,7 +2,7 @@
 
 Everything here is deliberately written straight-line, separate from the
 library's own code paths: a tiny infix parser, a normal-equations fit,
-and a plain-loop fitness recomputation.
+a plain-loop fitness recomputation, and MLP training one layer at a time.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 
-from netexpr import cgp
+from netexpr import cgp, mlp
 
 _TOKEN = re.compile(
     r"\s*(?:"
@@ -162,3 +162,67 @@ def fitness_by_hand(net, x, hidden_targets, y_target, task, penalty=1e12):
     hidden = losses[:-1]
     mean_hidden = sum(hidden) / len(hidden) if hidden else 0.0
     return mean_hidden + losses[-1], losses
+
+
+def sigmoid_masked(z: np.ndarray) -> np.ndarray:
+    """The logistic function by masks on the sign of z: 1/(1+exp(-z))
+    where z >= 0 and exp(z)/(1+exp(z)) elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def train_per_layer(X, T, arch, cfg, head):
+    """Minibatch SGD or Adam over each (W, b) pair in turn, with its own
+    forward pass and backprop, from ``mlp.init_model``'s start and the
+    same batch order as ``mlp.train``.  T is the target matrix; returns
+    the list of (W, b)."""
+    rng = np.random.default_rng(cfg.seed)
+    layers = list(mlp.init_model(X.shape[1], arch, T.shape[1], head, rng).layers)
+    moments = [(np.zeros_like(W), np.zeros_like(b), np.zeros_like(W), np.zeros_like(b))
+               for W, b in layers]
+    b1, b2 = mlp.ADAM_BETAS
+    n = X.shape[0]
+    batch = min(cfg.batch_size, n)
+    step = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, batch):
+            idx = order[lo:lo + batch]
+            Xb, Tb = X[idx], T[idx]
+            acts = [Xb]
+            for W, b in layers[:-1]:
+                acts.append(sigmoid_masked(acts[-1] @ W + b))
+            z = acts[-1] @ layers[-1][0] + layers[-1][1]
+            if head == mlp.SOFTMAX:
+                z = z - z.max(axis=1, keepdims=True)
+                e = np.exp(z)
+                delta = (e / e.sum(axis=1, keepdims=True) - Tb) / len(idx)
+            else:
+                delta = 2.0 * (z - Tb) / (len(idx) * Tb.shape[1])
+            grads = [None] * len(layers)
+            for i in range(len(layers) - 1, -1, -1):
+                grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+                if i:
+                    delta = (delta @ layers[i][0].T) * acts[i] * (1.0 - acts[i])
+            step += 1
+            for i, ((W, b), (gW, gb)) in enumerate(zip(layers, grads)):
+                if cfg.optimizer == "sgd":
+                    layers[i] = (W - cfg.learning_rate * gW, b - cfg.learning_rate * gb)
+                    continue
+                mW, mb, vW, vb = moments[i]
+                mW = b1 * mW + (1 - b1) * gW
+                mb = b1 * mb + (1 - b1) * gb
+                vW = b2 * vW + (1 - b2) * gW * gW
+                vb = b2 * vb + (1 - b2) * gb * gb
+                moments[i] = (mW, mb, vW, vb)
+                c1 = 1 - b1 ** step
+                c2 = 1 - b2 ** step
+                layers[i] = (
+                    W - cfg.learning_rate * (mW / c1) / (np.sqrt(vW / c2) + mlp.ADAM_EPS),
+                    b - cfg.learning_rate * (mb / c1) / (np.sqrt(vb / c2) + mlp.ADAM_EPS),
+                )
+    return layers

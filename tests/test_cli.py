@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from netexpr import benchmarks as bench
 from netexpr import evolve as ev
 from netexpr import mlp, surrogate
 from netexpr.cli import Manifest, main
@@ -90,6 +91,19 @@ class TestTrain:
         assert main(["train", "--csv", str(csv), "--arch", "2", "--epochs", "1",
                      "--seed", "0", "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("data error:")
+        assert not out.exists()
+
+    def test_class_only_in_test_split_exits_3_before_any_artifact(self, tmp_path,
+                                                                   capsys):
+        csv = tmp_path / "two.csv"
+        X, y = np.array([[0.1], [0.7]]), np.array([2, 4])
+        mlp.save_dataset_csv(csv, X, y)
+        (_, y_train), (_, y_test) = bench.split((X, y), seed=0)
+        assert (list(y_train), list(y_test)) == ([2], [4])
+        out = tmp_path / "o"
+        assert main(["train", "--csv", str(csv), "--arch", "2", "--epochs", "1",
+                     "--seed", "0", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("data error: class id 4")
         assert not out.exists()
 
     @pytest.mark.parametrize("targets", [
@@ -375,6 +389,28 @@ class TestConfigFileValues:
                   if err.startswith("config error:")]
         assert len(errors) == 1
         assert (str(cfg) in errors[0]) == names_file
+
+    @pytest.mark.parametrize("command,line,option", [
+        ("explain", "generations = 0", "--generations"),
+        ("explain", "cadence = 0", "--cadence"),
+        ("train", "batch-size = 0", "--batch-size"),
+    ])
+    def test_count_below_1_names_the_file_and_the_option(self, trained_k0, tmp_path,
+                                                         capsys, command, line,
+                                                         option):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg), "--benchmark", "K0", "--seed", "0",
+                "--out", str(out)]
+        if command == "explain":
+            argv += ["--weights", str(trained_k0 / "weights.json")]
+        assert main(argv) == 2
+        errors = [err for err in capsys.readouterr().err.splitlines()
+                  if err.startswith("config error:")]
+        assert len(errors) == 1
+        assert str(cfg) in errors[0] and option in errors[0]
+        assert not out.exists()
 
     def test_untyped_value_is_read_as_text(self, tmp_path, monkeypatch):
         # csv = 5 names the file "5", which is missing: a data error

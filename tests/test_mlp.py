@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from netexpr import mlp
 from netexpr.errors import DataError, DimensionMismatch, SchemaError
+from oracles import sigmoid_masked, train_per_layer
 
 
 def toy_regression(rng, n=80):
@@ -112,6 +115,72 @@ class TestTrain:
         cfg = mlp.TrainConfig(learning_rate=1e6, epochs=60, seed=0)
         with pytest.raises(mlp.NumericError):
             mlp.train((X, y), [2], cfg)
+
+
+def toy_targets(X, head):
+    """Three class ids for a softmax head, two real columns for a linear one."""
+    if head == mlp.SOFTMAX:
+        return (X[:, 0] > X[:, 1]).astype(int) + (X[:, 0] > 1)
+    return np.column_stack([np.sin(X[:, 0]), X[:, 0] * X[:, 1]])
+
+
+class TestFlatParameters:
+    """``train`` steps one flat parameter vector; the per-layer loop in
+    ``oracles`` is the reference it must equal bit for bit."""
+
+    @pytest.mark.parametrize("optimizer,lr", [("sgd", 0.3), ("adam", 0.05)])
+    @pytest.mark.parametrize("head", [mlp.LINEAR, mlp.SOFTMAX])
+    @pytest.mark.parametrize("batch,epochs", [
+        (10, 30),       # divides n = 40
+        (7, 30),        # a short last batch of 5
+        (7, 0),
+    ])
+    def test_weights_equal_the_per_layer_oracle(self, optimizer, lr, head,
+                                                batch, epochs):
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(40, 2))
+        y = toy_targets(X, head)
+        cfg = mlp.TrainConfig(optimizer=optimizer, learning_rate=lr,
+                              epochs=epochs, batch_size=batch, seed=21)
+        model = mlp.train((X, y), [4, 3], cfg, head=head)
+        ref = train_per_layer(X, mlp._as_targets(y, head), [4, 3], cfg, head)
+        for (W, b), (W_ref, b_ref) in zip(model.layers, ref, strict=True):
+            assert W.tobytes() == W_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_sigmoid_matches_the_masked_oracle_bitwise(self, layout):
+        tiny = np.nextafter(0.0, 1.0)
+        edges = [0.0, 745.0, 1e308, np.inf, tiny, 1e-310, 2.2250738585072014e-308,
+                 36.8, 709.8, 1.0]
+        z = np.concatenate([edges, np.negative(edges),      # -0.0 included
+                            np.random.default_rng(22).normal(scale=30, size=28)])
+        z = z.reshape(6, 8)
+        if layout == "transposed":
+            z = z.T
+        assert np.array_equal(mlp.sigmoid(z).view(np.uint64),
+                              sigmoid_masked(z).view(np.uint64))
+
+    def test_sigmoid_keeps_nan(self):
+        z = np.array([np.nan, -np.nan, 1.0])
+        assert np.isnan(mlp.sigmoid(z)[:2]).all()
+
+    @pytest.mark.parametrize("n,batch", [(40, 10), (40, 7), (5, 32)])
+    def test_one_gradient_call_per_step(self, monkeypatch, n, batch):
+        calls = []
+        gradients = mlp._gradients
+        monkeypatch.setattr(mlp, "_gradients",
+                            lambda *args: calls.append(1) or gradients(*args))
+        X, y = toy_regression(np.random.default_rng(23), n=n)
+        mlp.train((X, y), [3], mlp.TrainConfig(epochs=6, batch_size=batch, seed=24))
+        assert len(calls) == 6 * math.ceil(n / batch)
+
+    def test_returned_layers_own_their_arrays(self):
+        X, y = toy_regression(np.random.default_rng(25), n=20)
+        cfg = mlp.TrainConfig(optimizer="adam", epochs=3, batch_size=8, seed=26)
+        arrays = [a for layer in mlp.train((X, y), [3, 2], cfg).layers for a in layer]
+        for i, a in enumerate(arrays):
+            assert a.flags.owndata
+            assert not any(np.shares_memory(a, other) for other in arrays[i + 1:])
 
 
 class TestSplitClasses:
