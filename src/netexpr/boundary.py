@@ -106,8 +106,9 @@ def write_boundary_csv(path: str | Path, sample: BoundarySample,
 def read_boundary_csv(path: str | Path, model: MlpModel):
     """(X, feature_names) from a ``write_boundary_csv`` file: its first
     ``model.dims[0]`` columns, whatever their names, which must be followed
-    by exactly ``p_0..p_{C-1}, d`` for the model's C classes."""
-    header, rows = read_table(path)
+    by exactly ``p_0..p_{C-1}, d`` for the model's C classes.  A NaN or
+    infinite cell is a SchemaError."""
+    header, rows = read_table(path, finite=True)
     n_features = model.dims[0]
     expected = _class_columns(model.dims[-1])
     if header[n_features:] != expected:

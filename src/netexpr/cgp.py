@@ -15,8 +15,8 @@ backwards from the output genes, and the constants they read.  One
 vectorised pass (``phenotypes``) finds it for a whole (P, n_nodes, 3)
 gene tensor at once, as the step list that ``evaluate_genotype`` runs
 plus an exact byte key: equal keys compute equal values, bit for bit.
-Each ``Genotype`` caches both; mutation waves fill the cache as they are
-made, and ``analyse`` fills it for a stacked population.
+Waves (``random_genotypes``, ``mutate_many``) cache both as they are
+made; ``analyse`` serves only genomes made outside a wave.
 """
 
 from __future__ import annotations
@@ -255,17 +255,23 @@ def _draw_sources(config: CgpConfig, nodes: np.ndarray,
     return np.where(ranks < config.n_sources_before_nodes, ranks, ranks + shifts[nodes])
 
 
+def random_genotypes(config: CgpConfig, fset: FunctionSet, n: int,
+                     rng: np.random.Generator) -> list[Genotype]:
+    """n uniformly random valid genomes drawn as one (n, n_nodes, 3) gene
+    tensor, constants uniform in [-1, 1], by five RNG calls whatever n is."""
+    nodes = np.broadcast_to(np.arange(config.n_nodes), (n, config.n_nodes))
+    genes = np.stack([rng.integers(0, len(fset), nodes.shape),
+                      _draw_sources(config, nodes, rng),
+                      _draw_sources(config, nodes, rng)], axis=-1)
+    outputs = rng.integers(0, config.n_sources, (n, config.n_outputs))
+    constants = rng.uniform(-1.0, 1.0, (n, config.n_constants))
+    return _wave(config, fset, genes, outputs, constants)
+
+
 def random_genotype(config: CgpConfig, fset: FunctionSet,
                     rng: np.random.Generator) -> Genotype:
-    """Draw a uniformly random valid genome; constants are uniform in [-1, 1]."""
-    n_nodes = config.n_nodes
-    genes = np.empty((n_nodes, 3), dtype=np.int64)
-    genes[:, 0] = rng.integers(0, len(fset), n_nodes)
-    for slot in (1, 2):
-        genes[:, slot] = _draw_sources(config, np.arange(n_nodes), rng)
-    outputs = rng.integers(0, config.n_sources, config.n_outputs)
-    constants = rng.uniform(-1.0, 1.0, config.n_constants)
-    return Genotype(config, fset, genes, outputs, constants)
+    """One random genome: ``random_genotypes`` with n = 1."""
+    return random_genotypes(config, fset, 1, rng)[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -334,21 +340,21 @@ def _cache(g: Genotype, steps: tuple[int, ...], key: bytes) -> Genotype:
     return g
 
 
+def _wave(config, fset, genes, outputs, constants) -> list[Genotype]:
+    """The genomes of a stacked wave, phenotypes cached by one pass; each
+    owns copies of its rows, as a view would keep the whole wave alive."""
+    steps, keys = phenotypes(config, fset, genes, outputs, constants)
+    return [_cache(Genotype(config, fset, genes[i].copy(), outputs[i].copy(),
+                            constants[i].copy()), steps[i], keys[i])
+            for i in range(len(genes))]
+
+
 def analyse(genomes: Sequence[Genotype]) -> None:
-    """Cache the phenotype of every genome that lacks one.  The uncached
-    genomes are stacked and analysed by one ``phenotypes`` pass per
-    (config, function set)."""
-    groups: dict = {}
+    """Cache the phenotype of each genome made outside a wave, by a pass of one."""
     for g in genomes:
         if g._key is None:
-            groups.setdefault((g.config, id(g.fset)), []).append(g)
-    for group in groups.values():
-        first = group[0]
-        found = phenotypes(first.config, first.fset,
-                           np.stack([g.function_genes for g in group]),
-                           np.stack([g.output_genes for g in group]),
-                           np.stack([g.constants for g in group]))
-        for g, steps, key in zip(group, *found):
+            (steps,), (key,) = phenotypes(g.config, g.fset, g.function_genes[None],
+                                          g.output_genes[None], g.constants[None])
             _cache(g, steps, key)
 
 
@@ -368,9 +374,7 @@ def mutate_many(g: Genotype, n: int, per_gene_prob: float,
     never changed.  Each constant gets a Gaussian nudge (sigma
     ``CONST_SIGMA``) with probability p and is redrawn uniformly in
     [-1, 1] with probability ``CONST_REDRAW`` * p.  The number of
-    RNG calls does not depend on n.  Every offspring owns its arrays, and
-    the original genome is left untouched.  The wave's phenotypes are
-    found by one ``phenotypes`` pass and cached on the offspring.
+    RNG calls does not depend on n, and the original genome is untouched.
     """
     if not 0.0 <= per_gene_prob <= 1.0:
         raise ValueError("per_gene_prob must be in [0, 1]")
@@ -392,13 +396,8 @@ def mutate_many(g: Genotype, n: int, per_gene_prob: float,
         redraw = rng.random(constants.shape) < CONST_REDRAW * per_gene_prob
         constants[redraw] = rng.uniform(-1.0, 1.0, int(redraw.sum()))
 
-    steps, keys = phenotypes(cfg, g.fset, genes,
-                             np.broadcast_to(g.output_genes, (n, cfg.n_outputs)),
-                             constants)
-    # copies, not views: a view would keep the whole wave alive
-    return [_cache(Genotype(cfg, g.fset, genes[i].copy(), g.output_genes.copy(),
-                            constants[i].copy()), steps[i], keys[i])
-            for i in range(n)]
+    return _wave(cfg, g.fset, genes,
+                 np.broadcast_to(g.output_genes, (n, cfg.n_outputs)), constants)
 
 
 def mutate(g: Genotype, per_gene_prob: float, rng: np.random.Generator) -> Genotype:
@@ -442,17 +441,20 @@ def evaluate_genotype(g: Genotype, inputs: np.ndarray) -> list[np.ndarray]:
     values: dict[int, np.ndarray] = {}
     for i in range(cfg.n_inputs):
         values[i] = inputs[:, i]
-    for k in range(cfg.n_constants):
-        values[cfg.n_inputs + k] = np.full(n, g.constants[k])
     if g._steps is None:
         analyse([g])
+    outputs = g.output_genes.tolist()
+    read = {*g._steps[2::4], *g._steps[3::4], *outputs}
+    for k in range(cfg.n_constants):    # a row only for each constant read
+        if cfg.n_inputs + k in read:
+            values[cfg.n_inputs + k] = np.full(n, g.constants[k])
     ops = g.fset.ops
     steps = iter(g._steps)
     with np.errstate(all="ignore"):
         for j, code, a, b in zip(steps, steps, steps, steps):
             fn = ops[code].fn
             values[base + j] = fn(values[a]) if b < 0 else fn(values[a], values[b])
-    return [np.array(values[s], dtype=float) for s in g.output_genes.tolist()]
+    return [np.array(values[s], dtype=float) for s in outputs]
 
 
 # --- phenotype trees -------------------------------------------------------

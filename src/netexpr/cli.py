@@ -12,8 +12,11 @@ once, so argparse checks both alike and a flag on the command line wins.
 Each setting has one home.  The defaults of the evolution and grid
 options are read from ``EvolveConfig`` and ``CgpConfig``, those of the
 boundary pool from ``BoundarySampleConfig``.  argparse types every value
-but ``--domain`` (the manifest records its text); the config classes
-check the rest.  Both raise ``ConfigError``.
+but ``--domain`` (the manifest records its text), and each option's type
+rejects exactly what the config class field it fills rejects, so an error
+names the option.  The config classes check the rest: what spans fields
+(``--keep`` at most ``--pool``) and ``--margin``'s bounds.  Both raise
+``ConfigError``.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 Every exit 2 prints one ``config error:`` line.
@@ -273,6 +276,10 @@ def _parse_domain(text: str) -> list[tuple[float, float]]:
 def cmd_eval(args) -> int:
     model = mlp.load_weights(args.weights)
     net = surrogate.net_from_json(Path(args.genotype).read_text())
+    layers = [c.n_inputs for c in net.chromosomes[:1]] + net.widths
+    if layers != model.dims:
+        raise DataError(f"genotype {args.genotype} chains widths {layers} (inputs "
+                        f"first), but model {args.weights} has {model.dims}")
     spec = bench.get_benchmark(args.benchmark) if args.benchmark else None
     if args.domain:
         ranges = _parse_domain(args.domain)
@@ -366,12 +373,25 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def count(text: str) -> int:
-    """Option type: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
-    return value
+def _option_type(name: str, convert, accepts):
+    """An argparse type: ``convert`` the text, then reject what ``accepts``
+    refuses; argparse names the type ``name`` in its error."""
+    def parse(text: str):
+        value = convert(text)
+        if not accepts(value):
+            raise ValueError(text)
+        return value
+    parse.__name__ = name
+    return parse
+
+
+# each mirrors the check of the config class field it fills, so argparse
+# rejects exactly what the class would and names the option
+count = _option_type("count", int, lambda v: v >= 1)
+non_negative = _option_type("non-negative int", int, lambda v: v >= 0)
+fraction = _option_type("fraction", float, lambda v: 0.0 <= v <= 1.0)
+positive = _option_type("positive", float, lambda v: v > 0)
+finite_positive = _option_type("finite positive", float, lambda v: 0 < v < np.inf)
 
 
 def widths(text: str) -> list[int]:
@@ -397,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.add_argument("--arch", type=widths, default=None, help="hidden widths, e.g. 3,3")
     p.add_argument("--optimizer", choices=["sgd", "adam"], default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--lr", type=finite_positive, default=None)
+    p.add_argument("--epochs", type=non_negative, default=None)
     p.add_argument("--batch-size", type=count, default=None)
     p.add_argument("--task", choices=[ev.REGRESSION, ev.CLASSIFICATION],
                    default=None,
@@ -422,15 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "whatever the value")
     p.add_argument("--offspring", type=count, default=ev.EvolveConfig.n_offspring)
     p.add_argument("--generations", type=count, default=ev.EvolveConfig.max_generations)
-    p.add_argument("--mutation", type=float, default=ev.EvolveConfig.mutation_prob)
-    p.add_argument("--target", type=float, default=ev.EvolveConfig.fitness_target)
+    p.add_argument("--mutation", type=fraction, default=ev.EvolveConfig.mutation_prob)
+    p.add_argument("--target", type=positive, default=ev.EvolveConfig.fitness_target)
     p.add_argument("--cadence", type=count, default=None,
                    help="generations between affine refits (default "
                         f"{ev.EvolveConfig.affine_refit_every} for regression, "
                         f"{ev.CLASSIFIER_REFIT_EVERY} for classification)")
     p.add_argument("--rows", type=count, default=cgp.CgpConfig.n_rows)
     p.add_argument("--cols", type=count, default=cgp.CgpConfig.n_cols)
-    p.add_argument("--constants", type=int, default=cgp.CgpConfig.n_constants)
+    p.add_argument("--constants", type=non_negative, default=cgp.CgpConfig.n_constants)
     p.add_argument("--no-timings", action="store_true",
                    help="omit elapsed_ms from convergence CSVs")
     p.set_defaults(fn=cmd_explain)

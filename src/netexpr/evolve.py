@@ -34,7 +34,7 @@ from .errors import ConfigError, DimensionMismatch
 from .mlp import LayerTrace
 from .surrogate import (LayerChromosome, NetGenotype, apply_affine,
                         chromosome_scalar, genotype_forward, mutate_net,
-                        random_net_genotype)
+                        random_net_genotypes)
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
@@ -191,7 +191,6 @@ def score_rows(F: np.ndarray, W: np.ndarray, B: np.ndarray, target: np.ndarray,
             x = F[block, :, None] * W[block, None, :]
             x += B[block, None, :]
             flat = x.reshape(x.shape[0], -1)
-            finite = np.isfinite(flat).all(axis=1)
             if kind == MSE:
                 x -= target
                 x *= x
@@ -201,7 +200,10 @@ def score_rows(F: np.ndarray, W: np.ndarray, B: np.ndarray, target: np.ndarray,
                 x -= np.log(np.exp(x).sum(axis=2, keepdims=True))
                 x *= target
                 loss = -flat.sum(axis=1) / n
-            loss[~(finite & np.isfinite(loss))] = OVERFLOW_PENALTY
+            # a non-finite prediction makes the loss non-finite too: inf or
+            # NaN survives squaring and summing, and the log-softmax of a
+            # row with an inf logit has a NaN or -inf term
+            loss[~np.isfinite(loss)] = OVERFLOW_PENALTY
             losses[block] = loss
     return losses
 
@@ -300,10 +302,8 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
     n_inputs = trace.x.shape[1]
     rng = np.random.default_rng(cfg.seed)
 
-    population: list[NetGenotype] = [
-        random_net_genotype(n_inputs, widths, fset, rng, n_rows=cfg.n_rows,
-                            n_cols=cfg.n_cols, n_constants=cfg.n_constants)
-        for _ in range(cfg.n_offspring)]
+    population = random_net_genotypes(n_inputs, widths, fset, rng, cfg.n_offspring,
+                                      cfg.n_rows, cfg.n_cols, cfg.n_constants)
     if initial:
         for i, indiv in enumerate(initial[:len(population)]):
             if indiv.widths != widths:

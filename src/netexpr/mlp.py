@@ -313,10 +313,11 @@ def write_table(path: str | Path, header: list[str], columns) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+def read_table(path: str | Path, finite: bool = False) -> tuple[list[str], np.ndarray]:
     """The header and an (n, len(header)) float matrix of a ``write_table``
     file; blank lines are skipped.  Raises SchemaError if the file cannot
-    be read, has no data rows, or has a ragged or non-numeric row."""
+    be read, has no data rows, or has a ragged or non-numeric row, and with
+    ``finite`` if a cell is NaN or infinite."""
     try:
         lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     except (OSError, UnicodeDecodeError) as exc:
@@ -331,6 +332,10 @@ def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
     if rows.shape[1] != len(header):
         raise SchemaError(f"{path}: rows have {rows.shape[1]} cells, "
                           f"the header {len(header)}")
+    if finite and not np.isfinite(rows).all():
+        row, col = np.argwhere(~np.isfinite(rows))[0]
+        raise SchemaError(f"{path}: data row {row + 1}, column {header[col]!r} "
+                          f"is {rows[row, col]}, not a finite number")
     return header, rows
 
 
@@ -344,13 +349,13 @@ def save_dataset_csv(path: str | Path, X: np.ndarray, y: np.ndarray,
 
 
 def load_dataset_csv(path: str | Path):
-    """Returns (X, y, feature_names); y is int when every value is integral."""
-    header, rows = read_table(path)
+    """Returns (X, y, feature_names); y is int when every value is integral.
+    A NaN or infinite cell is a SchemaError."""
+    header, rows = read_table(path, finite=True)
     if len(header) < 2:
         raise SchemaError(f"dataset {path} needs a feature and a target column")
     X, y = rows[:, :-1], rows[:, -1]
     # class ids are small non-negative integers; anything else stays float
-    if (np.all(np.isfinite(y)) and np.all(y == np.round(y))
-            and y.min() >= 0 and y.max() < 1e6):
+    if np.all(y == np.round(y)) and y.min() >= 0 and y.max() < 1e6:
         y = y.astype(int)
     return X, y, header[:-1]

@@ -97,24 +97,24 @@ def genotype_forward(g: NetGenotype, x: np.ndarray) -> list[LayerOutput]:
     return outputs
 
 
+def random_net_genotypes(n_inputs: int, widths: list[int], fset: cgp.FunctionSet,
+                         rng: np.random.Generator, n: int, n_rows: int, n_cols: int,
+                         n_constants: int = cgp.CgpConfig.n_constants
+                         ) -> list[NetGenotype]:
+    """n random networks of the given layer widths, one ``cgp.random_genotypes``
+    wave per position in order; affines start at w=1, b=0, to be fitted."""
+    waves = [cgp.random_genotypes(cgp.CgpConfig(prev, n_rows, n_cols, n_constants),
+                                  fset, n, rng) for prev in [n_inputs, *widths[:-1]]]
+    return _zip_waves(waves, [AffineParams(np.ones(w), np.zeros(w)) for w in widths],
+                      range(len(widths)))
+
+
 def random_net_genotype(n_inputs: int, widths: list[int], fset: cgp.FunctionSet,
                         rng: np.random.Generator, n_rows: int, n_cols: int,
                         n_constants: int = cgp.CgpConfig.n_constants) -> NetGenotype:
-    """Random chromosomes chained to the given layer widths.
-
-    Affine params start at w=1, b=0 and are meant to be fitted before the
-    genotype is scored.
-    """
-    chroms = []
-    prev = n_inputs
-    for i, width in enumerate(widths):
-        cfg = cgp.CgpConfig(n_inputs=prev, n_rows=n_rows, n_cols=n_cols,
-                            n_constants=n_constants, n_outputs=1)
-        genome = cgp.random_genotype(cfg, fset, rng)
-        chroms.append(LayerChromosome(genome, AffineParams(np.ones(width),
-                                                           np.zeros(width)), i))
-        prev = width
-    return NetGenotype(tuple(chroms))
+    """One random network: ``random_net_genotypes`` with n = 1."""
+    return random_net_genotypes(n_inputs, widths, fset, rng, 1, n_rows, n_cols,
+                                n_constants)[0]
 
 
 def mutate_net(g: NetGenotype, per_gene_prob: float, rng: np.random.Generator,
@@ -123,10 +123,13 @@ def mutate_net(g: NetGenotype, per_gene_prob: float, rng: np.random.Generator,
     position, in position order; affine params carry over as-is."""
     waves = [cgp.mutate_many(c.genotype, n, per_gene_prob, rng)
              for c in g.chromosomes]
-    return [NetGenotype(tuple(
-        LayerChromosome(genome, c.affine, c.layer_index)
-        for c, genome in zip(g.chromosomes, genomes)))
-        for genomes in zip(*waves)]
+    return _zip_waves(waves, [c.affine for c in g.chromosomes],
+                      [c.layer_index for c in g.chromosomes])
+
+
+def _zip_waves(waves, affines, layer_indices) -> list[NetGenotype]:
+    return [NetGenotype(tuple(map(LayerChromosome, genomes, affines, layer_indices)))
+            for genomes in zip(*waves)]
 
 
 def net_to_dict(g: NetGenotype) -> dict:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written straight-line, separate from the
 library's own code paths: a tiny infix parser, a normal-equations fit,
-a plain-loop fitness recomputation, and MLP training one layer at a time.
+a plain-loop fitness recomputation, MLP training one layer at a time, and
+random genomes drawn one at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import re
 import numpy as np
 
 from netexpr import cgp, mlp
+from netexpr.affine import AffineParams
+from netexpr.surrogate import LayerChromosome, NetGenotype
 
 _TOKEN = re.compile(
     r"\s*(?:"
@@ -226,3 +229,38 @@ def train_per_layer(X, T, arch, cfg, head):
                     b - cfg.learning_rate * (mb / c1) / (np.sqrt(vb / c2) + mlp.ADAM_EPS),
                 )
     return layers
+
+
+def random_genotype_one_at_a_time(config, fset, rng):
+    """One uniformly random genome by five draws: its opcodes, each node's
+    first input, each node's second input, the output genes, the constants.
+    An input is a rank below the node's ``input_choices``; a rank past the
+    inputs and constants is shifted by ``input_shift`` into the window."""
+    n_nodes = config.n_nodes
+    cols = [config.node_column(j) for j in range(n_nodes)]
+    choices = np.array([config.input_choices(c) for c in cols])
+    shifts = np.array([config.input_shift(c) for c in cols])
+    base = config.n_sources_before_nodes
+    genes = np.empty((n_nodes, 3), dtype=np.int64)
+    genes[:, 0] = rng.integers(0, len(fset), n_nodes)
+    for slot in (1, 2):
+        ranks = rng.integers(0, choices)
+        genes[:, slot] = np.where(ranks < base, ranks, ranks + shifts)
+    outputs = rng.integers(0, config.n_sources, config.n_outputs)
+    constants = rng.uniform(-1.0, 1.0, config.n_constants)
+    return cgp.Genotype(config, fset, genes, outputs, constants)
+
+
+def random_net_genotype_one_at_a_time(n_inputs, widths, fset, rng, n_rows, n_cols,
+                                      n_constants):
+    """One random network, its chromosomes drawn one after another by
+    ``random_genotype_one_at_a_time``, affines at w=1, b=0."""
+    chroms = []
+    prev = n_inputs
+    for i, width in enumerate(widths):
+        cfg = cgp.CgpConfig(n_inputs=prev, n_rows=n_rows, n_cols=n_cols,
+                            n_constants=n_constants)
+        chroms.append(LayerChromosome(random_genotype_one_at_a_time(cfg, fset, rng),
+                                      AffineParams(np.ones(width), np.zeros(width)), i))
+        prev = width
+    return NetGenotype(tuple(chroms))

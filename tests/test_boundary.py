@@ -152,3 +152,22 @@ class TestCsv:
         boundary.write_boundary_csv(path, sample, feature_names=["a", "d"])
         with pytest.raises(DataError, match="s.csv"):
             boundary.read_boundary_csv(path, constant_uniform_model(n_features, n_classes))
+
+    @pytest.mark.parametrize("row,col,cell", [(1, 0, "nan"), (2, 3, "inf"),
+                                              (3, 4, "-inf")])
+    def test_non_finite_cell_is_data_error(self, tmp_path, row, col, cell):
+        cfg = boundary.BoundarySampleConfig(bounds=[[-1, 1], [-1, 1]],
+                                            pool_size=20, keep_size=3, seed=13)
+        sample = boundary.sample_near_boundary(constant_uniform_model(), cfg)
+        path = tmp_path / "s.csv"
+        boundary.write_boundary_csv(path, sample)
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[col] = cell
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        column = lines[0].split(",")[col]
+        with pytest.raises(DataError) as info:
+            boundary.read_boundary_csv(path, constant_uniform_model())
+        assert str(path) in str(info.value)
+        assert f"data row {row}, column {column!r}" in str(info.value)

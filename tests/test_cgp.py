@@ -8,7 +8,7 @@ from netexpr import evolve as ev
 from netexpr.errors import DimensionMismatch
 from netexpr.mlp import LayerTrace
 
-from oracles import parse_infix
+from oracles import parse_infix, random_genotype_one_at_a_time
 
 
 def small_config(**kw):
@@ -56,6 +56,90 @@ class TestRandomGenotype:
         for _ in range(100):
             g = cgp.random_genotype(cfg, fset, rng)
             assert np.all(g.constants >= -1) and np.all(g.constants <= 1)
+
+
+class CountingRng:
+    """A generator that counts the calls made to it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def call(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return call
+
+
+def same_genes(a, b):
+    return (np.array_equal(a.function_genes, b.function_genes)
+            and np.array_equal(a.output_genes, b.output_genes)
+            and np.array_equal(a.constants, b.constants))
+
+
+class TestRandomGenotypes:
+    @pytest.mark.parametrize("levels_back", [1, 2, None])
+    @pytest.mark.parametrize("n_constants", [0, 1, 3])
+    @pytest.mark.parametrize("n_outputs", [1, 3])
+    def test_one_genome_draws_as_the_one_at_a_time_oracle(self, fset, levels_back,
+                                                          n_constants, n_outputs):
+        cfg = small_config(n_rows=3, n_cols=4, n_constants=n_constants,
+                           levels_back=levels_back, n_outputs=n_outputs)
+        for seed in range(30):
+            mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                assert same_genes(cgp.random_genotype(cfg, fset, mine),
+                                  random_genotype_one_at_a_time(cfg, fset, ref))
+            assert mine.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("levels_back", [1, None])
+    def test_wave_genomes_are_valid_cached_and_own_their_arrays(self, fset,
+                                                                levels_back):
+        cfg = small_config(n_rows=3, n_cols=4, n_constants=2,
+                           levels_back=levels_back, n_outputs=2)
+        wave = cgp.random_genotypes(cfg, fset, 60, np.random.default_rng(36))
+        assert len(wave) == 60
+        fields = ("function_genes", "output_genes", "constants")
+        for i, g in enumerate(wave):
+            cgp.validate_genotype(g)
+            assert g._key is not None
+            alone = with_genes(g)
+            assert cgp.phenotype_keys([alone]) == [g._key]
+            assert alone._steps == g._steps
+            for field in fields:
+                assert getattr(g, field).base is None
+                assert not any(np.shares_memory(getattr(g, field), getattr(h, field))
+                               for h in wave[i + 1:])
+
+    def test_rng_calls_do_not_depend_on_n(self, fset):
+        cfg = small_config(n_constants=2)
+        calls = []
+        for n in (1, 7, 60):
+            rng = CountingRng(np.random.default_rng(37))
+            cgp.random_genotypes(cfg, fset, n, rng)
+            calls.append(rng.calls)
+        assert calls == [5, 5, 5]
+
+    def test_wave_draws_every_valid_value(self, fset):
+        cfg = small_config(n_rows=2, n_cols=3, levels_back=1, n_constants=2)
+        wave = cgp.random_genotypes(cfg, fset, 3000, np.random.default_rng(38))
+        genes = np.stack([g.function_genes for g in wave])
+        assert set(genes[:, :, 0].ravel().tolist()) == set(range(len(fset)))
+        base = cfg.n_sources_before_nodes
+        for j in range(cfg.n_nodes):
+            col = cfg.node_column(j)
+            shift = cfg.input_shift(col)
+            valid = {r if r < base else r + shift
+                     for r in range(cfg.input_choices(col))}
+            for slot in (1, 2):
+                assert set(genes[:, j, slot].tolist()) == valid
+        outputs = np.concatenate([g.output_genes for g in wave])
+        assert set(outputs.tolist()) == set(range(cfg.n_sources))
+        constants = np.stack([g.constants for g in wave])
+        assert constants.min() >= -1.0 and constants.max() <= 1.0
 
 
 class TestDecode:
@@ -121,6 +205,29 @@ class TestEvaluate:
             out = cgp.evaluate_genotype(g, X)[0]
             assert out.shape == (32,)
             assert out.dtype == np.float64
+
+
+    @pytest.mark.parametrize("genes,output,filled", [
+        ([["+", 0, 3], ["sin", 5, 0]], 6, [-0.25]),    # sin(x0 + c1)
+        ([["+", 0, 1], ["*", 5, 1]], 6, []),           # (x0 + x1) * x1
+        ([["-", 2, 4], ["cos", 5, 3]], 6, [0.5, 2.0]),  # cos(c0 - c2); ignores c1
+        ([["+", 0, 3], ["sin", 5, 0]], 4, [2.0]),      # the output gene reads c2
+    ])
+    def test_a_row_only_for_each_constant_read(self, fset, monkeypatch, genes,
+                                              output, filled):
+        cfg = cgp.CgpConfig(n_inputs=2, n_rows=1, n_cols=2, n_constants=3)
+        table = np.array([[fset.by_name(op).code, a, b] for op, a, b in genes])
+        g = cgp.Genotype(cfg, fset, table, np.array([output]),
+                         np.array([0.5, -0.25, 2.0]))
+        X = np.random.default_rng(13).uniform(-2, 2, size=(9, 2))
+        tree = cgp.decode(g)[0]
+        expected = cgp.evaluate(tree, X, g.constants)
+        made = []
+        full = np.full
+        monkeypatch.setattr(np, "full", lambda n, v: made.append(v) or full(n, v))
+        (out,) = cgp.evaluate_genotype(g, X)
+        assert made == filled
+        assert np.array_equal(out, expected)
 
 
 class TestActiveNodes:

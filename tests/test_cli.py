@@ -6,7 +6,7 @@ import pytest
 
 from netexpr import benchmarks as bench
 from netexpr import evolve as ev
-from netexpr import mlp, surrogate
+from netexpr import cgp, mlp, surrogate
 from netexpr.cli import Manifest, main
 
 
@@ -104,6 +104,26 @@ class TestTrain:
         assert main(["train", "--csv", str(csv), "--arch", "2", "--epochs", "1",
                      "--seed", "0", "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("data error: class id 4")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row,col,cell", [
+        (2, 0, "nan"),               # a feature; seed 0 puts row 2 in the test split
+        (5, 1, "inf"),               # a feature
+        (4, 2, "-inf"),              # the target
+    ])
+    def test_non_finite_cell_exits_3_before_any_artifact(self, tmp_path, capsys,
+                                                         row, col, cell):
+        X = np.linspace(-1, 1, 20).reshape(-1, 2)
+        table = [[str(float(v)) for v in (*x, x.sum())] for x in X]
+        table[row - 1][col] = cell
+        csv = tmp_path / "d.csv"
+        csv.write_text("a,b,y\n" + "".join(",".join(r) + "\n" for r in table))
+        out = tmp_path / "o"
+        assert main(["train", "--csv", str(csv), "--arch", "2", "--epochs", "1",
+                     "--seed", "0", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert str(csv) in err and f"row {row}," in err and repr("aby"[col]) in err
         assert not out.exists()
 
     @pytest.mark.parametrize("targets", [
@@ -318,6 +338,32 @@ class TestSampleBoundary:
         assert capsys.readouterr().err.startswith("data error:")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("col,cell", [(0, "nan"), (2, "inf"), (4, "-inf")])
+    def test_non_finite_sample_exits_3_before_any_artifact(self, toy_classifier,
+                                                           tmp_path, capsys, col,
+                                                           cell):
+        cls_out, csv = toy_classifier
+        weights = str(cls_out / "weights.json")
+        assert main(["sample-boundary", "--weights", weights, "--csv", str(csv),
+                     "--pool", "500", "--keep", "40", "--seed", "2",
+                     "--out", str(tmp_path / "b")]) == 0
+        lines = (tmp_path / "b" / "samples.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[col] = cell
+        lines[3] = ",".join(cells)
+        samples = tmp_path / "samples.csv"
+        samples.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "x"
+        assert main(["explain", "--weights", weights, "--samples", str(samples),
+                     "--seed", "6", "--offspring", "10", "--generations", "2",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        column = lines[0].split(",")[col]
+        assert str(samples) in err and "row 3," in err and repr(column) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("keep,pool", [("0", "1000"), ("10", "0"),
                                            ("500", "100"), ("-1", "100")])
     def test_bad_option_exits_2_before_any_artifact(self, toy_classifier, tmp_path,
@@ -411,6 +457,62 @@ class TestConfigFileValues:
         assert len(errors) == 1
         assert str(cfg) in errors[0] and option in errors[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    @pytest.mark.parametrize("command,option,value", [
+        ("train", "--epochs", "-5"),
+        ("train", "--epochs", "1.5"),
+        ("train", "--lr", "0"),
+        ("train", "--lr", "-0.5"),
+        ("train", "--lr", "nan"),
+        ("train", "--lr", "inf"),
+        ("explain", "--constants", "-1"),
+        ("explain", "--mutation", "2"),
+        ("explain", "--mutation", "-0.1"),
+        ("explain", "--mutation", "nan"),
+        ("explain", "--target", "0"),
+        ("explain", "--target", "-1e-3"),
+        ("explain", "--target", "nan"),
+    ])
+    def test_value_a_config_class_rejects_names_the_option(
+            self, trained_k0, tmp_path, capsys, command, option, value, from_file):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{option[2:]} = {value}\n" if from_file else "")
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg), "--benchmark", "K0", "--seed", "0",
+                "--out", str(out)] + ([] if from_file else [f"{option}={value}"])
+        if command == "explain":
+            argv += ["--weights", str(trained_k0 / "weights.json"),
+                     "--generations", "2", "--offspring", "4"]
+        else:
+            argv += ["--epochs", "5"] if option != "--epochs" else []
+        assert main(argv) == 2
+        errors = [err for err in capsys.readouterr().err.splitlines()
+                  if err.startswith("config error:")]
+        assert len(errors) == 1
+        assert option in errors[0]
+        assert (str(cfg) in errors[0]) == from_file
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("train", "--epochs", "0"),
+        ("train", "--lr", "1e-300"),
+        ("explain", "--constants", "0"),
+        ("explain", "--mutation", "0"),
+        ("explain", "--mutation", "1"),
+        ("explain", "--target", "inf"),
+    ])
+    def test_edge_values_the_config_classes_accept_still_run(
+            self, trained_k0, tmp_path, command, option, value):
+        out = tmp_path / "o"
+        argv = [command, "--benchmark", "K0", "--seed", "0", "--out", str(out),
+                f"{option}={value}"]
+        if command == "explain":
+            argv += ["--weights", str(trained_k0 / "weights.json"),
+                     "--generations", "2", "--offspring", "4"]
+        elif option != "--epochs":
+            argv += ["--epochs", "5"]
+        assert main(argv) == 0
 
     def test_untyped_value_is_read_as_text(self, tmp_path, monkeypatch):
         # csv = 5 names the file "5", which is missing: a data error
@@ -552,6 +654,31 @@ class TestEval:
         assert Manifest.load(out / "manifest.json")["config"]["domain"] == "-2:2,-2:2"
         grid = np.loadtxt(out / "grid.csv", delimiter=",", skiprows=1)
         assert np.array_equal(grid[:, 2], grid[:, 3])
+
+    @pytest.mark.parametrize("n_inputs,widths", [
+        (1, [3]),                # one chromosome of the first hidden layer's width
+        (1, [3, 1]),
+        (1, [3, 2, 1]),
+        (1, [3, 3, 1, 1]),
+        (2, [3, 3, 1]),          # the right widths, but two inputs
+        (1, []),                 # no chromosomes at all
+    ])
+    def test_genotype_of_other_layers_exits_3_before_any_artifact(
+            self, trained_k0, tmp_path, capsys, n_inputs, widths):
+        net = surrogate.NetGenotype(())
+        if widths:
+            net = surrogate.random_net_genotype(n_inputs, widths,
+                                                cgp.default_function_set(),
+                                                np.random.default_rng(0), 2, 2)
+        gpath = tmp_path / "g.json"
+        gpath.write_text(surrogate.net_to_json(net))
+        out = tmp_path / "o"
+        assert main(["eval", "--genotype", str(gpath),
+                     "--weights", str(trained_k0 / "weights.json"),
+                     "--benchmark", "K0", "--points", "5", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(gpath) in err
+        assert not out.exists()
 
     def test_classifier_y_expr_is_a_probability(self, toy_classifier, tmp_path):
         model_dir, csv = toy_classifier

@@ -237,6 +237,36 @@ class TestScoreRows:
         if kind == ev.MSE:
             assert got[3] == ev.OVERFLOW_PENALTY
 
+    @pytest.mark.parametrize("kind", [ev.MSE, ev.CROSS_ENTROPY])
+    def test_non_finite_predictions_score_the_penalty_bit_for_bit(self, kind):
+        rng = np.random.default_rng(41)
+        n, width, R = 30, 3, 9
+        if kind == ev.CROSS_ENTROPY:
+            target = soft_targets(rng, n, width)
+            target[0] = [0.0, 0.4, 0.6]      # sample 0's class 0 has target 0
+        else:
+            target = rng.normal(size=(n, width))
+        F = rng.normal(size=(R, n))
+        W = rng.normal(size=(R, width))
+        B = rng.normal(size=(R, width))
+        F[0, 3] = np.nan
+        F[1, 5] = np.inf
+        F[2, 7] = -np.inf
+        F[3] = np.nan
+        # one -inf logit among finite ones: on sample 0's class 0 (target 0),
+        # then on sample 1's class 0 (target > 0)
+        F[4, 0], W[4], B[4] = -1e300, [1e10, 1.0, 1.0], 0.0
+        F[5, 1], W[5], B[5] = -1e300, [1e10, 1.0, 1.0], 0.0
+        B[6] = [-np.inf, 0.0, 0.0]           # class 0 is -inf on every sample
+        W[7] = 0.0                           # inf times 0 is NaN
+        F[7, 2] = np.inf
+        got = ev.score_rows(F, W, B, target, kind)
+        want = [ev.score_values(apply_affine(F[i], AffineParams(W[i], B[i])),
+                                target, kind) for i in range(R)]
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+        assert got[:8].tolist() == [ev.OVERFLOW_PENALTY] * 8
+        assert got[8] < ev.OVERFLOW_PENALTY
+
     def test_small_blocks_give_the_same_losses(self, monkeypatch):
         rng = np.random.default_rng(40)
         F, W, B = rng.normal(size=(30, 50)), rng.normal(size=(30, 4)), rng.normal(size=(30, 4))
@@ -383,6 +413,22 @@ class TestEvolve:
         _, log = ev.evolve(trace, ev.REGRESSION,
                            self.small_cfg(max_generations=5, fitness_target=1e-30))
         assert len(log.records) - 1 == len(waves) == 4
+
+    def test_starting_population_comes_cached(self, monkeypatch):
+        # it is drawn as one wave per position, which caches its phenotypes
+        seen = []
+
+        def first_select(population, *args, **kwargs):
+            if not seen:
+                seen.append([c.genotype._key is not None
+                             for indiv in population for c in indiv.chromosomes])
+            return select(population, *args, **kwargs)
+
+        select = ev.select_layerwise_best
+        monkeypatch.setattr(ev, "select_layerwise_best", first_select)
+        trace = random_trace(np.random.default_rng(44), widths=(3, 2, 1))
+        ev.evolve(trace, ev.REGRESSION, self.small_cfg(max_generations=2))
+        assert seen[0] == [True] * (10 * 3)
 
     def test_huge_target_stops_after_one_generation(self):
         rng = np.random.default_rng(6)

@@ -273,6 +273,18 @@ class TestDatasetCsv:
         with pytest.raises(SchemaError):
             mlp.load_dataset_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("text,where", [
+        ("a,y\n1.0,2.0\nnan,1.0\n", "data row 2, column 'a'"),
+        ("a,y\n1.0,inf\n", "data row 1, column 'y'"),
+        ("a,b,y\n1.0,2.0,0\n\n1.0,-inf,0\n", "data row 2, column 'b'"),
+    ])
+    def test_non_finite_cell_is_schema_error(self, tmp_path, text, where):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as info:
+            mlp.load_dataset_csv(path)
+        assert str(path) in str(info.value) and where in str(info.value)
+
     def test_table_cells_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
         ids = np.array([3, 0, 12])

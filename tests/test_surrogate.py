@@ -5,6 +5,8 @@ from netexpr import cgp, surrogate
 from netexpr.affine import AffineParams
 from netexpr.errors import DimensionMismatch
 
+from oracles import random_net_genotype_one_at_a_time
+
 
 def passthrough_chromosome(n_inputs, w, b, layer_index=0, column=0):
     """Chromosome whose scalar f is just input column `column`."""
@@ -109,6 +111,41 @@ class TestGenotypeForward:
         second = surrogate.genotype_forward(net, X)
         for a, b in zip(first, second):
             assert np.array_equal(a.h_values, b.h_values, equal_nan=True)
+
+
+class TestRandomNets:
+    @pytest.mark.parametrize("n_constants", [0, 1, 3])
+    @pytest.mark.parametrize("n_inputs,widths", [(1, [3, 1]), (2, [4, 4, 2]), (3, [1])])
+    def test_one_net_draws_as_the_one_at_a_time_oracle(self, n_constants, n_inputs,
+                                                       widths):
+        fset = cgp.default_function_set()
+        for seed in range(10):
+            mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                a = surrogate.random_net_genotype(n_inputs, widths, fset, mine, 2, 3,
+                                                  n_constants)
+                b = random_net_genotype_one_at_a_time(n_inputs, widths, fset, ref, 2,
+                                                      3, n_constants)
+                assert surrogate.net_to_dict(a) == surrogate.net_to_dict(b)
+            assert mine.bit_generator.state == ref.bit_generator.state
+
+    def test_nets_are_one_wave_per_position(self):
+        fset = cgp.default_function_set()
+        nets = surrogate.random_net_genotypes(2, [3, 3, 1], fset,
+                                              np.random.default_rng(6), 5, 2, 3)
+        rng = np.random.default_rng(6)
+        waves = [cgp.random_genotypes(cgp.CgpConfig(n_in, 2, 3), fset, 5, rng)
+                 for n_in in (2, 3, 3)]
+        assert len(nets) == 5
+        for k, net in enumerate(nets):
+            assert net.widths == [3, 3, 1]
+            for i, c in enumerate(net.chromosomes):
+                assert c.layer_index == i
+                assert c.genotype._key == waves[i][k]._key
+                assert (cgp.genotype_to_dict(c.genotype)
+                        == cgp.genotype_to_dict(waves[i][k]))
+                assert c.affine.w.tolist() == [1.0] * c.width
+                assert c.affine.b.tolist() == [0.0] * c.width
 
 
 class TestSerialization:
