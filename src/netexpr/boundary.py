@@ -41,8 +41,9 @@ def bounds_from_data(X: np.ndarray, margin: float = 0.0) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     lo = X.min(axis=0)
     hi = X.max(axis=0)
-    pad = margin * (hi - lo)
-    return np.column_stack([lo - pad, hi + pad])
+    with np.errstate(over="ignore"):     # an infinite box is the caller's to reject
+        pad = margin * (hi - lo)
+        return np.column_stack([lo - pad, hi + pad])
 
 
 def boundary_distance(probs: np.ndarray) -> float:

@@ -13,15 +13,22 @@ with ``np.isfinite``.
 What a genome computes is its phenotype: the active nodes, reached
 backwards from the output genes, and the constants they read.  One
 vectorised pass (``phenotypes``) finds it for a whole (P, n_nodes, 3)
-gene tensor at once, as the step list that ``evaluate_genotype`` runs
-plus an exact byte key: equal keys compute equal values, bit for bit.
-Waves (``random_genotypes``, ``mutate_many``) cache both as they are
-made; ``analyse`` serves only genomes made outside a wave.
+gene tensor at once, as a step list plus an exact byte key: equal keys
+compute equal values, bit for bit.  Waves (``random_genotypes``,
+``mutate_many``) cache both as they are made; ``analyse`` serves only
+genomes made outside a wave.
+
+``evaluate_many`` runs the cached steps of many genomes of one config
+together: one op call per (column, opcode) group on slabs of a bounded
+value buffer.  ``evaluate_genotype`` is its one-genome form.  ``decode``
+and ``evaluate`` build and run expression trees, for printing and as the
+tests' reference.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
@@ -35,60 +42,70 @@ LN_SENTINEL = -1e6   # value of ln at exactly zero
 CLAMP = 1e12         # output clamp for tan and exp
 CONST_SIGMA = 0.1    # std of a mutation's Gaussian nudge to a constant
 CONST_REDRAW = 0.1   # a constant's redraw chance, as a fraction of p
+EVAL_BLOCK = 1 << 16  # elements of evaluate_many's value buffer
+EVAL_SLAB = 1 << 13   # elements of each operand slab it gathers
 
 
-def p_add(a, b):
-    return a + b
+def p_add(a, b, out=None):
+    return np.add(a, b, out=out)
 
 
-def p_sub(a, b):
-    return a - b
+def p_sub(a, b, out=None):
+    return np.subtract(a, b, out=out)
 
 
-def p_mul(a, b):
-    return a * b
+def p_mul(a, b, out=None):
+    return np.multiply(a, b, out=out)
 
 
-def p_div(a, b):
+def p_div(a, b, out=None):
     small = np.abs(b) < DIV_EPS
-    raw = a / np.where(small, 1.0, b)
-    return np.where(small, a, raw)
+    out = np.divide(a, np.where(small, 1.0, b), out=out)
+    np.copyto(out, a, where=small)
+    return out
 
 
-def p_sqrt(a):
-    return np.sqrt(np.abs(a))
+def p_sqrt(a, out=None):
+    out = np.abs(a, out=out)
+    return np.sqrt(out, out=out)
 
 
-def p_square(a):
-    return a * a
+def p_square(a, out=None):
+    return np.multiply(a, a, out=out)
 
 
-def p_sin(a):
-    return np.sin(a)
+def p_sin(a, out=None):
+    return np.sin(a, out=out)
 
 
-def p_cos(a):
-    return np.cos(a)
+def p_cos(a, out=None):
+    return np.cos(a, out=out)
 
 
-def p_ln(a):
+def p_ln(a, out=None):
     absa = np.abs(a)
     zero = absa == 0
-    raw = np.log(np.where(zero, 1.0, absa))
-    return np.where(zero, LN_SENTINEL, raw)
+    absa[zero] = 1.0
+    out = np.log(absa, out=out)
+    out[zero] = LN_SENTINEL
+    return out
 
 
-def p_tan(a):
-    return np.clip(np.tan(a), -CLAMP, CLAMP)
+def p_tan(a, out=None):
+    out = np.tan(a, out=out)
+    return np.clip(out, -CLAMP, CLAMP, out=out)
 
 
-def p_exp(a):
-    return np.clip(np.exp(a), -CLAMP, CLAMP)
+def p_exp(a, out=None):
+    out = np.exp(a, out=out)
+    return np.clip(out, -CLAMP, CLAMP, out=out)
 
 
 @dataclass(frozen=True)
 class Op:
-    """One entry of the function set."""
+    """One entry of the function set.  ``fn`` is elementwise, takes its
+    arguments as equal-shape arrays and writes into ``out`` when given one
+    (an array of that shape that none of the arguments overlaps)."""
     code: int
     name: str
     arity: int
@@ -425,36 +442,123 @@ def active_nodes(g: Genotype) -> set[int]:
     return active
 
 
-def evaluate_genotype(g: Genotype, inputs: np.ndarray) -> list[np.ndarray]:
-    """Evaluate the genome graph directly, one vector per output gene.
+def evaluate_many(genomes: Sequence[Genotype], inputs: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate genomes of one config on one input, grouped by opcode.
 
-    Only active nodes are computed, by the cached phenotype's steps.
+    Returns (len(genomes) * n_outputs, n): row d * n_outputs + j is output j
+    of genome d (written into ``out`` when given).  Each input column, each
+    constant a genome reads and each active step has a row in one value
+    buffer of at most ``EVAL_BLOCK`` elements, reused by successive blocks
+    of whole genomes when they do not fit at once.  A block's steps are
+    sorted by (column, opcode); a node reads only earlier columns, so each
+    group runs as one call of its op on the (k, n) slabs of its operands,
+    gathered ``EVAL_SLAB // n`` rows at a time, and writes its own rows; a
+    one-row slab is read in place.  Ops are elementwise, so every row
+    equals what evaluating its genome alone gives, bit for bit.
     Non-finite values propagate; callers flag them with ``np.isfinite``.
     """
-    cfg = g.config
+    cfg, fset = genomes[0].config, genomes[0].fset
+    if any((g.config is not cfg and g.config != cfg)
+           or (g.fset is not fset and g.fset != fset) for g in genomes):
+        raise ValueError("genomes evaluated together must share a config "
+                         "and a function set")
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != cfg.n_inputs:
         raise DimensionMismatch(
             f"expected {cfg.n_inputs} input columns, got shape {inputs.shape}")
-    n = inputs.shape[0]
-    base = cfg.n_sources_before_nodes
-    values: dict[int, np.ndarray] = {}
-    for i in range(cfg.n_inputs):
-        values[i] = inputs[:, i]
-    if g._steps is None:
-        analyse([g])
-    outputs = g.output_genes.tolist()
-    read = {*g._steps[2::4], *g._steps[3::4], *outputs}
-    for k in range(cfg.n_constants):    # a row only for each constant read
-        if cfg.n_inputs + k in read:
-            values[cfg.n_inputs + k] = np.full(n, g.constants[k])
-    ops = g.fset.ops
-    steps = iter(g._steps)
+    analyse(genomes)
+    D, (n, n_in) = len(genomes), inputs.shape
+    base, n_out = cfg.n_sources_before_nodes, cfg.n_outputs
+    if out is None:
+        out = np.empty((D * n_out, n))
+
+    n_steps = np.array([len(g._steps) for g in genomes]) // 4
+    S = int(n_steps.sum())
+    steps = np.fromiter(itertools.chain.from_iterable(g._steps for g in genomes),
+                        np.int64, 4 * S).reshape(S, 4)
+    node, code, a, b = steps.T
+    owner = np.repeat(np.arange(D), n_steps)
+    outputs = np.concatenate([g.output_genes for g in genomes]).reshape(D, n_out)
+    # the constants read, genome by genome in slot order; the extra last
+    # column takes the second input gene (-1) of arity-1 steps
+    read = np.zeros((D, cfg.n_sources + 1), dtype=bool)
+    read[owner, a] = read[owner, b] = True
+    read[np.arange(D)[:, None], outputs] = True
+    c_owner, c_slot = np.nonzero(read[:, n_in:base])
+    constants = np.concatenate([g.constants for g in genomes]).reshape(D, -1)
+    c_value = constants[c_owner, c_slot].tolist()
+
+    # blocks of whole genomes whose constants and steps fit beside the
+    # inputs: as few as the budget allows, filled evenly (every block but
+    # the last holds more than its share, so no more blocks are made)
+    need = n_steps + np.bincount(c_owner, minlength=D)
+    total = np.concatenate([[0], np.cumsum(need)])
+    room = max(EVAL_BLOCK // max(n, 1) - n_in, cfg.n_constants + cfg.n_nodes)
+    share = -(-int(total[-1]) // max(1, -(-int(total[-1]) // room)))
+    room = min(room, share + int(need.max()))
+    cuts = [0]
+    while cuts[-1] < D:
+        cuts.append(int(np.searchsorted(total, total[cuts[-1]] + room, "right")) - 1)
+    n_blocks = len(cuts) - 1
+    block = np.repeat(np.arange(n_blocks), np.diff(cuts))
+
+    # a block's rows: the inputs, its constants, then its steps by (column,
+    # opcode); each group of steps writes consecutive rows
+    c_block = block[c_owner]
+    c_first = np.searchsorted(c_block, np.arange(n_blocks + 1))
+    c_row = n_in + np.arange(len(c_owner)) - c_first[c_block]
+    groups = cfg.n_cols * len(fset)
+    key = block[owner] * groups + node // cfg.n_rows * len(fset) + code
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    s_block = key // groups
+    s_first = np.searchsorted(s_block, np.arange(n_blocks + 1))
+    s_row = n_in + np.diff(c_first)[s_block] + np.arange(S) - s_first[s_block]
+    row_of = np.zeros((D, cfg.n_sources + 1), dtype=np.intp)
+    row_of[:, :n_in] = np.arange(n_in)
+    row_of[c_owner, n_in + c_slot] = c_row
+    row_of[owner[order], base + node[order]] = s_row
+    operands = (row_of[owner, a][order], row_of[owner, b][order])
+    out_rows = row_of[np.arange(D)[:, None], outputs].reshape(-1)
+
+    # slabs: runs of at most `height` steps of one group
+    height = max(1, EVAL_SLAB // max(n, 1))
+    at = np.arange(S)
+    new_group = np.ones(S, dtype=bool)
+    new_group[1:] = key[1:] != key[:-1]
+    offset = at - np.maximum.accumulate(np.where(new_group, at, 0))
+    lo = np.flatnonzero(offset % height == 0)
+    slab_block = np.searchsorted(lo, s_first)
+    hi = np.append(lo[1:], S)
+    ops = [op.fn for op in fset.ops]
+    arity = [op.arity for op in fset.ops]
+    slabs = np.empty((2, min(height, int(offset.max(initial=0)) + 1), n))
+    buf = np.empty((n_in + int(np.diff(total[cuts]).max()), n))
+    buf[:n_in] = inputs.T
+    c_row = c_row.tolist()
+    slab_ops = (s_row[lo].tolist(), lo.tolist(), hi.tolist(), code[order][lo].tolist())
     with np.errstate(all="ignore"):
-        for j, code, a, b in zip(steps, steps, steps, steps):
-            fn = ops[code].fn
-            values[base + j] = fn(values[a]) if b < 0 else fn(values[a], values[b])
-    return [np.array(values[s], dtype=float) for s in outputs]
+        for i in range(n_blocks):
+            for r in range(c_first[i], c_first[i + 1]):
+                buf[c_row[r]] = np.full(n, c_value[r])
+            for dest, s, e, op in zip(*(part[slab_block[i]:slab_block[i + 1]]
+                                        for part in slab_ops)):
+                if e - s == 1:
+                    args = [buf[rows[s]] for rows in operands[:arity[op]]]
+                    ops[op](*args, out=buf[dest])
+                else:
+                    args = [buf.take(rows[s:e], axis=0, out=slab[:e - s], mode="clip")
+                            for rows, slab in zip(operands[:arity[op]], slabs)]
+                    ops[op](*args, out=buf[dest:dest + e - s])
+            buf.take(out_rows[cuts[i] * n_out:cuts[i + 1] * n_out], axis=0,
+                     out=out[cuts[i] * n_out:cuts[i + 1] * n_out], mode="clip")
+    return out
+
+
+def evaluate_genotype(g: Genotype, inputs: np.ndarray) -> list[np.ndarray]:
+    """One genome's ``evaluate_many``: one vector per output gene."""
+    return list(evaluate_many([g], inputs))
 
 
 # --- phenotype trees -------------------------------------------------------

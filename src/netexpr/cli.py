@@ -15,7 +15,8 @@ boundary pool from ``BoundarySampleConfig``.  argparse types every value
 but ``--domain`` (the manifest records its text), and each option's type
 rejects exactly what the config class field it fills rejects, so an error
 names the option.  The config classes check the rest: what spans fields
-(``--keep`` at most ``--pool``) and ``--margin``'s bounds.  Both raise
+(``--keep`` at most ``--pool``) and the box ``--margin`` makes, which
+``sample-boundary`` reports with those options' values.  Both raise
 ``ConfigError``.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from datetime import datetime, timezone
@@ -61,14 +63,19 @@ class Manifest:
         return path
 
     def to_dict(self) -> dict:
-        return {"command": self.command, "config": self.config,
+        # JSON has no number for an infinite option value (``--target inf``
+        # is one): it is recorded as its text
+        config = {key: repr(value) if isinstance(value, float)
+                  and not math.isfinite(value) else value
+                  for key, value in self.config.items()}
+        return {"command": self.command, "config": config,
                 "seeds": self.seeds, "artifacts": self.artifacts,
                 "created": self.created}
 
     def save(self, out_dir: Path) -> Path:
         path = out_dir / "manifest.json"
         self.artifacts["manifest"] = str(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2))
+        mlp.write_json(path, self.to_dict())
         return path
 
     @staticmethod
@@ -147,8 +154,7 @@ def cmd_train(args) -> int:
         "head": model.head,
     }, seeds=[args.seed])
     mlp.save_weights(model, manifest.add("weights", out / "weights.json"))
-    manifest.add("metrics", out / "metrics.json").write_text(
-        json.dumps(metrics, indent=2))
+    mlp.write_json(manifest.add("metrics", out / "metrics.json"), metrics)
     manifest.save(out)
     for key, value in metrics.items():
         print(f"{key}: {value:.6g}")
@@ -206,11 +212,11 @@ def cmd_explain(args) -> int:
         with open(csv_path, "w") as stream:
             best, log = ev.evolve(trace, task, cfg, log_stream=stream,
                                   include_timing=not args.no_timings)
-        manifest.add(f"run_{r}/genotype", run_dir / "genotype.json").write_text(
-            surrogate.net_to_json(best))
+        mlp.write_json(manifest.add(f"run_{r}/genotype", run_dir / "genotype.json"),
+                       surrogate.net_to_dict(best))
         report = surrogate.expression_report(best, feature_names=names)
-        manifest.add(f"run_{r}/expressions", run_dir / "expressions.json").write_text(
-            json.dumps(report, indent=2))
+        mlp.write_json(manifest.add(f"run_{r}/expressions",
+                                    run_dir / "expressions.json"), report)
         final = log.records[-1]
         summary_runs.append({
             "run": r, "seed": cfg.seed, "generations": len(log.records),
@@ -229,8 +235,7 @@ def cmd_explain(args) -> int:
                            for i in range(len(summary_runs[0]["layer_mses"]))],
         "output_loss_best": min(r["output_loss"] for r in summary_runs),
     }
-    manifest.add("summary", out / "summary.json").write_text(
-        json.dumps(summary, indent=2))
+    mlp.write_json(manifest.add("summary", out / "summary.json"), summary)
     manifest.save(out)
     print(f"best over {args.runs} run(s): {summary['best_total']:.6g}")
     return 0
@@ -243,8 +248,14 @@ def cmd_sample_boundary(args) -> int:
                         f"{model.head}); boundary sampling needs softmax")
     X, _, names, spec = _load_table(args)
     bounds = bdry.bounds_from_data(X, margin=args.margin)
-    cfg = bdry.BoundarySampleConfig(bounds=bounds, pool_size=args.pool,
-                                    keep_size=args.keep, seed=args.seed)
+    try:
+        cfg = bdry.BoundarySampleConfig(bounds=bounds, pool_size=args.pool,
+                                        keep_size=args.keep, seed=args.seed)
+    except ConfigError as exc:
+        # its checks span these options: an inverted or overflowing box
+        # (the data is finite) or more kept points than drawn
+        raise ConfigError(f"{exc} (--margin {args.margin!r}, --pool {args.pool}, "
+                          f"--keep {args.keep})") from None
     out = _out_dir(args)
     sample = bdry.sample_near_boundary(model, cfg)
     manifest = Manifest("sample-boundary", {
@@ -392,6 +403,7 @@ non_negative = _option_type("non-negative int", int, lambda v: v >= 0)
 fraction = _option_type("fraction", float, lambda v: 0.0 <= v <= 1.0)
 positive = _option_type("positive", float, lambda v: v > 0)
 finite_positive = _option_type("finite positive", float, lambda v: 0 < v < np.inf)
+finite = _option_type("finite", float, math.isfinite)
 
 
 def widths(text: str) -> list[int]:
@@ -464,7 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset whose per-feature range bounds the pool")
     p.add_argument("--pool", type=count, default=bdry.BoundarySampleConfig.pool_size)
     p.add_argument("--keep", type=count, default=bdry.BoundarySampleConfig.keep_size)
-    p.add_argument("--margin", type=float, default=0.0)
+    p.add_argument("--margin", type=finite, default=0.0,
+                   help="widen each feature's data range by this fraction of it "
+                        "on both sides (negative narrows it)")
     p.set_defaults(fn=cmd_sample_boundary)
 
     p = sub.add_parser("eval", help="grid CSV over interpolation + 5x extrapolation")

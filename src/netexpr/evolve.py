@@ -224,7 +224,8 @@ def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
     the already-selected prefix's output, so individuals with equal
     phenotype keys (``cgp.phenotype_keys``) have equal scalar outputs:
     each distinct key is evaluated once and its row of F stands for all
-    of them.  Without ``refit`` a row stands only for individuals that
+    of them, all in one ``cgp.evaluate_many`` pass but for individual 0's
+    row.  Without ``refit`` a row stands only for individuals that
     also share one affine object, whose params it is scored with.  With
     ``refit`` the distinct rows are refitted by one batched call (closed
     form for MSE, Newton for cross-entropy, ``lbfgs_max_iters`` capping
@@ -252,7 +253,16 @@ def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
             # ``evolve`` every offspring shares its parent's
             keys = [(key, id(c.affine)) for key, c in zip(keys, chroms)]
         firsts, row_of = _distinct(keys)
-        F = np.stack([chromosome_scalar(chroms[i], current) for i in firsts])
+        # individual 0 is always the first distinct one; the rest are
+        # evaluated together.  Row 0 goes through ``chromosome_scalar``
+        # first, which checks the input width and is where a tracer that
+        # wraps it finds each position's start.
+        f = chromosome_scalar(chroms[0], current)
+        F = np.empty((len(firsts), f.shape[0]))
+        F[0] = f
+        if len(firsts) > 1:
+            cgp.evaluate_many([chroms[i].genotype for i in firsts[1:]], current,
+                              out=F[1:])
         # one loss (and with refit one fit) per distinct row, shared by its
         # duplicates
         if not refit:

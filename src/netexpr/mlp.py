@@ -278,7 +278,19 @@ def save_weights(model: MlpModel, path: str | Path) -> None:
         "layers": [{"W": [[float(v) for v in row] for row in W],
                     "b": [float(v) for v in b]} for W, b in model.layers],
     }
-    Path(path).write_text(json.dumps(record, indent=2))
+    write_json(path, record)
+
+
+def write_json(path: str | Path, record) -> None:
+    """Write one JSON artifact.  JSON has no number for NaN or infinity:
+    such a value raises NumericError naming the file, before any of it
+    is written."""
+    try:
+        text = json.dumps(record, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path}: a non-finite value cannot be written "
+                           f"as JSON ({exc})") from None
+    Path(path).write_text(text)
 
 
 def load_weights(path: str | Path) -> MlpModel:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written straight-line, separate from the
 library's own code paths: a tiny infix parser, a normal-equations fit,
-a plain-loop fitness recomputation, MLP training one layer at a time, and
-random genomes drawn one at a time.
+a plain-loop fitness recomputation, MLP training one layer at a time,
+random genomes drawn one at a time, and the CGP operators as plain
+expressions.
 """
 
 from __future__ import annotations
@@ -264,3 +265,32 @@ def random_net_genotype_one_at_a_time(n_inputs, widths, fset, rng, n_rows, n_col
                                       AffineParams(np.ones(width), np.zeros(width)), i))
         prev = width
     return NetGenotype(tuple(chroms))
+
+
+def _plain_div(a, b):
+    small = np.abs(b) < cgp.DIV_EPS
+    return np.where(small, a, a / np.where(small, 1.0, b))
+
+
+def _plain_ln(a):
+    absa = np.abs(a)
+    zero = absa == 0
+    return np.where(zero, cgp.LN_SENTINEL, np.log(np.where(zero, 1.0, absa)))
+
+
+# The default function set's ops as plain expressions that make a new
+# array, by name: the reference for the library's ops, which can also
+# write into a given array.
+PLAIN_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": _plain_div,
+    "sqrt": lambda a: np.sqrt(np.abs(a)),
+    "square": lambda a: a * a,
+    "sin": np.sin,
+    "cos": np.cos,
+    "ln": _plain_ln,
+    "tan": lambda a: np.clip(np.tan(a), -cgp.CLAMP, cgp.CLAMP),
+    "exp": lambda a: np.clip(np.exp(a), -cgp.CLAMP, cgp.CLAMP),
+}

@@ -8,7 +8,7 @@ from netexpr import evolve as ev
 from netexpr.errors import DimensionMismatch
 from netexpr.mlp import LayerTrace
 
-from oracles import parse_infix, random_genotype_one_at_a_time
+from oracles import PLAIN_OPS, parse_infix, random_genotype_one_at_a_time
 
 
 def small_config(**kw):
@@ -543,6 +543,129 @@ class TestDecodeEvaluateConsistency:
             via_tree = [cgp.evaluate(t, X, g.constants) for t in cgp.decode(g)]
             for a, b in zip(via_graph, via_tree):
                 assert np.array_equal(a, b, equal_nan=True)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bits, any NaN matching any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(np.where(nan, 0.0, a).view(np.int64),
+                               np.where(nan, 0.0, b).view(np.int64)))
+
+
+def awkward_inputs(rng, n, d):
+    """Inputs that reach every op's protected or overflowing branch."""
+    X = rng.uniform(-3, 3, size=(n, d))
+    X[:4] = np.resize([0.0, -0.0, 1e3, -1e3, 1e-12, np.pi / 2, 710.0, 1e-300], (4, d))
+    return X
+
+
+class TestEvaluateMany:
+    @staticmethod
+    def genomes(cfg, fset, rng, n):
+        """n random genomes, a fifth of them with every output gene on an
+        input or a constant (no steps), a fifth with one such output."""
+        base = cfg.n_sources_before_nodes
+        out = []
+        for i, g in enumerate(cgp.random_genotypes(cfg, fset, n, rng)):
+            outputs = g.output_genes.copy()
+            if i % 5 == 0:
+                outputs = rng.integers(0, base, cfg.n_outputs)
+            elif i % 5 == 1:
+                outputs[0] = rng.integers(0, base)
+            out.append(cgp.Genotype(cfg, fset, g.function_genes.copy(), outputs,
+                                    g.constants.copy()))
+        return out
+
+    @pytest.mark.parametrize("levels_back", [1, None])
+    @pytest.mark.parametrize("n_constants,n_outputs", [(0, 1), (2, 1), (3, 3)])
+    @pytest.mark.parametrize("n,block,slab", [
+        (20, None, None),     # the buffer's own sizes: one block
+        (20, 200, 60),        # 10-row buffer, 3-row slabs: many blocks and slabs
+        (8000, None, None),   # 8-row buffer, one-row slabs read in place
+    ])
+    def test_equals_each_genome_alone_and_its_trees(self, fset, monkeypatch,
+                                                    levels_back, n_constants,
+                                                    n_outputs, n, block, slab):
+        if block is not None:
+            monkeypatch.setattr(cgp, "EVAL_BLOCK", block)
+            monkeypatch.setattr(cgp, "EVAL_SLAB", slab)
+        cfg = small_config(n_rows=3, n_cols=4, n_constants=n_constants,
+                           levels_back=levels_back, n_outputs=n_outputs)
+        rng = np.random.default_rng(37)
+        X = awkward_inputs(rng, n, cfg.n_inputs)
+        genomes = self.genomes(cfg, fset, rng, 40)
+        many = cgp.evaluate_many(genomes, X)
+        assert many.shape == (len(genomes) * n_outputs, n)
+        for d, g in enumerate(genomes):
+            alone = cgp.evaluate_genotype(g, X)
+            trees = [cgp.evaluate(t, X, g.constants) for t in cgp.decode(g)]
+            assert len(alone) == len(trees) == n_outputs
+            for j in range(n_outputs):
+                assert same_bits(many[d * n_outputs + j], alone[j])
+                assert same_bits(alone[j], trees[j])
+
+    def test_one_genome_and_no_steps(self, fset):
+        cfg = small_config(n_constants=2, n_outputs=2)
+        X = awkward_inputs(np.random.default_rng(38), 9, 3)
+        genes = np.zeros((cfg.n_nodes, 3), dtype=np.int64)
+        g = cgp.Genotype(cfg, fset, genes, np.array([1, 4]), np.array([0.5, -2.0]))
+        out = cgp.evaluate_many([g], X)
+        assert same_bits(out, [X[:, 1], np.full(9, -2.0)])
+
+    def test_writes_into_out(self, fset):
+        rng = np.random.default_rng(39)
+        genomes = cgp.random_genotypes(small_config(), fset, 12, rng)
+        X = awkward_inputs(rng, 15, 3)
+        out = np.full((12, 15), 7.0)
+        assert cgp.evaluate_many(genomes, X, out=out) is out
+        assert same_bits(out, cgp.evaluate_many(genomes, X))
+
+    def test_mixed_configs_and_bad_widths_rejected(self, fset):
+        rng = np.random.default_rng(40)
+        a = cgp.random_genotype(small_config(), fset, rng)
+        b = cgp.random_genotype(small_config(n_rows=3), fset, rng)
+        with pytest.raises(ValueError, match="share a config"):
+            cgp.evaluate_many([a, b], np.zeros((5, 3)))
+        with pytest.raises(DimensionMismatch):
+            cgp.evaluate_many([a], np.zeros((5, 2)))
+
+
+class TestOpsOnSlabs:
+    """``evaluate_many`` runs an op once on a gathered (k, n) slab, or on
+    one row in place, writing into its buffer; a genome's own row would
+    be a strided input column.  All must give the plain expression's bits
+    on the CPU that runs the tests."""
+
+    @pytest.mark.parametrize("n", [7, 160, 500, 8000])
+    def test_slab_equals_each_row(self, fset, n):
+        rng = np.random.default_rng(n)
+        k = 37
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-10, -1e-10, 1e-300,
+                   710.0, -750.0, np.pi / 2, 1e300]
+        columns = []         # (n, k): column i is slab row i, strided
+        for _ in range(2):
+            x = rng.normal(0.0, 3.0, size=(n, k))
+            hit = rng.choice(n * k, min(n * k, 80), replace=False)
+            x.flat[hit] = rng.choice(special, hit.size)
+            columns.append(x)
+        slabs = [np.ascontiguousarray(x.T) for x in columns]
+        for op in fset.ops:
+            args = slabs[:op.arity]
+            with np.errstate(all="ignore"):
+                whole = op.fn(*args)
+                into = np.empty((k, n))
+                op.fn(*args, out=into)
+                for i in range(k):
+                    strided = [x[:, i] for x in columns[:op.arity]]
+                    expected = PLAIN_OPS[op.name](*strided)
+                    row = np.empty(n)
+                    op.fn(*(s[i] for s in args), out=row)
+                    assert same_bits(op.fn(*strided), expected), op.name
+                    assert same_bits(whole[i], expected), op.name
+                    assert same_bits(into[i], expected), op.name
+                    assert same_bits(row, expected), op.name
 
 
 class TestToInfix:

@@ -175,6 +175,23 @@ class TestTrain:
                      "--epochs", "60", "--seed", "0",
                      "--out", str(tmp_path / "o")]) == 4
 
+    def test_non_finite_weight_exits_4_naming_the_file(self, tmp_path, monkeypatch,
+                                                      capsys):
+        train = mlp.train
+
+        def train_to_nan(*args, **kwargs):
+            model = train(*args, **kwargs)
+            model.layers[0][1][0] = np.nan
+            return model
+
+        monkeypatch.setattr(mlp, "train", train_to_nan)
+        out = tmp_path / "o"
+        assert main(["train", "--benchmark", "K0", "--seed", "0", "--epochs", "5",
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "weights.json" in err
+        assert not (out / "weights.json").exists()
+
 
 class TestExplain:
     def test_artifacts_and_reproducibility(self, trained_k0, tmp_path):
@@ -270,6 +287,19 @@ class TestExplain:
                                          "constants")]
                 == [4, 2, cfg.mutation_prob, cfg.fitness_target,
                     cfg.affine_refit_every, cfg.n_rows, cfg.n_cols, cfg.n_constants])
+
+    def test_infinite_target_is_recorded_as_text(self, trained_k0, tmp_path):
+        out = tmp_path / "o"
+        assert main(["explain", "--weights", str(trained_k0 / "weights.json"),
+                     "--benchmark", "K0", "--seed", "0", "--generations", "2",
+                     "--offspring", "4", "--target", "inf", "--out", str(out)]) == 0
+
+        def strict(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        manifest = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=strict)
+        assert manifest["config"]["target"] == "inf"
 
     def test_width_mismatch_exits_3(self, trained_k0, tmp_path):
         assert main(["explain", "--weights", str(trained_k0 / "weights.json"),
@@ -373,6 +403,36 @@ class TestSampleBoundary:
         assert main(["sample-boundary", "--weights", str(cls_out / "weights.json"),
                      "--csv", str(csv), "--pool", pool, "--keep", keep,
                      "--seed", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    @pytest.mark.parametrize("value,code,shown", [
+        ("nan", 2, "'nan'"),
+        ("inf", 2, "'inf'"),
+        ("-inf", 2, "'-inf'"),
+        ("-2", 2, "-2.0"),           # inverts the box
+        ("1e308", 2, "1e+308"),      # overflows it
+        ("-0.25", 0, None),          # narrows it
+    ])
+    def test_margin_errors_name_the_option(self, toy_classifier, tmp_path, capsys,
+                                           value, code, shown, from_file):
+        cls_out, csv = toy_classifier
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"margin = {value}\n" if from_file else "")
+        out = tmp_path / "b"
+        argv = ["sample-boundary", "--config", str(cfg),
+                "--weights", str(cls_out / "weights.json"), "--csv", str(csv),
+                "--pool", "200", "--keep", "20", "--seed", "2", "--out", str(out)]
+        assert main(argv + ([] if from_file else [f"--margin={value}"])) == code
+        errors = [err for err in capsys.readouterr().err.splitlines()
+                  if err.startswith("config error:")]
+        if code == 0:
+            assert not errors and (out / "samples.csv").exists()
+            return
+        assert len(errors) == 1
+        assert "--margin" in errors[0] and shown in errors[0]
+        # argparse names the file of a value it rejects
+        assert (str(cfg) in errors[0]) == (from_file and "'" in shown)
         assert not out.exists()
 
     def test_regression_model_exits(self, trained_k0, tmp_path):

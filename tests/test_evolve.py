@@ -360,20 +360,36 @@ class TestDuplicatePhenotypes:
                 assert np.array_equal(c.affine.b, r.affine.b)
 
     def test_one_evaluation_per_distinct_phenotype(self, monkeypatch):
+        # individual 0's row is evaluated by chromosome_scalar, the other
+        # distinct phenotypes' rows by evaluate_many
         rng = np.random.default_rng(42)
         trace = random_trace(rng, widths=(3, 1))
         pop = population_with_duplicates(rng, 2, (3, 1))
-        calls = []
+        position = {id(c.genotype): c.layer_index
+                    for indiv in pop for c in indiv.chromosomes}
+        rows = [0, 0]
+        inside = []      # chromosome_scalar evaluates its row by evaluate_many
 
-        def counted(c, inputs):
-            calls.append(c.layer_index)
-            return surrogate.chromosome_scalar(c, inputs)
+        def scalar(c, inputs):
+            rows[c.layer_index] += 1
+            inside.append(c)
+            try:
+                return surrogate.chromosome_scalar(c, inputs)
+            finally:
+                inside.pop()
 
-        monkeypatch.setattr(ev, "chromosome_scalar", counted)
+        def many(genomes, inputs, out=None):
+            if not inside:
+                rows[position[id(genomes[0])]] += len(genomes)
+            return evaluate_many(genomes, inputs, out=out)
+
+        evaluate_many = cgp.evaluate_many
+        monkeypatch.setattr(ev, "chromosome_scalar", scalar)
+        monkeypatch.setattr(cgp, "evaluate_many", many)
         ev.select_layerwise_best(pop, trace, ev.REGRESSION)
         for pos in range(2):
             keys = cgp.phenotype_keys([p.chromosomes[pos].genotype for p in pop])
-            assert calls.count(pos) == len(set(keys)) < len(pop)
+            assert rows[pos] == len(set(keys)) < len(pop)
 
     def test_non_finite_duplicates_take_the_penalty(self):
         trace, exact = planted_regression_setup()
@@ -389,6 +405,45 @@ class TestDuplicatePhenotypes:
             _, ref = select_without_dedup(pop, trace, ev.REGRESSION, refit)
             assert np.array_equal(losses, ref)
             assert losses[0, 0] == losses[2, 0] == ev.OVERFLOW_PENALTY
+
+
+class TestTracerContract:
+    """perfbench's tracer wraps ``evolve.chromosome_scalar`` and
+    ``cgp.evaluate_genotype``: it times each network position from the
+    first ``chromosome_scalar`` call there, and a traced run fails unless
+    every position has one.  Selection keeps making that call, first."""
+
+    @pytest.mark.parametrize("task,widths", [(ev.REGRESSION, (3, 2, 1)),
+                                             (ev.CLASSIFICATION, (3, 2))])
+    @pytest.mark.parametrize("refit", [True, False])
+    def test_each_position_starts_with_chromosome_scalar(self, monkeypatch, task,
+                                                         widths, refit):
+        rng = np.random.default_rng(45)
+        trace = random_trace(rng, widths=widths, task=task)
+        pop = population_with_duplicates(rng, 2, widths)
+        position = {id(c.genotype): c.layer_index
+                    for indiv in pop for c in indiv.chromosomes}
+        events = []
+
+        def record(name, fn, where):
+            def recorded(first, *args, **kwargs):
+                events.append((where(first), name))
+                return fn(first, *args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(ev, "chromosome_scalar", record(
+            "scalar", surrogate.chromosome_scalar, lambda c: c.layer_index))
+        monkeypatch.setattr(cgp, "evaluate_genotype", record(
+            "genotype", cgp.evaluate_genotype, lambda g: position[id(g)]))
+        monkeypatch.setattr(cgp, "evaluate_many", record(
+            "many", cgp.evaluate_many, lambda genomes: position[id(genomes[0])]))
+        ev.select_layerwise_best(pop, trace, task, refit=refit)
+        assert [pos for pos, _ in events] == sorted(pos for pos, _ in events)
+        for pos in range(len(widths)):
+            names = [name for at, name in events if at == pos]
+            assert names[:2] == ["scalar", "genotype"]
+            assert names.count("scalar") == names.count("genotype") == 1
+            assert "many" in names[2:]
 
 
 class TestEvolve:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netexpr import mlp
-from netexpr.errors import DataError, DimensionMismatch, SchemaError
+from netexpr.errors import DataError, DimensionMismatch, NumericError, SchemaError
 from oracles import sigmoid_masked, train_per_layer
 
 
@@ -236,6 +236,15 @@ class TestWeightFiles:
         path.write_text(json.dumps(record))
         with pytest.raises(SchemaError):
             mlp.load_weights(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_is_a_numeric_error_and_no_file(self, tmp_path, value):
+        model = mlp.init_model(2, [3], 1, mlp.LINEAR, np.random.default_rng(15))
+        model.layers[0][0][1, 2] = value
+        path = tmp_path / "m.json"
+        with pytest.raises(NumericError, match="m.json"):
+            mlp.save_weights(model, path)
+        assert not path.exists()
 
     def test_hand_written_minimal_file(self, tmp_path):
         # y = 2*x0 + 1 as a single linear layer
