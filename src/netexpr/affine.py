@@ -1,12 +1,11 @@
 """Fit the per-layer affine wrap (w, b) around a scalar symbolic output.
 
-For a squared-error loss each neuron's (w_j, b_j) is ordinary least
-squares of its target column against [f, 1], solved in closed form at
-every layer width and for a whole population of scalars at once.  The
-softmax cross-entropy output loss is fitted for a whole population at
-once too, by a batched damped Newton method on standardised rows with
-one class pinned.  A limited-memory BFGS minimizer is kept as the
-per-problem reference it is tested against.
+Both fitters take a whole population of scalar outputs at once, one row
+of F each.  For a squared-error loss each neuron's (w_j, b_j) is ordinary
+least squares of its target column against [f, 1], solved in closed form
+at every layer width.  The softmax cross-entropy output loss is fitted by
+a batched damped Newton method on standardised rows with one class
+pinned.
 
 Loss convention: mean over samples, sum over neurons (or classes).
 """
@@ -23,9 +22,7 @@ from .errors import DimensionMismatch
 MSE = "mse"
 CROSS_ENTROPY = "cross_entropy"
 
-LBFGS_MEMORY = 10
-LBFGS_TOL = 1e-8
-LBFGS_MAX_ITERS = 500      # also the default Newton iteration cap
+NEWTON_MAX_ITERS = 500     # default cap on a cross-entropy fit's Newton steps
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_HALVINGS = 30
@@ -48,70 +45,6 @@ class AffineParams:
     @property
     def width(self) -> int:
         return self.w.shape[0]
-
-
-@dataclass(frozen=True)
-class FitProblem:
-    f_values: np.ndarray    # (n_samples,)
-    targets: np.ndarray     # (n_samples, width)
-    loss_kind: str = MSE
-
-    def __post_init__(self):
-        object.__setattr__(self, "f_values", np.asarray(self.f_values, dtype=float))
-        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
-        if self.f_values.ndim != 1 or self.targets.ndim != 2:
-            raise DimensionMismatch("f_values must be (n,), targets (n, width)")
-        if self.f_values.shape[0] != self.targets.shape[0]:
-            raise DimensionMismatch("f_values and targets disagree on sample count")
-        if self.f_values.shape[0] < 2:
-            raise ValueError("need at least 2 samples")
-        if not np.all(np.isfinite(self.targets)):
-            raise ValueError("targets must be finite")
-        if self.loss_kind not in (MSE, CROSS_ENTROPY):
-            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-
-    @property
-    def width(self) -> int:
-        return self.targets.shape[1]
-
-
-@dataclass(frozen=True)
-class FitResult:
-    params: AffineParams
-    final_loss: float
-    iterations: int
-    converged: bool
-    degenerate: bool = False
-
-
-def log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
-def loss_and_grad(params: AffineParams, problem: FitProblem):
-    """Loss and its gradient, flattened as [dL/dw, dL/db].
-
-    Mean over samples, sum over neurons.  For cross-entropy the scores
-    w_c * f + b_c go through a softmax against the target rows.
-    """
-    if params.width != problem.width:
-        raise DimensionMismatch("params width does not match targets")
-    f = problem.f_values
-    t = problem.targets
-    n = f.shape[0]
-    z = f[:, None] * params.w[None, :] + params.b[None, :]
-    if problem.loss_kind == MSE:
-        r = z - t
-        loss = float((r * r).sum() / n)
-        gz = 2.0 * r / n
-    else:
-        logp = log_softmax(z)
-        loss = float(-(t * logp).sum() / n)
-        gz = (np.exp(logp) - t) / n
-    gw = (gz * f[:, None]).sum(axis=0)
-    gb = gz.sum(axis=0)
-    return loss, np.concatenate([gw, gb])
 
 
 def _centre_rows(F: np.ndarray):
@@ -169,7 +102,7 @@ def _ce_lse(G, w, b):
 
 
 def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
-                       max_iters: int = LBFGS_MAX_ITERS) -> RowFits:
+                       max_iters: int = NEWTON_MAX_ITERS) -> RowFits:
     """Cross-entropy fit of targets (n, C) against every row of F (P, n).
 
     Softmax is shift-invariant, so class 0 is pinned (w_0 = b_0 = 0) and
@@ -266,99 +199,3 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
     converged[degenerate] = True
     iterations[degenerate] = 0
     return RowFits(w, b, degenerate, converged, iterations)
-
-
-def fit_affine_newton(problem: FitProblem) -> FitResult:
-    """Exact MSE optimum (one Newton step): ``fit_affine_mse_rows`` on one row."""
-    if problem.loss_kind != MSE:
-        raise ValueError("the closed-form step only applies to the mse loss")
-    w, b, degenerate = fit_affine_mse_rows(problem.f_values[None, :], problem.targets)
-    params = AffineParams(w[0], b[0])
-    loss, _ = loss_and_grad(params, problem)
-    return FitResult(params, loss, 1, True, degenerate=bool(degenerate[0]))
-
-
-def _initial_params(problem: FitProblem) -> AffineParams:
-    if problem.loss_kind == MSE:
-        return AffineParams(np.zeros(problem.width), problem.targets.mean(axis=0))
-    return AffineParams(np.zeros(problem.width), np.zeros(problem.width))
-
-
-def fit_affine_lbfgs(problem: FitProblem, memory: int = LBFGS_MEMORY,
-                     max_iters: int = LBFGS_MAX_ITERS,
-                     tol: float = LBFGS_TOL) -> FitResult:
-    """Limited-memory BFGS with two-loop recursion and Armijo backtracking."""
-    width = problem.width
-    start = _initial_params(problem)
-    x = np.concatenate([start.w, start.b])
-
-    def unpack(vec):
-        return AffineParams(vec[:width], vec[width:])
-
-    loss, grad = loss_and_grad(unpack(x), problem)
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
-    iterations = 0
-    converged = float(np.linalg.norm(grad)) <= tol
-
-    while not converged and iterations < max_iters:
-        q = grad.copy()
-        alphas = []
-        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-            a = rho * (s @ q)
-            alphas.append(a)
-            q -= a * y
-        if y_hist:
-            gamma = (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
-            q *= gamma
-        for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-            beta = rho * (y @ q)
-            q += (a - beta) * s
-        direction = -q
-
-        slope = float(grad @ direction)
-        if slope >= 0:            # not a descent direction; restart on the gradient
-            direction = -grad
-            slope = float(grad @ direction)
-
-        step = 1.0
-        ok = False
-        for _ in range(MAX_HALVINGS):
-            cand = x + step * direction
-            cand_loss, cand_grad = loss_and_grad(unpack(cand), problem)
-            if np.isfinite(cand_loss) and cand_loss <= loss + ARMIJO_C * step * slope:
-                ok = True
-                break
-            step *= ARMIJO_SHRINK
-        if not ok:
-            return FitResult(unpack(x), loss, iterations, False)
-
-        s_vec = cand - x
-        y_vec = cand_grad - grad
-        sy = float(s_vec @ y_vec)
-        if sy > 1e-16:
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
-        x, loss, grad = cand, cand_loss, cand_grad
-        iterations += 1
-        converged = float(np.linalg.norm(grad)) <= tol
-
-    return FitResult(unpack(x), loss, iterations, converged)
-
-
-def fit_affine(problem: FitProblem, lbfgs_max_iters: int = LBFGS_MAX_ITERS) -> FitResult:
-    """Fit one problem: closed form for MSE, ``fit_affine_ce_rows`` on one
-    row for cross-entropy, with ``lbfgs_max_iters`` capping its Newton steps."""
-    if problem.loss_kind == MSE:
-        return fit_affine_newton(problem)
-    fit = fit_affine_ce_rows(problem.f_values[None, :], problem.targets, lbfgs_max_iters)
-    params = AffineParams(fit.w[0], fit.b[0])
-    loss, _ = loss_and_grad(params, problem)
-    return FitResult(params, loss, int(fit.iterations[0]), bool(fit.converged[0]),
-                     degenerate=bool(fit.degenerate[0]))

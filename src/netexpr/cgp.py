@@ -487,7 +487,7 @@ def evaluate_many(genomes: Sequence[Genotype], inputs: np.ndarray,
     read[np.arange(D)[:, None], outputs] = True
     c_owner, c_slot = np.nonzero(read[:, n_in:base])
     constants = np.concatenate([g.constants for g in genomes]).reshape(D, -1)
-    c_value = constants[c_owner, c_slot].tolist()
+    c_value = constants[c_owner, c_slot, None]
 
     # blocks of whole genomes whose constants and steps fit beside the
     # inputs: as few as the budget allows, filled evenly (every block but
@@ -536,12 +536,11 @@ def evaluate_many(genomes: Sequence[Genotype], inputs: np.ndarray,
     slabs = np.empty((2, min(height, int(offset.max(initial=0)) + 1), n))
     buf = np.empty((n_in + int(np.diff(total[cuts]).max()), n))
     buf[:n_in] = inputs.T
-    c_row = c_row.tolist()
     slab_ops = (s_row[lo].tolist(), lo.tolist(), hi.tolist(), code[order][lo].tolist())
     with np.errstate(all="ignore"):
         for i in range(n_blocks):
-            for r in range(c_first[i], c_first[i + 1]):
-                buf[c_row[r]] = np.full(n, c_value[r])
+            c_lo, c_hi = c_first[i], c_first[i + 1]
+            buf[n_in:n_in + c_hi - c_lo] = c_value[c_lo:c_hi]    # its constant rows
             for dest, s, e, op in zip(*(part[slab_block[i]:slab_block[i + 1]]
                                         for part in slab_ops)):
                 if e - s == 1:

@@ -13,9 +13,10 @@ so broken expressions stay totally ordered and are never selected.
 At one position every individual reads the same input, so the population
 is scored as a matrix: individuals whose chromosomes share a phenotype key
 (``cgp.phenotype_keys``) share one evaluation, one affine fit and one
-loss, and all losses come from one batched pass (``score_rows``) that
-equals ``score_values`` bit for bit.  Selection, and so the convergence
-log, is the same as scoring every individual on its own.
+loss, and all losses come from one batched pass (``score_rows``).
+``fitness`` scores through the same loss rule on one matrix
+(``score_values``), so selection, and so the convergence log, is the
+same as scoring every individual on its own, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import cgp
-from .affine import (CROSS_ENTROPY, LBFGS_MAX_ITERS, MSE, AffineParams,
-                     fit_affine_ce_rows, fit_affine_mse_rows, log_softmax)
+from .affine import (CROSS_ENTROPY, MSE, NEWTON_MAX_ITERS, AffineParams,
+                     fit_affine_ce_rows, fit_affine_mse_rows)
 from .errors import ConfigError, DimensionMismatch
 from .mlp import LayerTrace
 from .surrogate import (LayerChromosome, NetGenotype, apply_affine,
@@ -57,9 +58,7 @@ class EvolveConfig:
     n_rows: int = cgp.CgpConfig.n_rows
     n_cols: int = cgp.CgpConfig.n_cols
     n_constants: int = cgp.CgpConfig.n_constants
-    # caps the Newton iterations of each cross-entropy fit; the name predates
-    # the Newton fitter and is kept for existing callers
-    lbfgs_max_iters: int = LBFGS_MAX_ITERS
+    newton_max_iters: int = NEWTON_MAX_ITERS   # per cross-entropy fit
 
     def __post_init__(self):
         if self.n_offspring < 1:
@@ -133,20 +132,39 @@ def _check_task(task: str) -> None:
         raise ValueError(f"unknown task {task!r}")
 
 
-def score_values(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
-    """Layer loss: mean over samples and neurons, or soft-target CE.
+def _layer_losses(x: np.ndarray, target: np.ndarray, kind: str) -> np.ndarray:
+    """Layer loss of each prediction matrix in x (R, n, width), which it
+    overwrites: the mean square error over samples and neurons, or the
+    soft-target cross-entropy over samples.
 
-    Non-finite predictions score the flat overflow penalty.
+    Each matrix is flattened to one (n * width) row and reduced along it,
+    so a loss does not depend on the other matrices; no BLAS product or
+    running statistics.  A loss that is not finite scores the flat
+    overflow penalty.  That covers every non-finite prediction: inf or
+    NaN survives squaring and summing, and the log-softmax of a row with
+    an inf logit has a NaN or -inf term.  The caller silences the
+    floating-point warnings.
     """
-    if not np.all(np.isfinite(pred)):
-        return OVERFLOW_PENALTY
+    R, n, width = x.shape
+    flat = x.reshape(R, -1)
+    if kind == MSE:
+        x -= target
+        x *= x
+        loss = flat.sum(axis=1) / (n * width)
+    else:
+        x -= x.max(axis=2, keepdims=True)
+        x -= np.log(np.exp(x).sum(axis=2, keepdims=True))
+        x *= target
+        loss = -flat.sum(axis=1) / n
+    loss[~np.isfinite(loss)] = OVERFLOW_PENALTY
+    return loss
+
+
+def score_values(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
+    """Layer loss of one prediction matrix (n, width), by ``score_rows``'s rule."""
+    x = np.array(pred, dtype=float, order="C")[None]
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind == MSE:
-            d = pred - target
-            loss = float((d * d).mean())
-        else:
-            loss = float(-(target * log_softmax(pred)).sum() / pred.shape[0])
-    return loss if math.isfinite(loss) else OVERFLOW_PENALTY
+        return float(_layer_losses(x, target, kind)[0])
 
 
 def _position_targets(trace: LayerTrace, task: str):
@@ -175,10 +193,9 @@ def score_rows(F: np.ndarray, W: np.ndarray, B: np.ndarray, target: np.ndarray,
     """``score_values(apply_affine(F[i], (W[i], B[i])), target, kind)`` for
     every row i of F (R, n), bit for bit.
 
-    Each row's predictions are flattened to one (n * width) row and
-    reduced along it, as ``score_values`` reduces its whole array; no BLAS
-    product or running statistics.  Rows are taken in blocks of at most
-    SCORE_BLOCK predictions, so the temporaries stay small.
+    Rows are taken in blocks of at most SCORE_BLOCK predictions, so the
+    temporaries stay small; each block's predictions are made in one
+    buffer that ``_layer_losses`` then scores in place.
     """
     R, n = F.shape
     width = target.shape[1]
@@ -187,24 +204,9 @@ def score_rows(F: np.ndarray, W: np.ndarray, B: np.ndarray, target: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, R, step):
             block = slice(lo, lo + step)
-            # one buffer, updated in place: predictions, then the summands
             x = F[block, :, None] * W[block, None, :]
             x += B[block, None, :]
-            flat = x.reshape(x.shape[0], -1)
-            if kind == MSE:
-                x -= target
-                x *= x
-                loss = flat.sum(axis=1) / (n * width)
-            else:
-                x -= x.max(axis=2, keepdims=True)
-                x -= np.log(np.exp(x).sum(axis=2, keepdims=True))
-                x *= target
-                loss = -flat.sum(axis=1) / n
-            # a non-finite prediction makes the loss non-finite too: inf or
-            # NaN survives squaring and summing, and the log-softmax of a
-            # row with an inf logit has a NaN or -inf term
-            loss[~np.isfinite(loss)] = OVERFLOW_PENALTY
-            losses[block] = loss
+            losses[block] = _layer_losses(x, target, kind)
     return losses
 
 
@@ -217,7 +219,7 @@ def _distinct(keys) -> tuple[np.ndarray, np.ndarray]:
 
 def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
                           task: str, refit: bool = True,
-                          lbfgs_max_iters: int = LBFGS_MAX_ITERS):
+                          newton_max_iters: int = NEWTON_MAX_ITERS):
     """Assemble the per-position best chromosomes into one composite parent.
 
     Positions are scanned in order.  At position i every individual sees
@@ -228,7 +230,7 @@ def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
     row.  Without ``refit`` a row stands only for individuals that
     also share one affine object, whose params it is scored with.  With
     ``refit`` the distinct rows are refitted by one batched call (closed
-    form for MSE, Newton for cross-entropy, ``lbfgs_max_iters`` capping
+    form for MSE, Newton for cross-entropy, ``newton_max_iters`` capping
     its steps).  Either way duplicates share one loss, scored once.
     Losses come from ``score_rows``, equal to what ``fitness`` gives, so
     rows that are not all finite score the overflow penalty (the fitters
@@ -271,7 +273,7 @@ def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
         elif kind == MSE:
             W, B, _ = fit_affine_mse_rows(F, target)
         else:
-            W, B, *_ = fit_affine_ce_rows(F, target, lbfgs_max_iters)
+            W, B, *_ = fit_affine_ce_rows(F, target, newton_max_iters)
         losses = score_rows(F, W, B, target, kind)[row_of]
         best = int(np.argmin(losses))     # first minimum: lowest-index tie-break
         k = row_of[best]
@@ -332,7 +334,7 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
         refit = gen % cfg.affine_refit_every == 0
         parent, loss_matrix = select_layerwise_best(
             population, trace, task, refit=refit,
-            lbfgs_max_iters=cfg.lbfgs_max_iters)
+            newton_max_iters=cfg.newton_max_iters)
         per_pos = loss_matrix.min(axis=0).tolist()
         report = FitnessReport(tuple(per_pos[:-1]), per_pos[-1])
         if verify_fitness:

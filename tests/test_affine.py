@@ -1,12 +1,13 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from netexpr import affine, cgp
-from netexpr.affine import AffineParams, FitProblem
+from netexpr.affine import AffineParams
 
-from oracles import normal_equations_fit
+from oracles import FitProblem, fit_affine_lbfgs, loss_and_grad, normal_equations_fit
 
 
 def random_mse_problem(rng, n=50, width=3):
@@ -17,6 +18,20 @@ def random_mse_problem(rng, n=50, width=3):
     return FitProblem(f, targets, affine.MSE)
 
 
+class RowFit(NamedTuple):
+    params: AffineParams
+    final_loss: float
+    degenerate: bool
+
+
+def fit_mse_row(problem):
+    """``fit_affine_mse_rows`` on the problem's one row, with its loss."""
+    w, b, degenerate = affine.fit_affine_mse_rows(problem.f_values[None, :],
+                                                  problem.targets)
+    params = AffineParams(w[0], b[0])
+    return RowFit(params, loss_and_grad(params, problem)[0], bool(degenerate[0]))
+
+
 def finite_difference_grad(params, problem, step=1e-5):
     width = params.width
     x = np.concatenate([params.w, params.b])
@@ -25,8 +40,8 @@ def finite_difference_grad(params, problem, step=1e-5):
         hi, lo = x.copy(), x.copy()
         hi[i] += step
         lo[i] -= step
-        lhi, _ = affine.loss_and_grad(AffineParams(hi[:width], hi[width:]), problem)
-        llo, _ = affine.loss_and_grad(AffineParams(lo[:width], lo[width:]), problem)
+        lhi, _ = loss_and_grad(AffineParams(hi[:width], hi[width:]), problem)
+        llo, _ = loss_and_grad(AffineParams(lo[:width], lo[width:]), problem)
         grad[i] = (lhi - llo) / (2 * step)
     return grad
 
@@ -35,21 +50,21 @@ class TestLossAndGrad:
     def test_mse_convention(self):
         # duplicated single-point problem keeps the documented values
         p = FitProblem(np.array([1.0, 1.0]), np.array([[2.0], [2.0]]))
-        loss, grad = affine.loss_and_grad(AffineParams([0.0], [0.0]), p)
+        loss, grad = loss_and_grad(AffineParams([0.0], [0.0]), p)
         assert loss == 4.0
         assert grad[1] == -4.0
 
     def test_cross_entropy_uniform_is_log2(self):
         t = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         p = FitProblem(np.array([0.3, -0.2, 1.0]), t, affine.CROSS_ENTROPY)
-        loss, _ = affine.loss_and_grad(AffineParams([0.0, 0.0], [0.0, 0.0]), p)
+        loss, _ = loss_and_grad(AffineParams([0.0, 0.0], [0.0, 0.0]), p)
         assert math.isclose(loss, math.log(2), rel_tol=1e-12)
 
     def test_gradient_zero_at_optimum(self):
         rng = np.random.default_rng(0)
         p = random_mse_problem(rng)
-        res = affine.fit_affine_newton(p)
-        _, grad = affine.loss_and_grad(res.params, p)
+        res = fit_mse_row(p)
+        _, grad = loss_and_grad(res.params, p)
         assert np.linalg.norm(grad) < 1e-10
 
     @pytest.mark.parametrize("kind", [affine.MSE, affine.CROSS_ENTROPY])
@@ -65,25 +80,27 @@ class TestLossAndGrad:
                 t = np.eye(width)[rng.integers(0, width, n)]
             problem = FitProblem(f, t, kind)
             params = AffineParams(rng.normal(size=width), rng.normal(size=width))
-            _, grad = affine.loss_and_grad(params, problem)
+            _, grad = loss_and_grad(params, problem)
             fd = finite_difference_grad(params, problem)
             denom = max(np.linalg.norm(fd), 1e-8)
             assert np.linalg.norm(grad - fd) / denom < 1e-4
 
 
 class TestNewton:
+    """The closed-form MSE fit is one exact Newton step."""
+
     def test_exact_line(self):
         p = FitProblem(np.array([1.0, 2.0, 3.0]), np.array([[3.0], [5.0], [7.0]]))
-        res = affine.fit_affine_newton(p)
+        res = fit_mse_row(p)
         assert math.isclose(res.params.w[0], 2.0, abs_tol=1e-12)
         assert math.isclose(res.params.b[0], 1.0, abs_tol=1e-12)
         assert res.final_loss < 1e-24
-        assert res.converged and not res.degenerate
+        assert not res.degenerate
 
     def test_constant_f_falls_back_to_mean(self):
         p = FitProblem(np.array([5.0, 5.0, 5.0]), np.array([[1.0], [2.0], [3.0]]))
-        res = affine.fit_affine_newton(p)
-        assert res.degenerate and res.converged
+        res = fit_mse_row(p)
+        assert res.degenerate
         assert res.params.w[0] == 0.0
         assert res.params.b[0] == 2.0
 
@@ -91,7 +108,7 @@ class TestNewton:
         rng = np.random.default_rng(2)
         for _ in range(100):
             p = random_mse_problem(rng, n=50, width=int(rng.integers(1, 6)))
-            res = affine.fit_affine_newton(p)
+            res = fit_mse_row(p)
             w, b = normal_equations_fit(p.f_values, p.targets)
             assert np.allclose(res.params.w, w, rtol=1e-10, atol=1e-12)
             assert np.allclose(res.params.b, b, rtol=1e-10, atol=1e-12)
@@ -100,20 +117,14 @@ class TestNewton:
         rng = np.random.default_rng(3)
         for _ in range(20):
             p = random_mse_problem(rng)
-            res = affine.fit_affine_newton(p)
+            res = fit_mse_row(p)
             f, n = p.f_values, p.f_values.shape[0]
             hessian = (2.0 / n) * np.array([[(f * f).sum(), f.sum()],
                                             [f.sum(), float(n)]])
-            _, grad = affine.loss_and_grad(res.params, p)
+            _, grad = loss_and_grad(res.params, p)
             width = p.width
             delta = np.linalg.solve(hessian, -np.vstack([grad[:width], grad[width:]]))
             assert np.abs(delta).max() < 1e-12
-
-    def test_rejects_cross_entropy(self):
-        p = FitProblem(np.array([0.0, 1.0]), np.eye(2), affine.CROSS_ENTROPY)
-        with pytest.raises(ValueError):
-            affine.fit_affine_newton(p)
-
 
 class TestBatchedRows:
     def test_matches_normal_equations(self):
@@ -139,14 +150,6 @@ class TestBatchedRows:
                 for row in (6, P - 1):
                     assert np.array_equal(w[row], w[3])
                     assert np.array_equal(b[row], b[3])
-
-    def test_single_row_is_the_newton_reference(self):
-        rng = np.random.default_rng(10)
-        p = random_mse_problem(rng, width=4)
-        w, b, _ = affine.fit_affine_mse_rows(p.f_values[None, :], p.targets)
-        res = affine.fit_affine_newton(p)
-        assert np.array_equal(res.params.w, w[0])
-        assert np.array_equal(res.params.b, b[0])
 
     @pytest.mark.parametrize("offset", [1e6, 1e12])
     def test_large_offset_keeps_the_fit(self, offset):
@@ -218,8 +221,8 @@ class TestBatchedCrossEntropy:
                     assert not fit.degenerate.any()
                     for row in range(F.shape[0]):
                         p = FitProblem(F[row], t, affine.CROSS_ENTROPY)
-                        ref = affine.fit_affine_lbfgs(p).final_loss
-                        got, _ = affine.loss_and_grad(
+                        ref = fit_affine_lbfgs(p).final_loss
+                        got, _ = loss_and_grad(
                             AffineParams(fit.w[row], fit.b[row]), p)
                         assert got <= ref + 1e-9 * max(1.0, abs(ref))
 
@@ -261,8 +264,8 @@ class TestBatchedCrossEntropy:
             assert np.isfinite(fit.w).all() and np.isfinite(fit.b).all()
             for row in range(F.shape[0]):
                 p = FitProblem(F[row], t, affine.CROSS_ENTROPY)
-                ref = affine.fit_affine_lbfgs(p).final_loss
-                got, _ = affine.loss_and_grad(AffineParams(fit.w[row], fit.b[row]), p)
+                ref = fit_affine_lbfgs(p).final_loss
+                got, _ = loss_and_grad(AffineParams(fit.w[row], fit.b[row]), p)
                 assert got <= ref + 1e-9 * max(1.0, abs(ref))
 
     def test_equal_rows_get_bit_equal_fits_anywhere_in_the_batch(self):
@@ -301,38 +304,27 @@ class TestBatchedCrossEntropy:
                 if abs(f.mean()) > 1e6 * f.std():
                     continue    # w * f + b rounds each logit by ~eps * |w f|
                 # relative: the w part is taken per unit of the row's RMS
-                _, grad = affine.loss_and_grad(AffineParams(fit.w[row], fit.b[row]),
+                _, grad = loss_and_grad(AffineParams(fit.w[row], fit.b[row]),
                                                FitProblem(f, t, affine.CROSS_ENTROPY))
                 grad[:width] /= np.sqrt((f * f).mean())
                 assert np.linalg.norm(grad) < 1e-6
                 checked += 1
         assert checked >= 20
 
-    def test_fit_affine_is_one_row_of_the_batch(self):
-        rng = np.random.default_rng(27)
-        t = ce_targets(rng, 30, 3, True)
-        f = rng.normal(size=30)
-        res = affine.fit_affine(FitProblem(f, t, affine.CROSS_ENTROPY), lbfgs_max_iters=50)
-        fit = affine.fit_affine_ce_rows(f[None, :], t, 50)
-        assert np.array_equal(res.params.w, fit.w[0])
-        assert np.array_equal(res.params.b, fit.b[0])
-        assert res.iterations == fit.iterations[0] and res.converged
-
-
 class TestLbfgs:
     def test_agrees_with_newton_on_mse(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             p = random_mse_problem(rng, n=40, width=int(rng.integers(1, 5)))
-            newton = affine.fit_affine_newton(p)
-            lbfgs = affine.fit_affine_lbfgs(p)
+            newton = fit_mse_row(p)
+            lbfgs = fit_affine_lbfgs(p)
             assert lbfgs.converged
             denom = max(abs(newton.final_loss), 1e-12)
             assert abs(lbfgs.final_loss - newton.final_loss) / denom < 1e-6
 
     def test_zero_gradient_start_returns_immediately(self):
         p = FitProblem(np.array([-1.0, 0.0, 1.0]), np.full((3, 2), 4.0))
-        res = affine.fit_affine_lbfgs(p)
+        res = fit_affine_lbfgs(p)
         assert res.iterations == 0
         assert res.converged
 
@@ -346,11 +338,11 @@ class TestLbfgs:
         p = FitProblem(f, t, affine.CROSS_ENTROPY)
         params = AffineParams(np.zeros(2), np.zeros(2))
         for _ in range(3000):
-            loss, grad = affine.loss_and_grad(params, p)
+            loss, grad = loss_and_grad(params, p)
             params = AffineParams(params.w - 2.0 * grad[:2], params.b - 2.0 * grad[2:])
         assert loss < 0.1, "oracle: toy must be fittable below 0.1"
 
-        res = affine.fit_affine_lbfgs(p, max_iters=200)
+        res = fit_affine_lbfgs(p, max_iters=200)
         assert res.final_loss < 0.1
 
     def test_loss_non_increasing_with_more_iterations(self):
@@ -358,32 +350,9 @@ class TestLbfgs:
         f = rng.normal(size=40)
         t = np.eye(3)[rng.integers(0, 3, 40)]
         p = FitProblem(f, t, affine.CROSS_ENTROPY)
-        losses = [affine.fit_affine_lbfgs(p, max_iters=k).final_loss
+        losses = [fit_affine_lbfgs(p, max_iters=k).final_loss
                   for k in range(0, 12)]
         assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
-
-
-class TestDispatch:
-    def test_narrow_mse_uses_closed_form(self):
-        rng = np.random.default_rng(7)
-        p = random_mse_problem(rng, width=3)
-        res = affine.fit_affine(p)
-        assert res.iterations == 1 and res.converged
-
-    def test_wide_mse_uses_closed_form(self):
-        rng = np.random.default_rng(8)
-        p = random_mse_problem(rng, n=60, width=17)
-        res = affine.fit_affine(p)
-        assert res.iterations == 1 and res.converged
-        w, b = normal_equations_fit(p.f_values, p.targets)
-        assert np.allclose(res.params.w, w, rtol=1e-10, atol=1e-12)
-        assert np.allclose(res.params.b, b, rtol=1e-10, atol=1e-12)
-
-    def test_cross_entropy_uses_lbfgs(self):
-        p = FitProblem(np.array([1.0, -1.0, 0.5]), np.eye(3)[[0, 1, 0]],
-                       affine.CROSS_ENTROPY)
-        res = affine.fit_affine(p)
-        assert np.isfinite(res.final_loss)
 
 
 class TestValidation:

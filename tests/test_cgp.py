@@ -223,10 +223,22 @@ class TestEvaluate:
         tree = cgp.decode(g)[0]
         expected = cgp.evaluate(tree, X, g.constants)
         made = []
-        full = np.full
-        monkeypatch.setattr(np, "full", lambda n, v: made.append(v) or full(n, v))
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda *a, **k: made.append(empty(*a, **k))
+                            or made[-1])
         (out,) = cgp.evaluate_genotype(g, X)
-        assert made == filled
+        # the value buffer's rows: the inputs, the constants read, the steps
+        (buf,) = [a for a in made
+                  if a.ndim == 2 and a.shape[1] == 9 and a is not out.base]
+        assert np.array_equal(buf[:2], X.T)
+        consts = buf[2:2 + len(filled)]
+        assert np.array_equal(consts, np.repeat(np.array(filled)[:, None], 9, axis=1))
+        steps = buf[2 + len(filled):]
+        active = sorted(cgp.active_nodes(g))
+        assert len(steps) == len(active)
+        for row, j in zip(steps, active):
+            node = cgp.Genotype(cfg, fset, table, np.array([5 + j]), g.constants)
+            assert np.array_equal(row, cgp.evaluate(cgp.decode(node)[0], X, g.constants))
         assert np.array_equal(out, expected)
 
 

@@ -12,7 +12,7 @@ from netexpr.mlp import LayerTrace
 from netexpr.surrogate import apply_affine
 
 from conftest import planted_regression_setup, single_op_chromosome
-from oracles import fitness_by_hand
+from oracles import fitness_by_hand, score_values_plain
 
 
 def random_trace(rng, n=30, d=2, widths=(3, 1), task=ev.REGRESSION):
@@ -132,13 +132,14 @@ class TestSelection:
         (ev.REGRESSION, (4, 2, 1)),
         (ev.CLASSIFICATION, (3, 2)),
     ])
-    def test_loss_matrix_minima_equal_parent_fitness_exactly(self, task, widths):
+    @pytest.mark.parametrize("refit", [True, False])
+    def test_loss_matrix_minima_equal_parent_fitness_exactly(self, task, widths, refit):
         rng = np.random.default_rng(14)
         for _ in range(5):
             trace = random_trace(rng, widths=widths, task=task)
             pop = [random_net(rng, 2, widths) for _ in range(8)]
-            parent, losses = ev.select_layerwise_best(pop, trace, task,
-                                                      lbfgs_max_iters=50)
+            parent, losses = ev.select_layerwise_best(pop, trace, task, refit=refit,
+                                                      newton_max_iters=50)
             report = ev.fitness(parent, trace, task)
             assert (losses.min(axis=0).tolist()
                     == list(report.per_layer_mse) + [report.output_loss])
@@ -165,11 +166,11 @@ class TestSelection:
         finite = surrogate.NetGenotype((
             single_op_chromosome("sin", 1, 2, np.ones(3), np.zeros(3), 0),))
         _, losses = ev.select_layerwise_best([broken, finite], trace,
-                                             ev.CLASSIFICATION, lbfgs_max_iters=50)
+                                             ev.CLASSIFICATION, newton_max_iters=50)
         assert losses[0, 0] == ev.OVERFLOW_PENALTY
         assert losses[1, 0] < ev.OVERFLOW_PENALTY
         parent, losses = ev.select_layerwise_best([broken], trace, ev.CLASSIFICATION,
-                                                  lbfgs_max_iters=50)
+                                                  newton_max_iters=50)
         assert losses[0, 0] == ev.OVERFLOW_PENALTY
         assert np.array_equal(parent.chromosomes[0].affine.w, np.full(3, 7.0))
         assert np.array_equal(parent.chromosomes[0].affine.b, np.zeros(3))
@@ -230,9 +231,11 @@ class TestScoreRows:
         F[3, 0], W[3] = 1e200, 1.0       # finite predictions, the loss overflows
         W[4], B[4] = 0.0, -1e300         # cross-entropy logits far apart
         got = ev.score_rows(F, W, B, target, kind)
-        want = [ev.score_values(apply_affine(F[i], AffineParams(W[i], B[i])),
-                                target, kind) for i in range(R)]
-        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+        preds = [apply_affine(F[i], AffineParams(W[i], B[i])) for i in range(R)]
+        want = np.array([score_values_plain(p, target, kind) for p in preds])
+        one = np.array([ev.score_values(p, target, kind) for p in preds])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(one.view(np.int64), want.view(np.int64))
         assert got[2] == ev.OVERFLOW_PENALTY
         if kind == ev.MSE:
             assert got[3] == ev.OVERFLOW_PENALTY
@@ -261,9 +264,11 @@ class TestScoreRows:
         W[7] = 0.0                           # inf times 0 is NaN
         F[7, 2] = np.inf
         got = ev.score_rows(F, W, B, target, kind)
-        want = [ev.score_values(apply_affine(F[i], AffineParams(W[i], B[i])),
-                                target, kind) for i in range(R)]
-        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+        preds = [apply_affine(F[i], AffineParams(W[i], B[i])) for i in range(R)]
+        want = np.array([score_values_plain(p, target, kind) for p in preds])
+        one = np.array([ev.score_values(p, target, kind) for p in preds])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(one.view(np.int64), want.view(np.int64))
         assert got[:8].tolist() == [ev.OVERFLOW_PENALTY] * 8
         assert got[8] < ev.OVERFLOW_PENALTY
 
@@ -282,7 +287,7 @@ class TestScoreRows:
         assert out.shape == (0,)
 
 
-def select_without_dedup(population, trace, task, refit=True, lbfgs_max_iters=500):
+def select_without_dedup(population, trace, task, refit=True, newton_max_iters=500):
     """select_layerwise_best as it was before duplicate phenotypes were
     skipped: every row evaluated, fitted and scored by score_values."""
     targets = ev._position_targets(trace, task)
@@ -297,7 +302,7 @@ def select_without_dedup(population, trace, task, refit=True, lbfgs_max_iters=50
             if kind == ev.MSE:
                 w, b, _ = ev.fit_affine_mse_rows(F[rows], target)
             else:
-                w, b, *_ = ev.fit_affine_ce_rows(F[rows], target, lbfgs_max_iters)
+                w, b, *_ = ev.fit_affine_ce_rows(F[rows], target, newton_max_iters)
             for i, wi, bi in zip(rows, w, b):
                 chroms[i] = chroms[i].with_affine(AffineParams(wi, bi))
         losses = np.full(len(chroms), ev.OVERFLOW_PENALTY)
@@ -350,9 +355,9 @@ class TestDuplicatePhenotypes:
             trace = random_trace(rng, widths=widths, task=task)
             pop = population_with_duplicates(rng, 2, widths)
             parent, losses = ev.select_layerwise_best(pop, trace, task, refit=refit,
-                                                      lbfgs_max_iters=50)
+                                                      newton_max_iters=50)
             ref_parent, ref_losses = select_without_dedup(pop, trace, task, refit,
-                                                          lbfgs_max_iters=50)
+                                                          newton_max_iters=50)
             assert np.array_equal(losses, ref_losses)
             for c, r in zip(parent.chromosomes, ref_parent.chromosomes):
                 assert c.genotype is r.genotype
@@ -541,7 +546,7 @@ class TestEvolve:
         rng = np.random.default_rng(12)
         trace = random_trace(rng, widths=(3, 2), task=ev.CLASSIFICATION)
         cfg = self.small_cfg(max_generations=5, fitness_target=1e-12,
-                             affine_refit_every=2, lbfgs_max_iters=50)
+                             affine_refit_every=2, newton_max_iters=50)
         best, log = ev.evolve(trace, ev.CLASSIFICATION, cfg)
         assert len(log.records) == 5
         assert np.isfinite(log.records[-1].best_total)
