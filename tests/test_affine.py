@@ -126,6 +126,7 @@ class TestNewton:
             delta = np.linalg.solve(hessian, -np.vstack([grad[:width], grad[width:]]))
             assert np.abs(delta).max() < 1e-12
 
+
 class TestBatchedRows:
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(9)
@@ -150,6 +151,18 @@ class TestBatchedRows:
                 for row in (6, P - 1):
                     assert np.array_equal(w[row], w[3])
                     assert np.array_equal(b[row], b[3])
+
+    def test_single_row_is_its_row_of_the_batch(self):
+        # TestNewton fits one row at a time; explain fits whole populations
+        rng = np.random.default_rng(10)
+        F = rng.normal(size=(9, 50))
+        t = rng.normal(size=(50, 4))
+        w, b, degenerate = affine.fit_affine_mse_rows(F, t)
+        for row in range(F.shape[0]):
+            w1, b1, d1 = affine.fit_affine_mse_rows(F[row][None, :], t)
+            assert np.array_equal(w1[0], w[row])
+            assert np.array_equal(b1[0], b[row])
+            assert d1[0] == degenerate[row]
 
     @pytest.mark.parametrize("offset", [1e6, 1e12])
     def test_large_offset_keeps_the_fit(self, offset):
@@ -305,11 +318,37 @@ class TestBatchedCrossEntropy:
                     continue    # w * f + b rounds each logit by ~eps * |w f|
                 # relative: the w part is taken per unit of the row's RMS
                 _, grad = loss_and_grad(AffineParams(fit.w[row], fit.b[row]),
-                                               FitProblem(f, t, affine.CROSS_ENTROPY))
+                                        FitProblem(f, t, affine.CROSS_ENTROPY))
                 grad[:width] /= np.sqrt((f * f).mean())
                 assert np.linalg.norm(grad) < 1e-6
                 checked += 1
         assert checked >= 20
+
+    def test_single_row_is_its_row_of_the_batch(self):
+        rng = np.random.default_rng(27)
+        t = ce_targets(rng, 30, 3, True)
+        F = ce_rows(rng, 30, 5)
+        fit = affine.fit_affine_ce_rows(F, t, 50)
+        for row in range(F.shape[0]):
+            one = affine.fit_affine_ce_rows(F[row][None, :], t, 50)
+            assert np.array_equal(one.w[0], fit.w[row])
+            assert np.array_equal(one.b[0], fit.b[row])
+            assert one.iterations[0] == fit.iterations[row]
+            assert one.converged[0] == fit.converged[row]
+            assert one.degenerate[0] == fit.degenerate[row]
+
+    def test_separable_problem_with_more_parameters_than_samples(self):
+        # 3 samples, 3 classes: the loss has no minimum, only an infimum of 0
+        t = np.eye(3)[[0, 1, 0]]
+        F = np.array([[1.0, -1.0, 0.5]])
+        fit = affine.fit_affine_ce_rows(F, t)
+        assert np.isfinite(fit.w).all() and np.isfinite(fit.b).all()
+        assert not fit.degenerate[0]
+        p = FitProblem(F[0], t, affine.CROSS_ENTROPY)
+        got, _ = loss_and_grad(AffineParams(fit.w[0], fit.b[0]), p)
+        ref = fit_affine_lbfgs(p).final_loss
+        assert got <= ref + 1e-9 * max(1.0, abs(ref))
+
 
 class TestLbfgs:
     def test_agrees_with_newton_on_mse(self):

@@ -241,6 +241,18 @@ class TestScoreRows:
             assert got[3] == ev.OVERFLOW_PENALTY
 
     @pytest.mark.parametrize("kind", [ev.MSE, ev.CROSS_ENTROPY])
+    def test_score_values_leaves_its_input_alone(self, kind):
+        # the shared loss rule works in place on the buffer it is given
+        rng = np.random.default_rng(42)
+        target = (soft_targets(rng, 20, 3) if kind == ev.CROSS_ENTROPY
+                  else rng.normal(size=(20, 3)))
+        pred = rng.normal(size=(20, 3))
+        kept = pred.copy()
+        loss = ev.score_values(pred, target, kind)
+        assert np.array_equal(pred, kept)
+        assert loss == score_values_plain(kept, target, kind)
+
+    @pytest.mark.parametrize("kind", [ev.MSE, ev.CROSS_ENTROPY])
     def test_non_finite_predictions_score_the_penalty_bit_for_bit(self, kind):
         rng = np.random.default_rng(41)
         n, width, R = 30, 3, 9
