@@ -11,26 +11,25 @@ and overflow propagates as non-finite values that callers can detect
 with ``np.isfinite``.
 
 What a genome computes is its phenotype: the active nodes, reached
-backwards from the output genes, and the constants they read.  One
-vectorised pass (``phenotypes``) finds it for a whole (P, n_nodes, 3)
-gene tensor at once, as a step list plus an exact byte key: equal keys
-compute equal values, bit for bit.  Waves (``random_genotypes``,
-``mutate_many``) cache both as they are made; ``analyse`` serves only
-genomes made outside a wave.
+backwards from the output genes, and the constants they read.  Genomes
+of one config are kept as a ``Wave`` of stacked arrays; one vectorised
+pass (``phenotypes``) finds every genome's active steps and an exact
+byte key: equal keys compute equal values, bit for bit.  Waves come from
+``random_genotypes``, ``mutate_many`` and, for genomes made one at a
+time, ``stack``.
 
-``evaluate_many`` runs the cached steps of many genomes of one config
-together: one op call per (column, opcode) group on slabs of a bounded
-value buffer.  ``evaluate_genotype`` is its one-genome form.  ``decode``
-and ``evaluate`` build and run expression trees, for printing and as the
+``evaluate_many`` runs a wave's steps together: one op call per
+(column, opcode) group on slabs of a bounded value buffer.
+``evaluate_genotype`` is its one-genome form.  ``decode`` and
+``evaluate`` build and run expression trees, for printing and as the
 tests' reference.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -209,20 +208,51 @@ class Genotype:
     ``function_genes`` has one row per grid node: (opcode, input_a, input_b).
     Arity-1 ops ignore input_b, but the gene exists and can mutate.
     ``output_genes`` point at any source (input, constant, or node).
-    The phenotype (``phenotypes``) is cached on first use.
     """
     config: CgpConfig
     fset: FunctionSet
     function_genes: np.ndarray   # (n_nodes, 3) int
     output_genes: np.ndarray     # (n_outputs,) int
     constants: np.ndarray        # (n_constants,) float
-    _steps: tuple[int, ...] | None = field(default=None, init=False, repr=False)
-    _key: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.function_genes.setflags(write=False)
         self.output_genes.setflags(write=False)
         self.constants.setflags(write=False)
+
+
+@dataclass(frozen=True, eq=False)
+class Wave:
+    """P genomes of one config as stacked arrays, ``genes`` (P, n_nodes, 3),
+    ``outputs`` (P, n_outputs) and ``constants`` (P, n_constants), and
+    their phenotypes: ``steps`` (S, 4), genome after genome, ``n_steps``
+    per genome and ``keys`` (see ``phenotypes``)."""
+    config: CgpConfig
+    fset: FunctionSet
+    genes: np.ndarray
+    outputs: np.ndarray
+    constants: np.ndarray
+    steps: np.ndarray
+    n_steps: np.ndarray
+    keys: list[bytes]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i: int) -> Genotype:
+        """Genome i, owning copies of its rows: a view would keep the wave alive."""
+        return Genotype(self.config, self.fset, self.genes[i].copy(),
+                        self.outputs[i].copy(), self.constants[i].copy())
+
+    def take(self, rows) -> "Wave":
+        """The wave of the listed rows, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        n_steps = self.n_steps[rows]
+        first = (np.cumsum(self.n_steps) - self.n_steps)[rows]
+        at = np.repeat(first - np.cumsum(n_steps) + n_steps, n_steps)
+        return Wave(self.config, self.fset, self.genes[rows], self.outputs[rows],
+                    self.constants[rows], self.steps[at + np.arange(len(at))],
+                    n_steps, [self.keys[i] for i in rows.tolist()])
 
 
 def validate_genotype(g: Genotype) -> None:
@@ -273,7 +303,7 @@ def _draw_sources(config: CgpConfig, nodes: np.ndarray,
 
 
 def random_genotypes(config: CgpConfig, fset: FunctionSet, n: int,
-                     rng: np.random.Generator) -> list[Genotype]:
+                     rng: np.random.Generator) -> Wave:
     """n uniformly random valid genomes drawn as one (n, n_nodes, 3) gene
     tensor, constants uniform in [-1, 1], by five RNG calls whatever n is."""
     nodes = np.broadcast_to(np.arange(config.n_nodes), (n, config.n_nodes))
@@ -282,13 +312,7 @@ def random_genotypes(config: CgpConfig, fset: FunctionSet, n: int,
                       _draw_sources(config, nodes, rng)], axis=-1)
     outputs = rng.integers(0, config.n_sources, (n, config.n_outputs))
     constants = rng.uniform(-1.0, 1.0, (n, config.n_constants))
-    return _wave(config, fset, genes, outputs, constants)
-
-
-def random_genotype(config: CgpConfig, fset: FunctionSet,
-                    rng: np.random.Generator) -> Genotype:
-    """One random genome: ``random_genotypes`` with n = 1."""
-    return random_genotypes(config, fset, 1, rng)[0]
+    return phenotypes(config, fset, genes, outputs, constants)
 
 
 @functools.lru_cache(maxsize=16)
@@ -300,19 +324,18 @@ def _binary_ops(fset: FunctionSet) -> np.ndarray:
 
 
 def phenotypes(config: CgpConfig, fset: FunctionSet, genes: np.ndarray,
-               outputs: np.ndarray, constants: np.ndarray
-               ) -> tuple[list[tuple[int, ...]], list[bytes]]:
-    """Active steps and phenotype keys of P genomes in one pass.
+               outputs: np.ndarray, constants: np.ndarray) -> Wave:
+    """The wave of P genomes, their phenotypes found in one pass.
 
     ``genes`` is (P, n_nodes, 3), ``outputs`` (P, n_outputs) and
     ``constants`` (P, n_constants).  Sources are marked as read column by
     column, from the outputs back to the inputs, over the whole stack at
     once; a node is active when it is read.  A genome's steps are
     (node, opcode, input_a, input_b) for each active node in node order,
-    flattened into one tuple, with input_b = -1 for arity-1 ops.  Its key
-    is the bytes of the int64s [step count, output genes, steps, bit
-    patterns of the constants read]; the count and the steps fix how many
-    constants follow, so equal keys mean equal phenotypes.
+    with input_b = -1 for arity-1 ops.  Its key is the bytes of the int64s
+    [step count, output genes, steps, bit patterns of the constants read];
+    the count and the steps fix how many constants follow, so equal keys
+    mean equal phenotypes.
     """
     P = genes.shape[0]
     rows, base, n_out = config.n_rows, config.n_sources_before_nodes, config.n_outputs
@@ -346,43 +369,21 @@ def phenotypes(config: CgpConfig, fset: FunctionSet, genes: np.ndarray,
     ends = np.cumsum(np.bincount(belongs, minlength=P)).tolist()
     buf = packed.tobytes()
     keys = [buf[8 * lo:8 * hi] for lo, hi in zip([0] + ends, ends)]
-    flat_steps = steps.reshape(-1).tolist()
-    ends = (4 * np.cumsum(n_steps)).tolist()
-    return [tuple(flat_steps[lo:hi]) for lo, hi in zip([0] + ends, ends)], keys
+    return Wave(config, fset, genes, outputs, constants, steps, n_steps, keys)
 
 
-def _cache(g: Genotype, steps: tuple[int, ...], key: bytes) -> Genotype:
-    object.__setattr__(g, "_steps", steps)
-    object.__setattr__(g, "_key", key)
-    return g
-
-
-def _wave(config, fset, genes, outputs, constants) -> list[Genotype]:
-    """The genomes of a stacked wave, phenotypes cached by one pass; each
-    owns copies of its rows, as a view would keep the whole wave alive."""
-    steps, keys = phenotypes(config, fset, genes, outputs, constants)
-    return [_cache(Genotype(config, fset, genes[i].copy(), outputs[i].copy(),
-                            constants[i].copy()), steps[i], keys[i])
-            for i in range(len(genes))]
-
-
-def analyse(genomes: Sequence[Genotype]) -> None:
-    """Cache the phenotype of each genome made outside a wave, by a pass of one."""
-    for g in genomes:
-        if g._key is None:
-            (steps,), (key,) = phenotypes(g.config, g.fset, g.function_genes[None],
-                                          g.output_genes[None], g.constants[None])
-            _cache(g, steps, key)
-
-
-def phenotype_keys(genomes: Sequence[Genotype]) -> list[bytes]:
-    """Each genome's phenotype key (see ``phenotypes``)."""
-    analyse(genomes)
-    return [g._key for g in genomes]
+def stack(genomes: Sequence[Genotype]) -> Wave:
+    """The wave of genomes made one at a time (planted, loaded, hand-built)."""
+    cfg, fset = genomes[0].config, genomes[0].fset
+    if any(g.config != cfg or g.fset != fset for g in genomes):
+        raise ValueError("genomes of one wave must share a config and a function set")
+    return phenotypes(cfg, fset, np.stack([g.function_genes for g in genomes]),
+                      np.stack([g.output_genes for g in genomes]),
+                      np.stack([g.constants for g in genomes]))
 
 
 def mutate_many(g: Genotype, n: int, per_gene_prob: float,
-                rng: np.random.Generator) -> list[Genotype]:
+                rng: np.random.Generator) -> Wave:
     """Point-mutate n copies of one genome as one (n, n_nodes, 3) gene tensor.
 
     Each function and input gene of each copy is resampled with the given
@@ -413,13 +414,8 @@ def mutate_many(g: Genotype, n: int, per_gene_prob: float,
         redraw = rng.random(constants.shape) < CONST_REDRAW * per_gene_prob
         constants[redraw] = rng.uniform(-1.0, 1.0, int(redraw.sum()))
 
-    return _wave(cfg, g.fset, genes,
-                 np.broadcast_to(g.output_genes, (n, cfg.n_outputs)), constants)
-
-
-def mutate(g: Genotype, per_gene_prob: float, rng: np.random.Generator) -> Genotype:
-    """One offspring: ``mutate_many`` with n = 1, same per-gene law."""
-    return mutate_many(g, 1, per_gene_prob, rng)[0]
+    return phenotypes(cfg, g.fset, genes,
+                      np.broadcast_to(g.output_genes, (n, cfg.n_outputs)), constants)
 
 
 def active_nodes(g: Genotype) -> set[int]:
@@ -442,9 +438,9 @@ def active_nodes(g: Genotype) -> set[int]:
     return active
 
 
-def evaluate_many(genomes: Sequence[Genotype], inputs: np.ndarray,
+def evaluate_many(genomes: Wave | Sequence[Genotype], inputs: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate genomes of one config on one input, grouped by opcode.
+    """Evaluate a wave (a list of genomes is stacked) on one input, by opcode.
 
     Returns (len(genomes) * n_outputs, n): row d * n_outputs + j is output j
     of genome d (written into ``out`` when given).  Each input column, each
@@ -458,36 +454,27 @@ def evaluate_many(genomes: Sequence[Genotype], inputs: np.ndarray,
     equals what evaluating its genome alone gives, bit for bit.
     Non-finite values propagate; callers flag them with ``np.isfinite``.
     """
-    cfg, fset = genomes[0].config, genomes[0].fset
-    if any((g.config is not cfg and g.config != cfg)
-           or (g.fset is not fset and g.fset != fset) for g in genomes):
-        raise ValueError("genomes evaluated together must share a config "
-                         "and a function set")
+    wave = genomes if isinstance(genomes, Wave) else stack(genomes)
+    cfg, fset = wave.config, wave.fset
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != cfg.n_inputs:
         raise DimensionMismatch(
             f"expected {cfg.n_inputs} input columns, got shape {inputs.shape}")
-    analyse(genomes)
-    D, (n, n_in) = len(genomes), inputs.shape
+    D, (n, n_in) = len(wave), inputs.shape
     base, n_out = cfg.n_sources_before_nodes, cfg.n_outputs
     if out is None:
         out = np.empty((D * n_out, n))
 
-    n_steps = np.array([len(g._steps) for g in genomes]) // 4
-    S = int(n_steps.sum())
-    steps = np.fromiter(itertools.chain.from_iterable(g._steps for g in genomes),
-                        np.int64, 4 * S).reshape(S, 4)
-    node, code, a, b = steps.T
+    n_steps, S = wave.n_steps, len(wave.steps)
+    node, code, a, b = wave.steps.T
     owner = np.repeat(np.arange(D), n_steps)
-    outputs = np.concatenate([g.output_genes for g in genomes]).reshape(D, n_out)
     # the constants read, genome by genome in slot order; the extra last
     # column takes the second input gene (-1) of arity-1 steps
     read = np.zeros((D, cfg.n_sources + 1), dtype=bool)
     read[owner, a] = read[owner, b] = True
-    read[np.arange(D)[:, None], outputs] = True
+    read[np.arange(D)[:, None], wave.outputs] = True
     c_owner, c_slot = np.nonzero(read[:, n_in:base])
-    constants = np.concatenate([g.constants for g in genomes]).reshape(D, -1)
-    c_value = constants[c_owner, c_slot, None]
+    c_value = wave.constants[c_owner, c_slot, None]
 
     # blocks of whole genomes whose constants and steps fit beside the
     # inputs: as few as the budget allows, filled evenly (every block but
@@ -520,7 +507,7 @@ def evaluate_many(genomes: Sequence[Genotype], inputs: np.ndarray,
     row_of[c_owner, n_in + c_slot] = c_row
     row_of[owner[order], base + node[order]] = s_row
     operands = (row_of[owner, a][order], row_of[owner, b][order])
-    out_rows = row_of[np.arange(D)[:, None], outputs].reshape(-1)
+    out_rows = row_of[np.arange(D)[:, None], wave.outputs].reshape(-1)
 
     # slabs: runs of at most `height` steps of one group
     height = max(1, EVAL_SLAB // max(n, 1))

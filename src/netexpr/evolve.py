@@ -11,9 +11,10 @@ A layer whose surrogate values are not finite scores a flat 1e12 penalty
 so broken expressions stay totally ordered and are never selected.
 
 At one position every individual reads the same input, so the population
-is scored as a matrix: individuals whose chromosomes share a phenotype key
-(``cgp.phenotype_keys``) share one evaluation, one affine fit and one
-loss, and all losses come from one batched pass (``score_rows``).
+(``surrogate.Population``, waves by position) is scored as a matrix:
+individuals whose genomes share a phenotype key share one evaluation,
+one affine fit and one loss, and all losses come from one batched pass
+(``score_rows``).
 ``fitness`` scores through the same loss rule on one matrix
 (``score_values``), so selection, and so the convergence log, is the
 same as scoring every individual on its own, bit for bit.
@@ -33,7 +34,7 @@ from .affine import (CROSS_ENTROPY, MSE, NEWTON_MAX_ITERS, AffineParams,
                      fit_affine_ce_rows, fit_affine_mse_rows)
 from .errors import ConfigError, DimensionMismatch
 from .mlp import LayerTrace
-from .surrogate import (LayerChromosome, NetGenotype, apply_affine,
+from .surrogate import (LayerChromosome, NetGenotype, Population, apply_affine,
                         chromosome_scalar, genotype_forward, mutate_net,
                         random_net_genotypes)
 
@@ -217,59 +218,64 @@ def _distinct(keys) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(row_of, return_index=True)[1], row_of
 
 
-def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
-                          task: str, refit: bool = True,
+def select_layerwise_best(population: Population | Sequence[NetGenotype],
+                          trace: LayerTrace, task: str, refit: bool = True,
                           newton_max_iters: int = NEWTON_MAX_ITERS):
     """Assemble the per-position best chromosomes into one composite parent.
 
-    Positions are scanned in order.  At position i every individual sees
-    the already-selected prefix's output, so individuals with equal
-    phenotype keys (``cgp.phenotype_keys``) have equal scalar outputs:
-    each distinct key is evaluated once and its row of F stands for all
-    of them, all in one ``cgp.evaluate_many`` pass but for individual 0's
-    row.  Without ``refit`` a row stands only for individuals that
-    also share one affine object, whose params it is scored with.  With
-    ``refit`` the distinct rows are refitted by one batched call (closed
-    form for MSE, Newton for cross-entropy, ``newton_max_iters`` capping
-    its steps).  Either way duplicates share one loss, scored once.
-    Losses come from ``score_rows``, equal to what ``fitness`` gives, so
-    rows that are not all finite score the overflow penalty (the fitters
-    mark them degenerate).  Only the chosen individual gets a refitted
-    chromosome, unless its row is not finite: then it keeps its affine.
-    Its values are fed on unchanged.
-    Ties go to the lowest population index.  Returns the composite
-    genotype and the (n_individuals, n_positions) loss matrix.
+    A list of networks is made a ``Population`` first.  Positions are
+    scanned in order.  At position i every individual sees the
+    already-selected prefix's output, so individuals with equal phenotype
+    keys have equal scalar outputs: each distinct key is evaluated once,
+    in one ``cgp.evaluate_many`` pass per wave but for individual 0's row,
+    and its row of F stands for all of them.  Without ``refit`` a row
+    stands only for individuals that also share one affine object, whose
+    params it is scored with; with ``refit`` the distinct rows are
+    refitted by one batched call (closed form for MSE, Newton for
+    cross-entropy, ``newton_max_iters`` capping its steps).  Losses come
+    from ``score_rows``, equal to what ``fitness`` gives; rows that are
+    not all finite score the overflow penalty (the fitters mark them
+    degenerate).  Only the chosen individual becomes a chromosome,
+    refitted unless its row is not finite (then it keeps its affine); its
+    values are fed on unchanged.  Ties go to the lowest population index.
+    Returns the composite genotype and the (n_individuals, n_positions)
+    loss matrix.
     """
     _check_task(task)
-    if not population:
+    if not len(population):
         raise ValueError("population must be non-empty")
+    if not isinstance(population, Population):
+        population = Population.of(population)
     targets = _position_targets(trace, task)
     loss_matrix = np.empty((len(population), len(targets)))
     chosen: list[LayerChromosome] = []
     current = np.asarray(trace.x, dtype=float)
     for pos, (target, kind) in enumerate(targets):
-        chroms = [indiv.chromosomes[pos] for indiv in population]
-        keys = cgp.phenotype_keys([c.genotype for c in chroms])
+        waves, affines = population.waves[pos], population.affines[pos]
+        keys = [key for wave in waves for key in wave.keys]
         if not refit:
             # individuals score alike only with the same affine too; in
             # ``evolve`` every offspring shares its parent's
-            keys = [(key, id(c.affine)) for key, c in zip(keys, chroms)]
+            keys = [(key, id(affine)) for key, affine in zip(keys, affines)]
         firsts, row_of = _distinct(keys)
         # individual 0 is always the first distinct one; the rest are
-        # evaluated together.  Row 0 goes through ``chromosome_scalar``
+        # evaluated wave by wave.  Row 0 goes through ``chromosome_scalar``
         # first, which checks the input width and is where a tracer that
         # wraps it finds each position's start.
-        f = chromosome_scalar(chroms[0], current)
+        f = chromosome_scalar(population.chromosome(pos, 0), current)
         F = np.empty((len(firsts), f.shape[0]))
         F[0] = f
-        if len(firsts) > 1:
-            cgp.evaluate_many([chroms[i].genotype for i in firsts[1:]], current,
-                              out=F[1:])
+        starts = np.cumsum([0] + [len(wave) for wave in waves])
+        cuts = [1, *np.searchsorted(firsts, starts[1:]).tolist()]   # wave by wave
+        for wave, start, lo, hi in zip(waves, starts, cuts, cuts[1:]):
+            if hi > lo:
+                cgp.evaluate_many(wave.take(firsts[lo:hi] - start), current,
+                                  out=F[lo:hi])
         # one loss (and with refit one fit) per distinct row, shared by its
         # duplicates
         if not refit:
-            W = np.stack([chroms[i].affine.w for i in firsts])
-            B = np.stack([chroms[i].affine.b for i in firsts])
+            W = np.stack([affines[i].w for i in firsts])
+            B = np.stack([affines[i].b for i in firsts])
         elif kind == MSE:
             W, B, _ = fit_affine_mse_rows(F, target)
         else:
@@ -277,7 +283,7 @@ def select_layerwise_best(population: Sequence[NetGenotype], trace: LayerTrace,
         losses = score_rows(F, W, B, target, kind)[row_of]
         best = int(np.argmin(losses))     # first minimum: lowest-index tie-break
         k = row_of[best]
-        choice = chroms[best]
+        choice = population.chromosome(pos, best)
         if refit and np.isfinite(F[k]).all():
             choice = choice.with_affine(AffineParams(W[k].copy(), B[k].copy()))
         loss_matrix[:, pos] = losses
@@ -294,34 +300,31 @@ def _combine(loss_matrix: np.ndarray) -> np.ndarray:
 
 
 def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
-           fset: cgp.FunctionSet | None = None,
            initial: Sequence[NetGenotype] | None = None,
            log_stream: TextIO | None = None,
-           include_timing: bool = True,
-           verify_fitness: bool = False):
+           include_timing: bool = True):
     """Run the evolution loop; returns (best genotype, convergence log).
 
     The loop stops once the best-so-far total fitness reaches
     ``cfg.fitness_target`` or ``cfg.max_generations`` is hit.  Fully
     reproducible from ``cfg.seed``.  ``initial`` individuals replace the
-    front of the random starting population.  With ``verify_fitness``
-    every logged generation re-scores the parent through the plain fitness
-    path and asserts agreement.
+    front of the random starting population.
     """
     _check_task(task)
-    fset = fset or cgp.default_function_set()
     widths = trace.widths
     n_inputs = trace.x.shape[1]
     rng = np.random.default_rng(cfg.seed)
 
-    population = random_net_genotypes(n_inputs, widths, fset, rng, cfg.n_offspring,
-                                      cfg.n_rows, cfg.n_cols, cfg.n_constants)
+    population = random_net_genotypes(n_inputs, widths, cgp.default_function_set(),
+                                      rng, cfg.n_offspring, cfg.n_rows, cfg.n_cols,
+                                      cfg.n_constants)
     if initial:
-        for i, indiv in enumerate(initial[:len(population)]):
+        planted = list(initial[:cfg.n_offspring])
+        for i, indiv in enumerate(planted):
             if indiv.widths != widths:
                 raise DimensionMismatch(
                     f"planted individual {i} widths {indiv.widths} != {widths}")
-            population[i] = indiv
+        population = Population.of(planted + list(population)[len(planted):])
 
     log = ConvergenceLog(n_hidden=len(widths) - 1)
     if log_stream is not None:
@@ -337,13 +340,6 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
             newton_max_iters=cfg.newton_max_iters)
         per_pos = loss_matrix.min(axis=0).tolist()
         report = FitnessReport(tuple(per_pos[:-1]), per_pos[-1])
-        if verify_fitness:
-            recomputed = fitness(parent, trace, task).total
-            if not math.isclose(recomputed, report.total,
-                                rel_tol=1e-9, abs_tol=1e-12):
-                raise AssertionError(
-                    f"fitness decomposition mismatch at generation {gen}: "
-                    f"{recomputed} vs {report.total}")
         if report.total <= best_total:       # ties drift to the newer parent
             best_geno, best_total = parent, report.total
         rec = GenerationRecord(
@@ -361,8 +357,8 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
         if best_total <= cfg.fitness_target or gen + 1 == cfg.max_generations:
             break
         # let the scored population go before the next wave is made, so the
-        # two (and their cached phenotypes) are never alive at once
+        # two are never alive at once; the parent owns copies of its genes
         del population
-        population = mutate_net(parent, cfg.mutation_prob, rng,
-                                cfg.n_offspring) + [parent]
+        population = (mutate_net(parent, cfg.mutation_prob, rng, cfg.n_offspring)
+                      + Population.of([parent]))
     return best_geno, log

@@ -5,12 +5,16 @@ single-output symbolic function: the layer's surrogate output is
 ``w * f(prev) + b`` with one scalar f shared by every neuron and
 per-neuron (w, b).  A network genotype chains chromosomes so layer i
 consumes layer i-1's wrapped output.
+A ``Population`` keeps each position's genomes as ``cgp.Wave``s; only
+an individual picked out becomes a chromosome.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -97,39 +101,64 @@ def genotype_forward(g: NetGenotype, x: np.ndarray) -> list[LayerOutput]:
     return outputs
 
 
+@dataclass(frozen=True, eq=False)
+class Population:
+    """Networks as waves by position: ``waves[pos]`` holds the genomes of
+    consecutive individuals at position pos (one wave for a drawn or
+    mutated population, one per run of equal grid configs for a listed
+    one), and ``affines[pos][i]`` is individual i's params there;
+    offspring share their parent's object."""
+    waves: tuple[tuple[cgp.Wave, ...], ...]
+    affines: tuple[tuple[AffineParams, ...], ...]
+
+    @classmethod
+    def of(cls, nets: Sequence[NetGenotype]) -> "Population":
+        """The population of networks made one at a time."""
+        columns = list(zip(*(net.chromosomes for net in nets)))
+        runs = [itertools.groupby((c.genotype for c in col), lambda g: (g.config, g.fset))
+                for col in columns]
+        return cls(tuple(tuple(cgp.stack(list(run)) for _, run in pos) for pos in runs),
+                   tuple(tuple(c.affine for c in col) for col in columns))
+
+    def __len__(self) -> int:
+        return len(self.affines[0])
+
+    def __add__(self, other: "Population") -> "Population":
+        return Population(tuple(map(tuple.__add__, self.waves, other.waves)),
+                          tuple(map(tuple.__add__, self.affines, other.affines)))
+
+    def chromosome(self, pos: int, i: int) -> LayerChromosome:
+        """Individual i's chromosome at position pos, owning copies of its genes."""
+        i = range(len(self))[i]
+        affine = self.affines[pos][i]
+        for wave in self.waves[pos]:
+            if i < len(wave):
+                return LayerChromosome(wave[i], affine, pos)
+            i -= len(wave)
+
+    def __getitem__(self, i: int) -> NetGenotype:
+        return NetGenotype(tuple(self.chromosome(pos, i)
+                                 for pos in range(len(self.waves))))
+
+
 def random_net_genotypes(n_inputs: int, widths: list[int], fset: cgp.FunctionSet,
                          rng: np.random.Generator, n: int, n_rows: int, n_cols: int,
-                         n_constants: int = cgp.CgpConfig.n_constants
-                         ) -> list[NetGenotype]:
+                         n_constants: int = cgp.CgpConfig.n_constants) -> Population:
     """n random networks of the given layer widths, one ``cgp.random_genotypes``
     wave per position in order; affines start at w=1, b=0, to be fitted."""
-    waves = [cgp.random_genotypes(cgp.CgpConfig(prev, n_rows, n_cols, n_constants),
-                                  fset, n, rng) for prev in [n_inputs, *widths[:-1]]]
-    return _zip_waves(waves, [AffineParams(np.ones(w), np.zeros(w)) for w in widths],
-                      range(len(widths)))
-
-
-def random_net_genotype(n_inputs: int, widths: list[int], fset: cgp.FunctionSet,
-                        rng: np.random.Generator, n_rows: int, n_cols: int,
-                        n_constants: int = cgp.CgpConfig.n_constants) -> NetGenotype:
-    """One random network: ``random_net_genotypes`` with n = 1."""
-    return random_net_genotypes(n_inputs, widths, fset, rng, 1, n_rows, n_cols,
-                                n_constants)[0]
+    return Population(
+        tuple((cgp.random_genotypes(cgp.CgpConfig(prev, n_rows, n_cols, n_constants),
+                                    fset, n, rng),) for prev in [n_inputs, *widths[:-1]]),
+        tuple((AffineParams(np.ones(w), np.zeros(w)),) * n for w in widths))
 
 
 def mutate_net(g: NetGenotype, per_gene_prob: float, rng: np.random.Generator,
-               n: int) -> list[NetGenotype]:
+               n: int) -> Population:
     """n offspring of one network: one ``cgp.mutate_many`` wave per
     position, in position order; affine params carry over as-is."""
-    waves = [cgp.mutate_many(c.genotype, n, per_gene_prob, rng)
-             for c in g.chromosomes]
-    return _zip_waves(waves, [c.affine for c in g.chromosomes],
-                      [c.layer_index for c in g.chromosomes])
-
-
-def _zip_waves(waves, affines, layer_indices) -> list[NetGenotype]:
-    return [NetGenotype(tuple(map(LayerChromosome, genomes, affines, layer_indices)))
-            for genomes in zip(*waves)]
+    return Population(tuple((cgp.mutate_many(c.genotype, n, per_gene_prob, rng),)
+                            for c in g.chromosomes),
+                      tuple((c.affine,) * n for c in g.chromosomes))
 
 
 def net_to_dict(g: NetGenotype) -> dict:

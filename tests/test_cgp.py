@@ -21,15 +21,15 @@ class TestRandomGenotype:
     def test_single_node_addresses_only_input(self, fset):
         cfg = cgp.CgpConfig(n_inputs=1, n_rows=1, n_cols=1, n_constants=0)
         for seed in range(20):
-            g = cgp.random_genotype(cfg, fset, np.random.default_rng(seed))
+            g = cgp.random_genotypes(cfg, fset, 1, np.random.default_rng(seed))[0]
             assert g.function_genes.shape == (1, 3)
             assert g.function_genes[0, 1] == 0
             assert g.function_genes[0, 2] == 0
 
     def test_same_seed_same_genotype(self, fset):
         cfg = small_config()
-        a = cgp.random_genotype(cfg, fset, np.random.default_rng(7))
-        b = cgp.random_genotype(cfg, fset, np.random.default_rng(7))
+        a = cgp.random_genotypes(cfg, fset, 1, np.random.default_rng(7))[0]
+        b = cgp.random_genotypes(cfg, fset, 1, np.random.default_rng(7))[0]
         assert np.array_equal(a.function_genes, b.function_genes)
         assert np.array_equal(a.output_genes, b.output_genes)
         assert np.array_equal(a.constants, b.constants)
@@ -39,7 +39,7 @@ class TestRandomGenotype:
         rng = np.random.default_rng(0)
         seen = set()
         for _ in range(1000):
-            g = cgp.random_genotype(cfg, fset, rng)
+            g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
             seen.update(int(x) for x in g.function_genes[:, 0])
         assert seen == set(range(len(fset)))
 
@@ -48,13 +48,13 @@ class TestRandomGenotype:
         for lb in (1, 2, 3):
             cfg = small_config(levels_back=lb)
             for _ in range(50):
-                cgp.validate_genotype(cgp.random_genotype(cfg, fset, rng))
+                cgp.validate_genotype(cgp.random_genotypes(cfg, fset, 1, rng)[0])
 
     def test_constants_in_unit_interval(self, fset):
         cfg = small_config(n_constants=4)
         rng = np.random.default_rng(1)
         for _ in range(100):
-            g = cgp.random_genotype(cfg, fset, rng)
+            g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
             assert np.all(g.constants >= -1) and np.all(g.constants <= 1)
 
 
@@ -91,28 +91,26 @@ class TestRandomGenotypes:
         for seed in range(30):
             mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(2):
-                assert same_genes(cgp.random_genotype(cfg, fset, mine),
+                assert same_genes(cgp.random_genotypes(cfg, fset, 1, mine)[0],
                                   random_genotype_one_at_a_time(cfg, fset, ref))
             assert mine.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("levels_back", [1, None])
-    def test_wave_genomes_are_valid_cached_and_own_their_arrays(self, fset,
-                                                                levels_back):
+    def test_wave_genomes_are_valid_keyed_and_own_their_arrays(self, fset,
+                                                               levels_back):
         cfg = small_config(n_rows=3, n_cols=4, n_constants=2,
                            levels_back=levels_back, n_outputs=2)
         wave = cgp.random_genotypes(cfg, fset, 60, np.random.default_rng(36))
         assert len(wave) == 60
+        genomes = list(wave)
         fields = ("function_genes", "output_genes", "constants")
-        for i, g in enumerate(wave):
+        for i, g in enumerate(genomes):
             cgp.validate_genotype(g)
-            assert g._key is not None
-            alone = with_genes(g)
-            assert cgp.phenotype_keys([alone]) == [g._key]
-            assert alone._steps == g._steps
+            assert cgp.stack([g]).keys == [wave.keys[i]]
             for field in fields:
                 assert getattr(g, field).base is None
                 assert not any(np.shares_memory(getattr(g, field), getattr(h, field))
-                               for h in wave[i + 1:])
+                               for h in genomes[i + 1:])
 
     def test_rng_calls_do_not_depend_on_n(self, fset):
         cfg = small_config(n_constants=2)
@@ -201,7 +199,7 @@ class TestEvaluate:
         cfg = small_config(n_rows=4, n_cols=6)
         X = rng.uniform(-1e8, 1e8, size=(32, 3))
         for _ in range(200):
-            g = cgp.random_genotype(cfg, fset, rng)
+            g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
             out = cgp.evaluate_genotype(g, X)[0]
             assert out.shape == (32,)
             assert out.dtype == np.float64
@@ -262,36 +260,36 @@ class TestActiveNodes:
 
 class TestMutate:
     def test_prob_zero_is_identity(self, fset):
-        g = cgp.random_genotype(small_config(), fset, np.random.default_rng(0))
-        m = cgp.mutate(g, 0.0, np.random.default_rng(1))
+        g = cgp.random_genotypes(small_config(), fset, 1, np.random.default_rng(0))[0]
+        m = cgp.mutate_many(g, 1, 0.0, np.random.default_rng(1))[0]
         assert np.array_equal(m.function_genes, g.function_genes)
         assert np.array_equal(m.output_genes, g.output_genes)
         assert np.array_equal(m.constants, g.constants)
 
     def test_output_genes_never_change(self, fset):
         rng = np.random.default_rng(2)
-        g = cgp.random_genotype(small_config(), fset, rng)
+        g = cgp.random_genotypes(small_config(), fset, 1, rng)[0]
         for _ in range(50):
-            m = cgp.mutate(g, 1.0, rng)
+            m = cgp.mutate_many(g, 1, 1.0, rng)[0]
             assert np.array_equal(m.output_genes, g.output_genes)
             cgp.validate_genotype(m)
 
     def test_original_untouched(self, fset):
-        g = cgp.random_genotype(small_config(), fset, np.random.default_rng(4))
+        g = cgp.random_genotypes(small_config(), fset, 1, np.random.default_rng(4))[0]
         snapshot = g.function_genes.copy()
-        cgp.mutate(g, 1.0, np.random.default_rng(5))
+        cgp.mutate_many(g, 1, 1.0, np.random.default_rng(5))[0]
         assert np.array_equal(g.function_genes, snapshot)
 
     def test_empirical_change_rate(self, fset):
         # change rate per gene should be p * (1 - 1/k), k = valid value count
         cfg = small_config(n_constants=0)
         rng = np.random.default_rng(6)
-        g = cgp.random_genotype(cfg, fset, rng)
+        g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
         p = 0.4
         trials = 10_000
         changed = np.zeros_like(g.function_genes, dtype=float)
         for _ in range(trials):
-            m = cgp.mutate(g, p, rng)
+            m = cgp.mutate_many(g, 1, p, rng)[0]
             changed += m.function_genes != g.function_genes
         rate = changed / trials
         base = cfg.n_sources_before_nodes
@@ -306,9 +304,9 @@ class TestMutate:
     def test_mutation_closure_over_sequences(self, fset):
         rng = np.random.default_rng(8)
         for lb in (1, 3):
-            g = cgp.random_genotype(small_config(levels_back=lb), fset, rng)
+            g = cgp.random_genotypes(small_config(levels_back=lb), fset, 1, rng)[0]
             for _ in range(200):
-                g = cgp.mutate(g, rng.uniform(0, 1), rng)
+                g = cgp.mutate_many(g, 1, rng.uniform(0, 1), rng)[0]
                 cgp.validate_genotype(g)
 
     def test_neutral_mutation_leaves_output_bit_identical(self, three_output_genome):
@@ -322,11 +320,11 @@ class TestMutate:
             assert np.array_equal(a, b)
 
     def test_same_seed_same_mutation_stream(self, fset):
-        g = cgp.random_genotype(small_config(), fset, np.random.default_rng(10))
+        g = cgp.random_genotypes(small_config(), fset, 1, np.random.default_rng(10))[0]
         r1, r2 = np.random.default_rng(42), np.random.default_rng(42)
         for _ in range(20):
-            a = cgp.mutate(g, 0.5, r1)
-            b = cgp.mutate(g, 0.5, r2)
+            a = cgp.mutate_many(g, 1, 0.5, r1)[0]
+            b = cgp.mutate_many(g, 1, 0.5, r2)[0]
             assert np.array_equal(a.function_genes, b.function_genes)
             assert np.array_equal(a.constants, b.constants)
 
@@ -337,7 +335,7 @@ class TestMutateMany:
         # parent should be p * (1 - 1/k), k = valid value count
         cfg = small_config(n_constants=0)
         rng = np.random.default_rng(16)
-        g = cgp.random_genotype(cfg, fset, rng)
+        g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
         p = 0.4
         trials = 10_000
         wave = cgp.mutate_many(g, trials, p, rng)
@@ -356,8 +354,8 @@ class TestMutateMany:
     @pytest.mark.parametrize("p", [0.03, 0.4, 1.0])
     def test_every_offspring_valid(self, fset, levels_back, p):
         rng = np.random.default_rng(17)
-        g = cgp.random_genotype(small_config(levels_back=levels_back, n_cols=4,
-                                             n_constants=2), fset, rng)
+        g = cgp.random_genotypes(small_config(levels_back=levels_back, n_cols=4,
+                                             n_constants=2), fset, 1, rng)[0]
         wave = cgp.mutate_many(g, 300, p, rng)
         assert len(wave) == 300
         for m in wave:
@@ -365,8 +363,8 @@ class TestMutateMany:
             assert np.array_equal(m.output_genes, g.output_genes)
 
     def test_prob_zero_gives_exact_copies(self, fset):
-        g = cgp.random_genotype(small_config(n_constants=2), fset,
-                                np.random.default_rng(18))
+        g = cgp.random_genotypes(small_config(n_constants=2), fset, 1,
+                                 np.random.default_rng(18))[0]
         wave = cgp.mutate_many(g, 5, 0.0, np.random.default_rng(19))
         assert len(wave) == 5
         for m in wave:
@@ -375,8 +373,8 @@ class TestMutateMany:
             assert np.array_equal(m.constants, g.constants)
 
     def test_parent_untouched(self, fset):
-        g = cgp.random_genotype(small_config(n_constants=2), fset,
-                                np.random.default_rng(20))
+        g = cgp.random_genotypes(small_config(n_constants=2), fset, 1,
+                                 np.random.default_rng(20))[0]
         before = (g.function_genes.copy(), g.output_genes.copy(), g.constants.copy())
         cgp.mutate_many(g, 50, 1.0, np.random.default_rng(21))
         after = (g.function_genes, g.output_genes, g.constants)
@@ -384,10 +382,10 @@ class TestMutateMany:
             assert np.array_equal(a, b)
 
     def test_offspring_share_no_memory(self, fset):
-        g = cgp.random_genotype(small_config(n_constants=2), fset,
-                                np.random.default_rng(22))
+        g = cgp.random_genotypes(small_config(n_constants=2), fset, 1,
+                                 np.random.default_rng(22))[0]
         wave = cgp.mutate_many(g, 6, 0.4, np.random.default_rng(23))
-        genomes = wave + [g]
+        genomes = list(wave) + [g]
         fields = ("function_genes", "output_genes", "constants")
         for i, a in enumerate(genomes):
             for b in genomes[i + 1:]:
@@ -399,22 +397,10 @@ class TestMutateMany:
                 assert getattr(m, field).base is None
 
     def test_bad_probability_rejected(self, fset):
-        g = cgp.random_genotype(small_config(), fset, np.random.default_rng(24))
+        g = cgp.random_genotypes(small_config(), fset, 1, np.random.default_rng(24))[0]
         for p in (-0.1, 1.5):
             with pytest.raises(ValueError):
                 cgp.mutate_many(g, 3, p, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
-    def test_mutate_is_a_wave_of_one(self, fset, p):
-        g = cgp.random_genotype(small_config(n_constants=2), fset,
-                                np.random.default_rng(25))
-        r1, r2 = np.random.default_rng(26), np.random.default_rng(26)
-        for _ in range(10):
-            a = cgp.mutate(g, p, r1)
-            (b,) = cgp.mutate_many(g, 1, p, r2)
-            assert np.array_equal(a.function_genes, b.function_genes)
-            assert np.array_equal(a.output_genes, b.output_genes)
-            assert np.array_equal(a.constants, b.constants)
 
     @pytest.mark.parametrize("task", [ev.REGRESSION, ev.CLASSIFICATION])
     def test_evolve_csv_repeats_for_a_seed(self, task):
@@ -441,7 +427,7 @@ def stacked(genomes):
 
 
 def with_genes(g, genes=None, constants=None):
-    """A fresh genome (empty phenotype cache) with some fields replaced."""
+    """A fresh genome with some fields replaced."""
     return cgp.Genotype(g.config, g.fset,
                         g.function_genes.copy() if genes is None else genes,
                         g.output_genes.copy(),
@@ -455,23 +441,35 @@ class TestPhenotypes:
         cfg = small_config(n_rows=3, n_cols=5, n_constants=2,
                            levels_back=levels_back, n_outputs=n_outputs)
         rng = np.random.default_rng(30)
-        genomes = [cgp.random_genotype(cfg, fset, rng) for _ in range(300)]
-        steps, keys = cgp.phenotypes(cfg, fset, *stacked(genomes))
-        assert len(steps) == len(keys) == len(genomes)
-        for g, s in zip(genomes, steps):
-            nodes = list(s[0::4])
-            assert nodes == sorted(cgp.active_nodes(g))
-            for j, code, a, b in zip(*(s[k::4] for k in range(4))):
+        genomes = [cgp.random_genotypes(cfg, fset, 1, rng)[0] for _ in range(300)]
+        wave = cgp.phenotypes(cfg, fset, *stacked(genomes))
+        assert len(wave) == len(wave.n_steps) == len(genomes)
+        assert wave.steps.shape == (wave.n_steps.sum(), 4)
+        ends = np.cumsum(wave.n_steps)[:-1]
+        for g, s in zip(genomes, np.split(wave.steps, ends)):
+            assert s[:, 0].tolist() == sorted(cgp.active_nodes(g))
+            for j, code, a, b in s.tolist():
                 assert (code, a) == tuple(g.function_genes[j, :2])
                 assert b == (g.function_genes[j, 2] if fset[code].arity == 2 else -1)
 
-    def test_wave_cache_matches_a_pass_of_one(self, fset):
-        g = cgp.random_genotype(small_config(n_rows=3, n_cols=4, n_constants=2),
-                                fset, np.random.default_rng(31))
-        for m in cgp.mutate_many(g, 40, 0.3, np.random.default_rng(32)):
-            alone = with_genes(m)
-            assert cgp.phenotype_keys([m]) == cgp.phenotype_keys([alone])
-            assert m._steps == alone._steps
+    def test_wave_matches_a_pass_of_one(self, fset):
+        g = cgp.random_genotypes(small_config(n_rows=3, n_cols=4, n_constants=2),
+                                 fset, 1, np.random.default_rng(31))[0]
+        wave = cgp.mutate_many(g, 40, 0.3, np.random.default_rng(32))
+        ends = np.cumsum(wave.n_steps)
+        for i, m in enumerate(wave):
+            alone = cgp.stack([with_genes(m)])
+            assert alone.keys == [wave.keys[i]]
+            assert np.array_equal(alone.steps, wave.steps[ends[i] - wave.n_steps[i]:ends[i]])
+
+    def test_take_of_unsorted_rows_equals_a_stack_of_its_genomes(self, fset):
+        cfg = small_config(n_rows=3, n_cols=4, n_constants=2, n_outputs=2)
+        wave = cgp.random_genotypes(cfg, fset, 30, np.random.default_rng(35))
+        for rows in ([7], [29, 3, 3, 0, 18, 4], [5, 4, 3, 2, 1, 0]):
+            taken, stacked_ = wave.take(rows), cgp.stack([wave[i] for i in rows])
+            assert taken.keys == stacked_.keys
+            for field in ("steps", "n_steps", "genes", "outputs", "constants"):
+                assert np.array_equal(getattr(taken, field), getattr(stacked_, field))
 
     def test_equal_keys_give_bit_equal_outputs(self, fset):
         cfg = small_config(n_rows=2, n_cols=3, n_constants=2, n_outputs=2)
@@ -479,9 +477,10 @@ class TestPhenotypes:
         X = rng.uniform(-3, 3, size=(50, 3))
         groups: dict = {}
         for _ in range(10):
-            parent = cgp.random_genotype(cfg, fset, rng)
-            for m in cgp.mutate_many(parent, 60, 0.15, rng):
-                groups.setdefault(cgp.phenotype_keys([m])[0], []).append(m)
+            parent = cgp.random_genotypes(cfg, fset, 1, rng)[0]
+            wave = cgp.mutate_many(parent, 60, 0.15, rng)
+            for m, key in zip(wave, wave.keys):
+                groups.setdefault(key, []).append(m)
         shared = [ms for ms in groups.values() if len(ms) > 1]
         # the duplicates are not all plain copies of their genes
         assert any(not np.array_equal(ms[0].function_genes, m.function_genes)
@@ -501,7 +500,7 @@ class TestPhenotypes:
         g = cgp.Genotype(cfg, fset, genes, np.array([5]), np.array([0.5, -0.25]))
 
         def key(genes=None, constants=None):
-            return cgp.phenotype_keys([with_genes(g, genes, constants)])[0]
+            return cgp.stack([with_genes(g, genes, constants)]).keys[0]
 
         unread = key(constants=np.array([0.5, 0.75]))
         assert unread == key()
@@ -519,29 +518,21 @@ class TestPhenotypes:
         genes = g.function_genes.copy()
         genes[8] = [2, 3, 4]      # column 4 is unreachable
         genes[9] = [0, 2, 2]
-        assert (cgp.phenotype_keys([with_genes(g, genes)])
-                == cgp.phenotype_keys([with_genes(g)]))
+        assert cgp.stack([with_genes(g, genes)]).keys == cgp.stack([g]).keys
 
-    def test_evaluate_runs_the_cached_steps(self, fset, monkeypatch):
+    def test_evaluate_runs_the_wave_steps(self, fset, monkeypatch):
         rng = np.random.default_rng(34)
-        g = cgp.random_genotype(small_config(n_rows=3, n_cols=4), fset, rng)
+        wave = cgp.random_genotypes(small_config(n_rows=3, n_cols=4), fset, 1, rng)
         X = rng.uniform(-1, 1, size=(20, 3))
-        expected = cgp.evaluate_genotype(with_genes(g), X)
+        expected = [cgp.evaluate(t, X, wave[0].constants) for t in cgp.decode(wave[0])]
 
         def no_walk(genome):
             raise AssertionError("evaluate_genotype walked the graph")
 
         monkeypatch.setattr(cgp, "active_nodes", no_walk)
-        cgp.analyse([g])
-        for a, b in zip(expected, cgp.evaluate_genotype(g, X)):
-            assert np.array_equal(a, b, equal_nan=True)
-
-    def test_analyse_groups_mixed_configs(self, fset):
-        rng = np.random.default_rng(35)
-        cfgs = [small_config(n_rows=2, n_cols=3), small_config(n_rows=4, n_cols=2)]
-        genomes = [cgp.random_genotype(cfgs[i % 2], fset, rng) for i in range(20)]
-        keys = cgp.phenotype_keys(genomes)
-        assert keys == [cgp.phenotype_keys([with_genes(g)])[0] for g in genomes]
+        for got in (cgp.evaluate_many(wave, X), cgp.evaluate_genotype(wave[0], X)):
+            for a, b in zip(expected, got):
+                assert np.array_equal(a, b, equal_nan=True)
 
 
 class TestDecodeEvaluateConsistency:
@@ -550,7 +541,7 @@ class TestDecodeEvaluateConsistency:
         cfg = small_config(n_rows=3, n_cols=4, n_constants=2)
         X = rng.uniform(-2, 2, size=(100, 3))
         for _ in range(50):
-            g = cgp.random_genotype(cfg, fset, rng)
+            g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
             via_graph = cgp.evaluate_genotype(g, X)
             via_tree = [cgp.evaluate(t, X, g.constants) for t in cgp.decode(g)]
             for a, b in zip(via_graph, via_tree):
@@ -636,8 +627,8 @@ class TestEvaluateMany:
 
     def test_mixed_configs_and_bad_widths_rejected(self, fset):
         rng = np.random.default_rng(40)
-        a = cgp.random_genotype(small_config(), fset, rng)
-        b = cgp.random_genotype(small_config(n_rows=3), fset, rng)
+        a = cgp.random_genotypes(small_config(), fset, 1, rng)[0]
+        b = cgp.random_genotypes(small_config(n_rows=3), fset, 1, rng)[0]
         with pytest.raises(ValueError, match="share a config"):
             cgp.evaluate_many([a, b], np.zeros((5, 3)))
         with pytest.raises(DimensionMismatch):
@@ -702,7 +693,7 @@ class TestToInfix:
         names = ["x0", "x1", "x2"]
         X = rng.uniform(-2, 2, size=(50, 3))
         for _ in range(40):
-            g = cgp.random_genotype(cfg, fset, rng)
+            g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
             tree = cgp.decode(g)[0]
             text = cgp.to_infix(tree, names, g.constants)
             reparsed = parse_infix(text, names)
@@ -715,7 +706,7 @@ class TestValidateGenotype:
     def test_input_window_matches_straight_line_oracle(self, fset, levels_back):
         cfg = small_config(n_inputs=2, n_cols=4, n_constants=1,
                            levels_back=levels_back)
-        g = cgp.random_genotype(cfg, fset, np.random.default_rng(19))
+        g = cgp.random_genotypes(cfg, fset, 1, np.random.default_rng(19))[0]
         base = cfg.n_sources_before_nodes
         for j in range(cfg.n_nodes):
             col = j // cfg.n_rows
@@ -737,7 +728,7 @@ class TestValidateGenotype:
 
     def test_first_bad_gene_is_named(self, fset):
         cfg = small_config(levels_back=1)
-        g = cgp.random_genotype(cfg, fset, np.random.default_rng(20))
+        g = cgp.random_genotypes(cfg, fset, 1, np.random.default_rng(20))[0]
         genes = g.function_genes.copy()
         genes[3, 2] = genes[4, 1] = cfg.n_sources
         m = cgp.Genotype(cfg, fset, genes, g.output_genes.copy(), g.constants.copy())
@@ -747,7 +738,7 @@ class TestValidateGenotype:
 
 class TestSerialization:
     def test_round_trip(self, fset):
-        g = cgp.random_genotype(small_config(), fset, np.random.default_rng(14))
+        g = cgp.random_genotypes(small_config(), fset, 1, np.random.default_rng(14))[0]
         text = cgp.genotype_to_json(g)
         g2 = cgp.genotype_from_json(text, fset)
         assert np.array_equal(g.function_genes, g2.function_genes)

@@ -727,9 +727,9 @@ class TestEval:
             self, trained_k0, tmp_path, capsys, n_inputs, widths):
         net = surrogate.NetGenotype(())
         if widths:
-            net = surrogate.random_net_genotype(n_inputs, widths,
-                                                cgp.default_function_set(),
-                                                np.random.default_rng(0), 2, 2)
+            net = surrogate.random_net_genotypes(n_inputs, widths,
+                                                 cgp.default_function_set(),
+                                                 np.random.default_rng(0), 1, 2, 2)[0]
         gpath = tmp_path / "g.json"
         gpath.write_text(surrogate.net_to_json(net))
         out = tmp_path / "o"

@@ -29,14 +29,32 @@ def random_trace(rng, n=30, d=2, widths=(3, 1), task=ev.REGRESSION):
 
 def random_net(rng, d, widths, fitted_scale=1.0):
     fset = cgp.default_function_set()
-    net = surrogate.random_net_genotype(d, list(widths), fset, rng,
-                                        n_rows=2, n_cols=3)
+    net = surrogate.random_net_genotypes(d, list(widths), fset, rng, 1,
+                                         n_rows=2, n_cols=3)[0]
     chroms = []
     for c in net.chromosomes:
         w = rng.normal(size=c.width) * fitted_scale
         b = rng.normal(size=c.width)
         chroms.append(c.with_affine(AffineParams(w, b)))
     return surrogate.NetGenotype(tuple(chroms))
+
+
+def same_genome(a, b):
+    """Equal function genes, output genes and constants."""
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("function_genes", "output_genes", "constants"))
+
+
+def position_finder(pop):
+    """The position in pop of a genome, or of the first of a list or wave
+    of genomes, found by its genes and constants, which no two positions
+    share."""
+    def key(g):
+        return g.function_genes.tobytes(), g.output_genes.tobytes(), g.constants.tobytes()
+
+    where = {key(c.genotype): c.layer_index for indiv in pop for c in indiv.chromosomes}
+    return lambda genomes: where[key(genomes if isinstance(genomes, cgp.Genotype)
+                                     else genomes[0])]
 
 
 class TestFitness:
@@ -100,7 +118,7 @@ class TestSelection:
         trace, net = planted_regression_setup()
         parent, losses = ev.select_layerwise_best([net], trace, ev.REGRESSION)
         for sel, orig in zip(parent.chromosomes, net.chromosomes):
-            assert sel.genotype is orig.genotype
+            assert same_genome(sel.genotype, orig.genotype)
         assert losses.shape == (1, 2)
 
     def test_dominant_positions_combine(self):
@@ -112,8 +130,8 @@ class TestSelection:
         a = surrogate.NetGenotype((exact.chromosomes[0], junk1))
         b = surrogate.NetGenotype((junk0, exact.chromosomes[1]))
         parent, losses = ev.select_layerwise_best([a, b], trace, ev.REGRESSION)
-        assert parent.chromosomes[0].genotype is exact.chromosomes[0].genotype
-        assert parent.chromosomes[1].genotype is exact.chromosomes[1].genotype
+        assert same_genome(parent.chromosomes[0].genotype, exact.chromosomes[0].genotype)
+        assert same_genome(parent.chromosomes[1].genotype, exact.chromosomes[1].genotype)
         assert losses[0, 0] < losses[1, 0]
         assert losses[1, 1] < losses[0, 1]
 
@@ -192,9 +210,9 @@ class TestSelection:
         cfg = ev.EvolveConfig(n_offspring=1, max_generations=3, mutation_prob=0.0,
                               fitness_target=1e-12, seed=0, n_rows=1, n_cols=1,
                               n_constants=0)
-        _, log = ev.evolve(trace, ev.REGRESSION, cfg, initial=[broken],
-                           verify_fitness=True)
+        best, log = ev.evolve(trace, ev.REGRESSION, cfg, initial=[broken])
         assert log.records[-1].best_total == 2 * ev.OVERFLOW_PENALTY
+        assert ev.fitness(best, trace, ev.REGRESSION).total == 2 * ev.OVERFLOW_PENALTY
 
     def test_no_refit_uses_existing_params(self):
         trace, net = planted_regression_setup()
@@ -372,7 +390,7 @@ class TestDuplicatePhenotypes:
                                                           newton_max_iters=50)
             assert np.array_equal(losses, ref_losses)
             for c, r in zip(parent.chromosomes, ref_parent.chromosomes):
-                assert c.genotype is r.genotype
+                assert same_genome(c.genotype, r.genotype)
                 assert np.array_equal(c.affine.w, r.affine.w)
                 assert np.array_equal(c.affine.b, r.affine.b)
 
@@ -382,8 +400,7 @@ class TestDuplicatePhenotypes:
         rng = np.random.default_rng(42)
         trace = random_trace(rng, widths=(3, 1))
         pop = population_with_duplicates(rng, 2, (3, 1))
-        position = {id(c.genotype): c.layer_index
-                    for indiv in pop for c in indiv.chromosomes}
+        position = position_finder(pop)
         rows = [0, 0]
         inside = []      # chromosome_scalar evaluates its row by evaluate_many
 
@@ -397,7 +414,7 @@ class TestDuplicatePhenotypes:
 
         def many(genomes, inputs, out=None):
             if not inside:
-                rows[position[id(genomes[0])]] += len(genomes)
+                rows[position(genomes)] += len(genomes)
             return evaluate_many(genomes, inputs, out=out)
 
         evaluate_many = cgp.evaluate_many
@@ -405,7 +422,7 @@ class TestDuplicatePhenotypes:
         monkeypatch.setattr(cgp, "evaluate_many", many)
         ev.select_layerwise_best(pop, trace, ev.REGRESSION)
         for pos in range(2):
-            keys = cgp.phenotype_keys([p.chromosomes[pos].genotype for p in pop])
+            keys = cgp.stack([p.chromosomes[pos].genotype for p in pop]).keys
             assert rows[pos] == len(set(keys)) < len(pop)
 
     def test_non_finite_duplicates_take_the_penalty(self):
@@ -424,6 +441,40 @@ class TestDuplicatePhenotypes:
             assert losses[0, 0] == losses[2, 0] == ev.OVERFLOW_PENALTY
 
 
+class TestEntryForms:
+    """A ``Population`` and the same individuals listed as ``NetGenotype``s
+    select alike."""
+
+    @pytest.mark.parametrize("task,widths", [(ev.REGRESSION, (3, 2, 1)),
+                                             (ev.CLASSIFICATION, (3, 2))])
+    @pytest.mark.parametrize("refit", [True, False])
+    def test_population_and_list_select_alike(self, task, widths, refit):
+        rng = np.random.default_rng(47)
+        fset = cgp.default_function_set()
+        for _ in range(3):
+            trace = random_trace(rng, widths=widths, task=task)
+            parent = random_net(rng, 2, widths)
+            planted = surrogate.random_net_genotypes(2, list(widths), fset, rng, 1,
+                                                     1, 2)[0]
+            # three runs at each position: an offspring wave, the parent, and
+            # a genome of another grid
+            pop = (surrogate.mutate_net(parent, 0.2, rng, 15)
+                   + surrogate.Population.of([parent])
+                   + surrogate.Population.of([planted]))
+            assert [len(waves) for waves in pop.waves] == [3] * len(widths)
+            listed = [pop[i] for i in range(len(pop))]
+            got, losses = ev.select_layerwise_best(pop, trace, task, refit=refit,
+                                                   newton_max_iters=50)
+            want, ref = ev.select_layerwise_best(listed, trace, task, refit=refit,
+                                                 newton_max_iters=50)
+            assert np.array_equal(losses.view(np.int64), ref.view(np.int64))
+            for c, r in zip(got.chromosomes, want.chromosomes):
+                assert same_genome(c.genotype, r.genotype)
+                assert np.array_equal(c.affine.w, r.affine.w)
+                assert np.array_equal(c.affine.b, r.affine.b)
+                assert c.layer_index == r.layer_index
+
+
 class TestTracerContract:
     """perfbench's tracer wraps ``evolve.chromosome_scalar`` and
     ``cgp.evaluate_genotype``: it times each network position from the
@@ -438,8 +489,7 @@ class TestTracerContract:
         rng = np.random.default_rng(45)
         trace = random_trace(rng, widths=widths, task=task)
         pop = population_with_duplicates(rng, 2, widths)
-        position = {id(c.genotype): c.layer_index
-                    for indiv in pop for c in indiv.chromosomes}
+        position = position_finder(pop)
         events = []
 
         def record(name, fn, where):
@@ -451,9 +501,9 @@ class TestTracerContract:
         monkeypatch.setattr(ev, "chromosome_scalar", record(
             "scalar", surrogate.chromosome_scalar, lambda c: c.layer_index))
         monkeypatch.setattr(cgp, "evaluate_genotype", record(
-            "genotype", cgp.evaluate_genotype, lambda g: position[id(g)]))
+            "genotype", cgp.evaluate_genotype, position))
         monkeypatch.setattr(cgp, "evaluate_many", record(
-            "many", cgp.evaluate_many, lambda genomes: position[id(genomes[0])]))
+            "many", cgp.evaluate_many, position))
         ev.select_layerwise_best(pop, trace, task, refit=refit)
         assert [pos for pos, _ in events] == sorted(pos for pos, _ in events)
         for pos in range(len(widths)):
@@ -471,14 +521,15 @@ class TestEvolve:
         return ev.EvolveConfig(**base)
 
     def test_scored_wave_is_freed_before_the_next_is_made(self, monkeypatch):
-        # two populations (and their cached phenotypes) are never alive at once
+        # two populations (and their waves) are never alive at once
         waves = []
 
         def tracked(parent, p, rng, n):
             assert all(ref() is None for wave in waves for ref in wave)
-            wave = surrogate.mutate_net(parent, p, rng, n)
-            waves.append([weakref.ref(child) for child in wave])
-            return wave
+            population = surrogate.mutate_net(parent, p, rng, n)
+            waves.append([weakref.ref(population)]
+                         + [weakref.ref(w) for ws in population.waves for w in ws])
+            return population
 
         monkeypatch.setattr(ev, "mutate_net", tracked)
         trace = random_trace(np.random.default_rng(43), widths=(3, 1))
@@ -486,21 +537,19 @@ class TestEvolve:
                            self.small_cfg(max_generations=5, fitness_target=1e-30))
         assert len(log.records) - 1 == len(waves) == 4
 
-    def test_starting_population_comes_cached(self, monkeypatch):
-        # it is drawn as one wave per position, which caches its phenotypes
+    def test_starting_population_is_one_wave_per_position(self, monkeypatch):
         seen = []
 
         def first_select(population, *args, **kwargs):
             if not seen:
-                seen.append([c.genotype._key is not None
-                             for indiv in population for c in indiv.chromosomes])
+                seen.append([len(wave) for waves in population.waves for wave in waves])
             return select(population, *args, **kwargs)
 
         select = ev.select_layerwise_best
         monkeypatch.setattr(ev, "select_layerwise_best", first_select)
         trace = random_trace(np.random.default_rng(44), widths=(3, 2, 1))
         ev.evolve(trace, ev.REGRESSION, self.small_cfg(max_generations=2))
-        assert seen[0] == [True] * (10 * 3)
+        assert seen[0] == [10] * 3
 
     def test_huge_target_stops_after_one_generation(self):
         rng = np.random.default_rng(6)
@@ -537,12 +586,34 @@ class TestEvolve:
         log2.to_csv(s2, include_timing=False)
         assert s1.getvalue() == s2.getvalue()
 
-    def test_verify_fitness_mode(self):
-        rng = np.random.default_rng(10)
-        trace = random_trace(rng)
-        ev.evolve(trace, ev.REGRESSION,
-                  self.small_cfg(max_generations=6, fitness_target=1e-12),
-                  verify_fitness=True)
+    def test_each_parent_rescores_to_its_logged_losses(self, monkeypatch):
+        selected = []
+
+        def select(*args, **kwargs):
+            selected.append(original(*args, **kwargs))
+            return selected[-1]
+
+        original = ev.select_layerwise_best
+        monkeypatch.setattr(ev, "select_layerwise_best", select)
+        trace = random_trace(np.random.default_rng(10))
+        _, log = ev.evolve(trace, ev.REGRESSION,
+                           self.small_cfg(max_generations=6, fitness_target=1e-12))
+        assert len(selected) == len(log.records) == 6
+        for (parent, _), rec in zip(selected, log.records):
+            report = ev.fitness(parent, trace, ev.REGRESSION)
+            assert report.per_layer_mse == rec.layer_mses
+            assert report.output_loss == rec.output_loss
+
+    def test_planted_genome_of_another_grid(self):
+        # the planted net is a 1x1 grid among 10x10 ones, so at each position
+        # the population holds waves of two configs
+        trace, planted = planted_regression_setup()
+        cfg = self.small_cfg(n_offspring=20, max_generations=10, n_rows=10, n_cols=10)
+        other = surrogate.random_net_genotypes(2, trace.widths, cgp.default_function_set(),
+                                               np.random.default_rng(46), 1, 10, 10)[0]
+        best, log = ev.evolve(trace, ev.REGRESSION, cfg, initial=[other, planted])
+        assert log.records[-1].best_total <= 1e-4
+        assert ev.fitness(best, trace, ev.REGRESSION).total <= 1e-4
 
     def test_mean_never_below_parent(self):
         rng = np.random.default_rng(11)

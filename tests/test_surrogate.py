@@ -38,7 +38,7 @@ class TestChromosomeForward:
         fset = cgp.default_function_set()
         for _ in range(30):
             cfg = cgp.CgpConfig(n_inputs=3, n_rows=2, n_cols=3, n_constants=1)
-            g = cgp.random_genotype(cfg, fset, rng)
+            g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
             width = int(rng.integers(1, 5))
             c = surrogate.LayerChromosome(
                 g, AffineParams(rng.normal(size=width), rng.normal(size=width)), 0)
@@ -90,8 +90,8 @@ class TestGenotypeForward:
     def test_three_layer_widths_chain(self):
         rng = np.random.default_rng(3)
         fset = cgp.default_function_set()
-        net = surrogate.random_net_genotype(2, [4, 4, 1], fset, rng,
-                                            n_rows=2, n_cols=3)
+        net = surrogate.random_net_genotypes(2, [4, 4, 1], fset, rng, 1,
+                                             n_rows=2, n_cols=3)[0]
         X = rng.uniform(-1, 1, size=(12, 2))
         outs = surrogate.genotype_forward(net, X)
         assert [o.h_values.shape[1] for o in outs] == [4, 4, 1]
@@ -105,7 +105,8 @@ class TestGenotypeForward:
     def test_forward_is_pure(self):
         rng = np.random.default_rng(4)
         fset = cgp.default_function_set()
-        net = surrogate.random_net_genotype(1, [3, 1], fset, rng, n_rows=2, n_cols=2)
+        net = surrogate.random_net_genotypes(1, [3, 1], fset, rng, 1, n_rows=2,
+                                             n_cols=2)[0]
         X = rng.normal(size=(6, 1))
         first = surrogate.genotype_forward(net, X)
         second = surrogate.genotype_forward(net, X)
@@ -122,8 +123,8 @@ class TestRandomNets:
         for seed in range(10):
             mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(2):
-                a = surrogate.random_net_genotype(n_inputs, widths, fset, mine, 2, 3,
-                                                  n_constants)
+                a = surrogate.random_net_genotypes(n_inputs, widths, fset, mine, 1, 2,
+                                                   3, n_constants)[0]
                 b = random_net_genotype_one_at_a_time(n_inputs, widths, fset, ref, 2,
                                                       3, n_constants)
                 assert surrogate.net_to_dict(a) == surrogate.net_to_dict(b)
@@ -137,22 +138,52 @@ class TestRandomNets:
         waves = [cgp.random_genotypes(cgp.CgpConfig(n_in, 2, 3), fset, 5, rng)
                  for n_in in (2, 3, 3)]
         assert len(nets) == 5
+        for wave, (mine,), affines in zip(waves, nets.waves, nets.affines):
+            assert mine.keys == wave.keys
+            assert np.array_equal(mine.genes, wave.genes)
+            assert all(a is affines[0] for a in affines)
         for k, net in enumerate(nets):
             assert net.widths == [3, 3, 1]
             for i, c in enumerate(net.chromosomes):
                 assert c.layer_index == i
-                assert c.genotype._key == waves[i][k]._key
                 assert (cgp.genotype_to_dict(c.genotype)
                         == cgp.genotype_to_dict(waves[i][k]))
                 assert c.affine.w.tolist() == [1.0] * c.width
                 assert c.affine.b.tolist() == [0.0] * c.width
 
 
+class TestPopulation:
+    def test_listed_nets_make_one_wave_per_run_of_equal_grids(self):
+        fset = cgp.default_function_set()
+        rng = np.random.default_rng(7)
+        small = surrogate.random_net_genotypes(2, [3, 1], fset, rng, 3, 2, 3)
+        other = surrogate.random_net_genotypes(2, [3, 1], fset, rng, 1, 1, 1)
+        nets = [small[0], small[1], other[0], small[2]]
+        pop = surrogate.Population.of(nets)
+        assert len(pop) == 4
+        for pos in range(2):
+            assert [len(w) for w in pop.waves[pos]] == [2, 1, 1]
+            for i, net in enumerate(nets):
+                c, want = pop.chromosome(pos, i), net.chromosomes[pos]
+                assert c.layer_index == pos
+                assert c.affine is want.affine
+                assert (cgp.genotype_to_dict(c.genotype)
+                        == cgp.genotype_to_dict(want.genotype))
+        joined = pop + surrogate.Population.of([other[0]])
+        assert len(joined) == 5
+        assert [len(w) for w in joined.waves[1]] == [2, 1, 1, 1]
+        assert surrogate.net_to_dict(joined[4]) == surrogate.net_to_dict(other[0])
+        assert surrogate.net_to_dict(joined[-2]) == surrogate.net_to_dict(small[2])
+        with pytest.raises(IndexError):
+            joined.chromosome(0, 5)
+
+
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
         fset = cgp.default_function_set()
-        net = surrogate.random_net_genotype(2, [3, 1], fset, rng, n_rows=2, n_cols=2)
+        net = surrogate.random_net_genotypes(2, [3, 1], fset, rng, 1, n_rows=2,
+                                             n_cols=2)[0]
         text = surrogate.net_to_json(net)
         net2 = surrogate.net_from_json(text, fset)
         assert surrogate.net_to_json(net2) == text
