@@ -6,9 +6,12 @@ evolvable constants, then the grid nodes in column-major order.  A node
 may read from any source in a strictly earlier column (within
 ``levels_back``), which makes the graph acyclic by construction.
 
-All operators are protected: evaluation never raises on singular inputs,
-and overflow propagates as non-finite values that callers can detect
-with ``np.isfinite``.
+Opcodes index one fixed table of 11 operators, ``FUNCTION_SET``; a
+saved genome stores them as bare indices, so the table's order is part
+of the file format.  ``/``, ``sqrt``, ``ln``, ``tan`` and ``exp`` are
+guarded and the rest are numpy ufuncs: evaluation never raises on
+singular inputs, and overflow propagates as non-finite values that
+callers can detect with ``np.isfinite``.
 
 What a genome computes is its phenotype: the active nodes, reached
 backwards from the output genes, and the constants they read.  Genomes
@@ -30,7 +33,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -45,18 +48,6 @@ EVAL_BLOCK = 1 << 16  # elements of evaluate_many's value buffer
 EVAL_SLAB = 1 << 13   # elements of each operand slab it gathers
 
 
-def p_add(a, b, out=None):
-    return np.add(a, b, out=out)
-
-
-def p_sub(a, b, out=None):
-    return np.subtract(a, b, out=out)
-
-
-def p_mul(a, b, out=None):
-    return np.multiply(a, b, out=out)
-
-
 def p_div(a, b, out=None):
     small = np.abs(b) < DIV_EPS
     out = np.divide(a, np.where(small, 1.0, b), out=out)
@@ -67,18 +58,6 @@ def p_div(a, b, out=None):
 def p_sqrt(a, out=None):
     out = np.abs(a, out=out)
     return np.sqrt(out, out=out)
-
-
-def p_square(a, out=None):
-    return np.multiply(a, a, out=out)
-
-
-def p_sin(a, out=None):
-    return np.sin(a, out=out)
-
-
-def p_cos(a, out=None):
-    return np.cos(a, out=out)
 
 
 def p_ln(a, out=None):
@@ -102,7 +81,7 @@ def p_exp(a, out=None):
 
 @dataclass(frozen=True)
 class Op:
-    """One entry of the function set.  ``fn`` is elementwise, takes its
+    """One entry of ``FUNCTION_SET``.  ``fn`` is elementwise, takes its
     arguments as equal-shape arrays and writes into ``out`` when given one
     (an array of that shape that none of the arguments overlaps)."""
     code: int
@@ -113,15 +92,8 @@ class Op:
 
 @dataclass(frozen=True)
 class FunctionSet:
-    """Ordered table of operators; opcodes are dense 0..len-1."""
+    """Ordered table of operators; an opcode is its op's position."""
     ops: tuple[Op, ...]
-
-    def __post_init__(self):
-        for i, op in enumerate(self.ops):
-            if op.code != i:
-                raise ValueError(f"opcode {op.code} at position {i}; opcodes must be dense")
-            if op.arity not in (1, 2):
-                raise ValueError(f"op {op.name} has unsupported arity {op.arity}")
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -136,21 +108,24 @@ class FunctionSet:
         raise KeyError(name)
 
 
-def default_function_set() -> FunctionSet:
-    """The standard 11-operator set: +, -, *, /, sqrt, square, sin, cos, ln, tan, exp."""
-    return FunctionSet((
-        Op(0, "+", 2, p_add),
-        Op(1, "-", 2, p_sub),
-        Op(2, "*", 2, p_mul),
-        Op(3, "/", 2, p_div),
-        Op(4, "sqrt", 1, p_sqrt),
-        Op(5, "square", 1, p_square),
-        Op(6, "sin", 1, p_sin),
-        Op(7, "cos", 1, p_cos),
-        Op(8, "ln", 1, p_ln),
-        Op(9, "tan", 1, p_tan),
-        Op(10, "exp", 1, p_exp),
-    ))
+# The one operator table; genotype.json stores opcodes as indices into it.
+FUNCTION_SET = FunctionSet((
+    Op(0, "+", 2, np.add),
+    Op(1, "-", 2, np.subtract),
+    Op(2, "*", 2, np.multiply),
+    Op(3, "/", 2, p_div),
+    Op(4, "sqrt", 1, p_sqrt),
+    Op(5, "square", 1, np.square),
+    Op(6, "sin", 1, np.sin),
+    Op(7, "cos", 1, np.cos),
+    Op(8, "ln", 1, p_ln),
+    Op(9, "tan", 1, p_tan),
+    Op(10, "exp", 1, p_exp),
+))
+_FNS = [op.fn for op in FUNCTION_SET.ops]
+_ARITY = [op.arity for op in FUNCTION_SET.ops]
+_BINARY_OPS = np.array(_ARITY) == 2   # per opcode: reads input_b
+_BINARY_OPS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -208,9 +183,10 @@ class Genotype:
     ``function_genes`` has one row per grid node: (opcode, input_a, input_b).
     Arity-1 ops ignore input_b, but the gene exists and can mutate.
     ``output_genes`` point at any source (input, constant, or node).
+    Opcodes index ``FUNCTION_SET``.
     """
+    fset: ClassVar[FunctionSet] = FUNCTION_SET   # the table, read-only
     config: CgpConfig
-    fset: FunctionSet
     function_genes: np.ndarray   # (n_nodes, 3) int
     output_genes: np.ndarray     # (n_outputs,) int
     constants: np.ndarray        # (n_constants,) float
@@ -228,7 +204,6 @@ class Wave:
     their phenotypes: ``steps`` (S, 4), genome after genome, ``n_steps``
     per genome and ``keys`` (see ``phenotypes``)."""
     config: CgpConfig
-    fset: FunctionSet
     genes: np.ndarray
     outputs: np.ndarray
     constants: np.ndarray
@@ -241,7 +216,7 @@ class Wave:
 
     def __getitem__(self, i: int) -> Genotype:
         """Genome i, owning copies of its rows: a view would keep the wave alive."""
-        return Genotype(self.config, self.fset, self.genes[i].copy(),
+        return Genotype(self.config, self.genes[i].copy(),
                         self.outputs[i].copy(), self.constants[i].copy())
 
     def take(self, rows) -> "Wave":
@@ -250,7 +225,7 @@ class Wave:
         n_steps = self.n_steps[rows]
         first = (np.cumsum(self.n_steps) - self.n_steps)[rows]
         at = np.repeat(first - np.cumsum(n_steps) + n_steps, n_steps)
-        return Wave(self.config, self.fset, self.genes[rows], self.outputs[rows],
+        return Wave(self.config, self.genes[rows], self.outputs[rows],
                     self.constants[rows], self.steps[at + np.arange(len(at))],
                     n_steps, [self.keys[i] for i in rows.tolist()])
 
@@ -264,7 +239,8 @@ def validate_genotype(g: Genotype) -> None:
         raise ValueError("output gene vector has wrong shape")
     if g.constants.shape != (cfg.n_constants,):
         raise ValueError("constants vector has wrong shape")
-    if np.any(g.function_genes[:, 0] < 0) or np.any(g.function_genes[:, 0] >= len(g.fset)):
+    codes = g.function_genes[:, 0]
+    if np.any(codes < 0) or np.any(codes >= len(FUNCTION_SET)):
         raise ValueError("opcode out of range")
     # the window mutation draws from: an input or constant, or a node whose
     # rank (source minus the column's shift) is below the column's choices
@@ -302,29 +278,20 @@ def _draw_sources(config: CgpConfig, nodes: np.ndarray,
     return np.where(ranks < config.n_sources_before_nodes, ranks, ranks + shifts[nodes])
 
 
-def random_genotypes(config: CgpConfig, fset: FunctionSet, n: int,
-                     rng: np.random.Generator) -> Wave:
+def random_genotypes(config: CgpConfig, n: int, rng: np.random.Generator) -> Wave:
     """n uniformly random valid genomes drawn as one (n, n_nodes, 3) gene
     tensor, constants uniform in [-1, 1], by five RNG calls whatever n is."""
     nodes = np.broadcast_to(np.arange(config.n_nodes), (n, config.n_nodes))
-    genes = np.stack([rng.integers(0, len(fset), nodes.shape),
+    genes = np.stack([rng.integers(0, len(FUNCTION_SET), nodes.shape),
                       _draw_sources(config, nodes, rng),
                       _draw_sources(config, nodes, rng)], axis=-1)
     outputs = rng.integers(0, config.n_sources, (n, config.n_outputs))
     constants = rng.uniform(-1.0, 1.0, (n, config.n_constants))
-    return phenotypes(config, fset, genes, outputs, constants)
+    return phenotypes(config, genes, outputs, constants)
 
 
-@functools.lru_cache(maxsize=16)
-def _binary_ops(fset: FunctionSet) -> np.ndarray:
-    """Per opcode: whether the op reads its second input gene."""
-    binary = np.array([op.arity == 2 for op in fset.ops])
-    binary.setflags(write=False)
-    return binary
-
-
-def phenotypes(config: CgpConfig, fset: FunctionSet, genes: np.ndarray,
-               outputs: np.ndarray, constants: np.ndarray) -> Wave:
+def phenotypes(config: CgpConfig, genes: np.ndarray, outputs: np.ndarray,
+               constants: np.ndarray) -> Wave:
     """The wave of P genomes, their phenotypes found in one pass.
 
     ``genes`` is (P, n_nodes, 3), ``outputs`` (P, n_outputs) and
@@ -340,20 +307,19 @@ def phenotypes(config: CgpConfig, fset: FunctionSet, genes: np.ndarray,
     P = genes.shape[0]
     rows, base, n_out = config.n_rows, config.n_sources_before_nodes, config.n_outputs
     genes = np.asarray(genes, dtype=np.int64)
-    binary = _binary_ops(fset)
     read = np.zeros((P, config.n_sources), dtype=bool)
     read[np.arange(P)[:, None], outputs] = True
     for col in range(config.n_cols - 1, -1, -1):
         owner, row = np.nonzero(read[:, base + col * rows:base + (col + 1) * rows])
         live = genes[owner, col * rows + row]
         read[owner, live[:, 1]] = True
-        two = binary[live[:, 0]]
+        two = _BINARY_OPS[live[:, 0]]
         read[owner[two], live[two, 2]] = True
 
     owner, node = np.nonzero(read[:, base:])
     live = genes[owner, node]
     steps = np.stack([node, live[:, 0], live[:, 1],
-                      np.where(binary[live[:, 0]], live[:, 2], -1)], axis=1)
+                      np.where(_BINARY_OPS[live[:, 0]], live[:, 2], -1)], axis=1)
     n_steps = np.bincount(owner, minlength=P)
     c_owner, c_slot = np.nonzero(read[:, config.n_inputs:base])
     const_bits = np.ascontiguousarray(constants, dtype=float).view(np.int64)
@@ -369,15 +335,15 @@ def phenotypes(config: CgpConfig, fset: FunctionSet, genes: np.ndarray,
     ends = np.cumsum(np.bincount(belongs, minlength=P)).tolist()
     buf = packed.tobytes()
     keys = [buf[8 * lo:8 * hi] for lo, hi in zip([0] + ends, ends)]
-    return Wave(config, fset, genes, outputs, constants, steps, n_steps, keys)
+    return Wave(config, genes, outputs, constants, steps, n_steps, keys)
 
 
 def stack(genomes: Sequence[Genotype]) -> Wave:
     """The wave of genomes made one at a time (planted, loaded, hand-built)."""
-    cfg, fset = genomes[0].config, genomes[0].fset
-    if any(g.config != cfg or g.fset != fset for g in genomes):
-        raise ValueError("genomes of one wave must share a config and a function set")
-    return phenotypes(cfg, fset, np.stack([g.function_genes for g in genomes]),
+    cfg = genomes[0].config
+    if any(g.config != cfg for g in genomes):
+        raise ValueError("genomes of one wave must share a config")
+    return phenotypes(cfg, np.stack([g.function_genes for g in genomes]),
                       np.stack([g.output_genes for g in genomes]),
                       np.stack([g.constants for g in genomes]))
 
@@ -401,7 +367,7 @@ def mutate_many(g: Genotype, n: int, per_gene_prob: float,
     mask = rng.random(genes.shape) < per_gene_prob
 
     hit = mask[..., 0]
-    genes[hit, 0] = rng.integers(0, len(g.fset), int(hit.sum()))
+    genes[hit, 0] = rng.integers(0, len(FUNCTION_SET), int(hit.sum()))
 
     for slot in (1, 2):
         hit = mask[..., slot]
@@ -414,7 +380,7 @@ def mutate_many(g: Genotype, n: int, per_gene_prob: float,
         redraw = rng.random(constants.shape) < CONST_REDRAW * per_gene_prob
         constants[redraw] = rng.uniform(-1.0, 1.0, int(redraw.sum()))
 
-    return phenotypes(cfg, g.fset, genes,
+    return phenotypes(cfg, genes,
                       np.broadcast_to(g.output_genes, (n, cfg.n_outputs)), constants)
 
 
@@ -430,8 +396,7 @@ def active_nodes(g: Genotype) -> set[int]:
         if j in active:
             continue
         active.add(j)
-        op = g.fset[int(g.function_genes[j, 0])]
-        for slot in range(1, 1 + op.arity):
+        for slot in range(1, 1 + _ARITY[int(g.function_genes[j, 0])]):
             src = int(g.function_genes[j, slot])
             if src >= base:
                 stack.append(src - base)
@@ -455,7 +420,7 @@ def evaluate_many(genomes: Wave | Sequence[Genotype], inputs: np.ndarray,
     Non-finite values propagate; callers flag them with ``np.isfinite``.
     """
     wave = genomes if isinstance(genomes, Wave) else stack(genomes)
-    cfg, fset = wave.config, wave.fset
+    cfg = wave.config
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != cfg.n_inputs:
         raise DimensionMismatch(
@@ -495,8 +460,8 @@ def evaluate_many(genomes: Wave | Sequence[Genotype], inputs: np.ndarray,
     c_block = block[c_owner]
     c_first = np.searchsorted(c_block, np.arange(n_blocks + 1))
     c_row = n_in + np.arange(len(c_owner)) - c_first[c_block]
-    groups = cfg.n_cols * len(fset)
-    key = block[owner] * groups + node // cfg.n_rows * len(fset) + code
+    groups = cfg.n_cols * len(FUNCTION_SET)
+    key = block[owner] * groups + node // cfg.n_rows * len(FUNCTION_SET) + code
     order = np.argsort(key, kind="stable")
     key = key[order]
     s_block = key // groups
@@ -518,8 +483,6 @@ def evaluate_many(genomes: Wave | Sequence[Genotype], inputs: np.ndarray,
     lo = np.flatnonzero(offset % height == 0)
     slab_block = np.searchsorted(lo, s_first)
     hi = np.append(lo[1:], S)
-    ops = [op.fn for op in fset.ops]
-    arity = [op.arity for op in fset.ops]
     slabs = np.empty((2, min(height, int(offset.max(initial=0)) + 1), n))
     buf = np.empty((n_in + int(np.diff(total[cuts]).max()), n))
     buf[:n_in] = inputs.T
@@ -531,12 +494,12 @@ def evaluate_many(genomes: Wave | Sequence[Genotype], inputs: np.ndarray,
             for dest, s, e, op in zip(*(part[slab_block[i]:slab_block[i + 1]]
                                         for part in slab_ops)):
                 if e - s == 1:
-                    args = [buf[rows[s]] for rows in operands[:arity[op]]]
-                    ops[op](*args, out=buf[dest])
+                    args = [buf[rows[s]] for rows in operands[:_ARITY[op]]]
+                    _FNS[op](*args, out=buf[dest])
                 else:
                     args = [buf.take(rows[s:e], axis=0, out=slab[:e - s], mode="clip")
-                            for rows, slab in zip(operands[:arity[op]], slabs)]
-                    ops[op](*args, out=buf[dest:dest + e - s])
+                            for rows, slab in zip(operands[:_ARITY[op]], slabs)]
+                    _FNS[op](*args, out=buf[dest:dest + e - s])
             buf.take(out_rows[cuts[i] * n_out:cuts[i + 1] * n_out], axis=0,
                      out=out[cuts[i] * n_out:cuts[i + 1] * n_out], mode="clip")
     return out
@@ -588,7 +551,7 @@ def decode(g: Genotype) -> list[ExpressionTree]:
         else:
             j = src - base
             code, a, b = (int(x) for x in g.function_genes[j])
-            op = g.fset[code]
+            op = FUNCTION_SET[code]
             args = tuple(tree_for(g_in) for g_in in ((a,) if op.arity == 1 else (a, b)))
             t = Call(op, args)
         built[src] = t
@@ -647,9 +610,6 @@ def evaluate(expr: ExpressionTree, inputs: np.ndarray,
         return np.array(walk(expr), dtype=float)
 
 
-_BINARY_NAMES = {"+", "-", "*", "/"}
-
-
 def to_infix(expr: ExpressionTree, var_names: Sequence[str],
              constants: Sequence[float] = ()) -> str:
     """Fully parenthesized, deterministic infix rendering.
@@ -668,7 +628,7 @@ def to_infix(expr: ExpressionTree, var_names: Sequence[str],
             return var_names[node.index]
         if isinstance(node, Const):
             return repr(float(constants[node.slot]))
-        if node.op.name in _BINARY_NAMES:
+        if node.op.arity == 2:
             a, b = (walk(x) for x in node.args)
             return f"({a} {node.op.name} {b})"
         if node.op.name == "square":
@@ -697,16 +657,18 @@ def genotype_to_dict(g: Genotype) -> dict:
     }
 
 
-def genotype_from_dict(d: dict, fset: FunctionSet | None = None) -> Genotype:
-    fset = fset or default_function_set()
+def genotype_from_dict(d: dict) -> Genotype:
     try:
         cfg = CgpConfig(**d["config"])
-        genes = np.array(d["function_genes"], dtype=np.int64).reshape(cfg.n_nodes, 3)
-        outputs = np.array(d["output_genes"], dtype=np.int64)
+        genes, outputs = d["function_genes"], d["output_genes"]
+        if not all(type(x) is int for x in [*genes, *outputs]):
+            raise ValueError("function and output genes must be integers")
+        genes = np.array(genes, dtype=np.int64).reshape(cfg.n_nodes, 3)
+        outputs = np.array(outputs, dtype=np.int64)
         constants = np.array(d["constants"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad genotype record: {exc}") from exc
-    g = Genotype(cfg, fset, genes, outputs, constants)
+    g = Genotype(cfg, genes, outputs, constants)
     try:
         validate_genotype(g)
     except ValueError as exc:
@@ -718,9 +680,9 @@ def genotype_to_json(g: Genotype) -> str:
     return json.dumps(genotype_to_dict(g), indent=2)
 
 
-def genotype_from_json(text: str, fset: FunctionSet | None = None) -> Genotype:
+def genotype_from_json(text: str) -> Genotype:
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"bad genotype JSON: {exc}") from exc
-    return genotype_from_dict(d, fset)
+    return genotype_from_dict(d)

@@ -315,9 +315,8 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
     n_inputs = trace.x.shape[1]
     rng = np.random.default_rng(cfg.seed)
 
-    population = random_net_genotypes(n_inputs, widths, cgp.default_function_set(),
-                                      rng, cfg.n_offspring, cfg.n_rows, cfg.n_cols,
-                                      cfg.n_constants)
+    population = random_net_genotypes(n_inputs, widths, rng, cfg.n_offspring,
+                                      cfg.n_rows, cfg.n_cols, cfg.n_constants)
     if initial:
         planted = list(initial[:cfg.n_offspring])
         for i, indiv in enumerate(planted):

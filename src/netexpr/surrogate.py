@@ -6,7 +6,9 @@ single-output symbolic function: the layer's surrogate output is
 per-neuron (w, b).  A network genotype chains chromosomes so layer i
 consumes layer i-1's wrapped output.
 A ``Population`` keeps each position's genomes as ``cgp.Wave``s; only
-an individual picked out becomes a chromosome.
+an individual picked out becomes a chromosome.  ``net_from_json`` reads
+a genotype file back and raises ``SchemaError`` unless chromosome i has
+layer_index i, integer genes and finite affine params.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ class Population:
     def of(cls, nets: Sequence[NetGenotype]) -> "Population":
         """The population of networks made one at a time."""
         columns = list(zip(*(net.chromosomes for net in nets)))
-        runs = [itertools.groupby((c.genotype for c in col), lambda g: (g.config, g.fset))
+        runs = [itertools.groupby((c.genotype for c in col), lambda g: g.config)
                 for col in columns]
         return cls(tuple(tuple(cgp.stack(list(run)) for _, run in pos) for pos in runs),
                    tuple(tuple(c.affine for c in col) for col in columns))
@@ -141,14 +143,14 @@ class Population:
                                  for pos in range(len(self.waves))))
 
 
-def random_net_genotypes(n_inputs: int, widths: list[int], fset: cgp.FunctionSet,
-                         rng: np.random.Generator, n: int, n_rows: int, n_cols: int,
+def random_net_genotypes(n_inputs: int, widths: list[int], rng: np.random.Generator,
+                         n: int, n_rows: int, n_cols: int,
                          n_constants: int = cgp.CgpConfig.n_constants) -> Population:
     """n random networks of the given layer widths, one ``cgp.random_genotypes``
     wave per position in order; affines start at w=1, b=0, to be fitted."""
     return Population(
         tuple((cgp.random_genotypes(cgp.CgpConfig(prev, n_rows, n_cols, n_constants),
-                                    fset, n, rng),) for prev in [n_inputs, *widths[:-1]]),
+                                    n, rng),) for prev in [n_inputs, *widths[:-1]]),
         tuple((AffineParams(np.ones(w), np.zeros(w)),) * n for w in widths))
 
 
@@ -170,31 +172,34 @@ def net_to_dict(g: NetGenotype) -> dict:
     } for c in g.chromosomes]}
 
 
-def net_from_dict(d: dict, fset: cgp.FunctionSet | None = None) -> NetGenotype:
+def net_from_dict(d: dict) -> NetGenotype:
+    """The network of a ``net_to_dict`` record: chromosome i must have
+    layer_index i and finite affine params."""
+    chroms = []
     try:
-        chroms = tuple(
-            LayerChromosome(cgp.genotype_from_dict(rec["cgp"], fset),
-                            AffineParams(np.array(rec["w"], dtype=float),
-                                         np.array(rec["b"], dtype=float)),
-                            int(rec["layer_index"]))
-            for rec in d["chromosomes"])
+        for i, rec in enumerate(d["chromosomes"]):
+            if type(rec["layer_index"]) is not int or rec["layer_index"] != i:
+                raise SchemaError(f"layer {i}: layer_index is {rec['layer_index']!r}")
+            affine = AffineParams(np.array(rec["w"], dtype=float),
+                                  np.array(rec["b"], dtype=float))
+            if not (np.isfinite(affine.w).all() and np.isfinite(affine.b).all()):
+                raise SchemaError(f"layer {i}: affine params w and b must be finite")
+            chroms.append(LayerChromosome(cgp.genotype_from_dict(rec["cgp"]), affine, i))
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
         raise SchemaError(f"bad genotype record: {exc}") from exc
-    return NetGenotype(chroms)
+    return NetGenotype(tuple(chroms))
 
 
 def net_to_json(g: NetGenotype) -> str:
     return json.dumps(net_to_dict(g), indent=2)
 
 
-def net_from_json(text: str, fset: cgp.FunctionSet | None = None) -> NetGenotype:
+def net_from_json(text: str) -> NetGenotype:
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"bad genotype JSON: {exc}") from exc
-    return net_from_dict(d, fset)
+    return net_from_dict(d)
 
 
 def layer_var_names(layer_index: int, n_inputs: int) -> list[str]:

@@ -29,7 +29,6 @@ def build_three_output_genome() -> cgp.Genotype:
     is deliberately left unreachable.
     """
     cfg = cgp.CgpConfig(n_inputs=2, n_rows=2, n_cols=5, n_constants=0, n_outputs=3)
-    fset = cgp.default_function_set()
     add, sub, mul, div, sin = 0, 1, 2, 3, 6
     genes = np.array([
         # col 0
@@ -50,7 +49,7 @@ def build_three_output_genome() -> cgp.Genotype:
     ], dtype=np.int64)
     outputs = np.array([4, 8, 9], dtype=np.int64)
     constants = np.zeros(0)
-    g = cgp.Genotype(cfg, fset, genes, outputs, constants)
+    g = cgp.Genotype(cfg, genes, outputs, constants)
     cgp.validate_genotype(g)
     return g
 
@@ -60,27 +59,21 @@ def three_output_genome():
     return build_three_output_genome()
 
 
-@pytest.fixture
-def fset():
-    return cgp.default_function_set()
-
-
 def single_op_chromosome(op_name: str, source: int, n_inputs: int, w, b,
                          layer_index: int) -> LayerChromosome:
     """Chromosome whose scalar is one unary op (or a passthrough) of an input.
 
     ``op_name`` of "id" wires the output gene straight to the input.
     """
-    fset = cgp.default_function_set()
     cfg = cgp.CgpConfig(n_inputs=n_inputs, n_rows=1, n_cols=1, n_constants=0)
     if op_name == "id":
         genes = np.array([[0, 0, 0]], dtype=np.int64)
         out = np.array([source])
     else:
-        code = fset.by_name(op_name).code
+        code = cgp.FUNCTION_SET.by_name(op_name).code
         genes = np.array([[code, source, source]], dtype=np.int64)
         out = np.array([n_inputs])
-    g = cgp.Genotype(cfg, fset, genes, out, np.zeros(0))
+    g = cgp.Genotype(cfg, genes, out, np.zeros(0))
     return LayerChromosome(g, AffineParams(np.asarray(w, float),
                                            np.asarray(b, float)), layer_index)
 

@@ -33,17 +33,17 @@ _TOKEN = re.compile(
 
 _UNARY = {
     "sqrt": cgp.p_sqrt,
-    "sin": cgp.p_sin,
-    "cos": cgp.p_cos,
+    "sin": np.sin,
+    "cos": np.cos,
     "ln": cgp.p_ln,
     "tan": cgp.p_tan,
     "exp": cgp.p_exp,
 }
 
 _BINARY = {
-    "+": cgp.p_add,
-    "-": cgp.p_sub,
-    "*": cgp.p_mul,
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
     "/": cgp.p_div,
 }
 
@@ -93,7 +93,7 @@ def parse_infix(text: str, var_names: list[str]):
                 if take() != "2":
                     raise ValueError("only ^2 is printed")
                 take(")")
-                return lambda X: cgp.p_square(left(X))
+                return lambda X: np.square(left(X))
             op = _BINARY[take()]
             right = atom()
             take(")")
@@ -396,7 +396,7 @@ def train_per_layer(X, T, arch, cfg, head):
     return layers
 
 
-def random_genotype_one_at_a_time(config, fset, rng):
+def random_genotype_one_at_a_time(config, rng):
     """One uniformly random genome by five draws: its opcodes, each node's
     first input, each node's second input, the output genes, the constants.
     An input is a rank below the node's ``input_choices``; a rank past the
@@ -407,16 +407,16 @@ def random_genotype_one_at_a_time(config, fset, rng):
     shifts = np.array([config.input_shift(c) for c in cols])
     base = config.n_sources_before_nodes
     genes = np.empty((n_nodes, 3), dtype=np.int64)
-    genes[:, 0] = rng.integers(0, len(fset), n_nodes)
+    genes[:, 0] = rng.integers(0, len(cgp.FUNCTION_SET), n_nodes)
     for slot in (1, 2):
         ranks = rng.integers(0, choices)
         genes[:, slot] = np.where(ranks < base, ranks, ranks + shifts)
     outputs = rng.integers(0, config.n_sources, config.n_outputs)
     constants = rng.uniform(-1.0, 1.0, config.n_constants)
-    return cgp.Genotype(config, fset, genes, outputs, constants)
+    return cgp.Genotype(config, genes, outputs, constants)
 
 
-def random_net_genotype_one_at_a_time(n_inputs, widths, fset, rng, n_rows, n_cols,
+def random_net_genotype_one_at_a_time(n_inputs, widths, rng, n_rows, n_cols,
                                       n_constants):
     """One random network, its chromosomes drawn one after another by
     ``random_genotype_one_at_a_time``, affines at w=1, b=0."""
@@ -425,7 +425,7 @@ def random_net_genotype_one_at_a_time(n_inputs, widths, fset, rng, n_rows, n_col
     for i, width in enumerate(widths):
         cfg = cgp.CgpConfig(n_inputs=prev, n_rows=n_rows, n_cols=n_cols,
                             n_constants=n_constants)
-        chroms.append(LayerChromosome(random_genotype_one_at_a_time(cfg, fset, rng),
+        chroms.append(LayerChromosome(random_genotype_one_at_a_time(cfg, rng),
                                       AffineParams(np.ones(width), np.zeros(width)), i))
         prev = width
     return NetGenotype(tuple(chroms))

@@ -17,44 +17,54 @@ def small_config(**kw):
     return cgp.CgpConfig(**base)
 
 
+class TestFunctionSet:
+    def test_opcodes_are_pinned(self):
+        # every genotype.json stores opcodes as indices into this table
+        assert [(op.code, op.name, op.arity) for op in cgp.FUNCTION_SET.ops] == [
+            (0, "+", 2), (1, "-", 2), (2, "*", 2), (3, "/", 2), (4, "sqrt", 1),
+            (5, "square", 1), (6, "sin", 1), (7, "cos", 1), (8, "ln", 1),
+            (9, "tan", 1), (10, "exp", 1)]
+        assert cgp.Genotype.fset is cgp.FUNCTION_SET
+
+
 class TestRandomGenotype:
-    def test_single_node_addresses_only_input(self, fset):
+    def test_single_node_addresses_only_input(self):
         cfg = cgp.CgpConfig(n_inputs=1, n_rows=1, n_cols=1, n_constants=0)
         for seed in range(20):
-            g = cgp.random_genotypes(cfg, fset, 1, np.random.default_rng(seed))[0]
+            g = cgp.random_genotypes(cfg, 1, np.random.default_rng(seed))[0]
             assert g.function_genes.shape == (1, 3)
             assert g.function_genes[0, 1] == 0
             assert g.function_genes[0, 2] == 0
 
-    def test_same_seed_same_genotype(self, fset):
+    def test_same_seed_same_genotype(self):
         cfg = small_config()
-        a = cgp.random_genotypes(cfg, fset, 1, np.random.default_rng(7))[0]
-        b = cgp.random_genotypes(cfg, fset, 1, np.random.default_rng(7))[0]
+        a = cgp.random_genotypes(cfg, 1, np.random.default_rng(7))[0]
+        b = cgp.random_genotypes(cfg, 1, np.random.default_rng(7))[0]
         assert np.array_equal(a.function_genes, b.function_genes)
         assert np.array_equal(a.output_genes, b.output_genes)
         assert np.array_equal(a.constants, b.constants)
 
-    def test_opcode_coverage_over_many_draws(self, fset):
+    def test_opcode_coverage_over_many_draws(self):
         cfg = small_config()
         rng = np.random.default_rng(0)
         seen = set()
         for _ in range(1000):
-            g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
+            g = cgp.random_genotypes(cfg, 1, rng)[0]
             seen.update(int(x) for x in g.function_genes[:, 0])
-        assert seen == set(range(len(fset)))
+        assert seen == set(range(len(cgp.FUNCTION_SET)))
 
-    def test_always_valid(self, fset):
+    def test_always_valid(self):
         rng = np.random.default_rng(3)
         for lb in (1, 2, 3):
             cfg = small_config(levels_back=lb)
             for _ in range(50):
-                cgp.validate_genotype(cgp.random_genotypes(cfg, fset, 1, rng)[0])
+                cgp.validate_genotype(cgp.random_genotypes(cfg, 1, rng)[0])
 
-    def test_constants_in_unit_interval(self, fset):
+    def test_constants_in_unit_interval(self):
         cfg = small_config(n_constants=4)
         rng = np.random.default_rng(1)
         for _ in range(100):
-            g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
+            g = cgp.random_genotypes(cfg, 1, rng)[0]
             assert np.all(g.constants >= -1) and np.all(g.constants <= 1)
 
 
@@ -84,23 +94,22 @@ class TestRandomGenotypes:
     @pytest.mark.parametrize("levels_back", [1, 2, None])
     @pytest.mark.parametrize("n_constants", [0, 1, 3])
     @pytest.mark.parametrize("n_outputs", [1, 3])
-    def test_one_genome_draws_as_the_one_at_a_time_oracle(self, fset, levels_back,
+    def test_one_genome_draws_as_the_one_at_a_time_oracle(self, levels_back,
                                                           n_constants, n_outputs):
         cfg = small_config(n_rows=3, n_cols=4, n_constants=n_constants,
                            levels_back=levels_back, n_outputs=n_outputs)
         for seed in range(30):
             mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(2):
-                assert same_genes(cgp.random_genotypes(cfg, fset, 1, mine)[0],
-                                  random_genotype_one_at_a_time(cfg, fset, ref))
+                assert same_genes(cgp.random_genotypes(cfg, 1, mine)[0],
+                                  random_genotype_one_at_a_time(cfg, ref))
             assert mine.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("levels_back", [1, None])
-    def test_wave_genomes_are_valid_keyed_and_own_their_arrays(self, fset,
-                                                               levels_back):
+    def test_wave_genomes_are_valid_keyed_and_own_their_arrays(self, levels_back):
         cfg = small_config(n_rows=3, n_cols=4, n_constants=2,
                            levels_back=levels_back, n_outputs=2)
-        wave = cgp.random_genotypes(cfg, fset, 60, np.random.default_rng(36))
+        wave = cgp.random_genotypes(cfg, 60, np.random.default_rng(36))
         assert len(wave) == 60
         genomes = list(wave)
         fields = ("function_genes", "output_genes", "constants")
@@ -112,20 +121,20 @@ class TestRandomGenotypes:
                 assert not any(np.shares_memory(getattr(g, field), getattr(h, field))
                                for h in genomes[i + 1:])
 
-    def test_rng_calls_do_not_depend_on_n(self, fset):
+    def test_rng_calls_do_not_depend_on_n(self):
         cfg = small_config(n_constants=2)
         calls = []
         for n in (1, 7, 60):
             rng = CountingRng(np.random.default_rng(37))
-            cgp.random_genotypes(cfg, fset, n, rng)
+            cgp.random_genotypes(cfg, n, rng)
             calls.append(rng.calls)
         assert calls == [5, 5, 5]
 
-    def test_wave_draws_every_valid_value(self, fset):
+    def test_wave_draws_every_valid_value(self):
         cfg = small_config(n_rows=2, n_cols=3, levels_back=1, n_constants=2)
-        wave = cgp.random_genotypes(cfg, fset, 3000, np.random.default_rng(38))
+        wave = cgp.random_genotypes(cfg, 3000, np.random.default_rng(38))
         genes = np.stack([g.function_genes for g in wave])
-        assert set(genes[:, :, 0].ravel().tolist()) == set(range(len(fset)))
+        assert set(genes[:, :, 0].ravel().tolist()) == set(range(len(cgp.FUNCTION_SET)))
         base = cfg.n_sources_before_nodes
         for j in range(cfg.n_nodes):
             col = cfg.node_column(j)
@@ -141,20 +150,20 @@ class TestRandomGenotypes:
 
 
 class TestDecode:
-    def test_passthrough_output(self, fset):
+    def test_passthrough_output(self):
         cfg = cgp.CgpConfig(n_inputs=2, n_rows=1, n_cols=1, n_constants=0)
         genes = np.array([[0, 0, 1]], dtype=np.int64)
-        g = cgp.Genotype(cfg, fset, genes, np.array([0]), np.zeros(0))
+        g = cgp.Genotype(cfg, genes, np.array([0]), np.zeros(0))
         (tree,) = cgp.decode(g)
         assert tree == cgp.Var(0)
 
-    def test_single_add_node(self, fset):
+    def test_single_add_node(self):
         # op '+' with inputs x0, x1 sitting at the first node slot
         cfg = cgp.CgpConfig(n_inputs=2, n_rows=1, n_cols=1, n_constants=0)
         genes = np.array([[0, 0, 1]], dtype=np.int64)
-        g = cgp.Genotype(cfg, fset, genes, np.array([2]), np.zeros(0))
+        g = cgp.Genotype(cfg, genes, np.array([2]), np.zeros(0))
         (tree,) = cgp.decode(g)
-        assert tree == cgp.Call(fset[0], (cgp.Var(0), cgp.Var(1)))
+        assert tree == cgp.Call(cgp.FUNCTION_SET[0], (cgp.Var(0), cgp.Var(1)))
         assert cgp.to_infix(tree, ["x0", "x1"]) == "(x0 + x1)"
 
     def test_three_output_genome_functions(self, three_output_genome):
@@ -168,13 +177,13 @@ class TestDecode:
 
 
 class TestEvaluate:
-    def test_sum_of_inputs(self, fset):
-        tree = cgp.Call(fset.by_name("+"), (cgp.Var(0), cgp.Var(1)))
+    def test_sum_of_inputs(self):
+        tree = cgp.Call(cgp.FUNCTION_SET.by_name("+"), (cgp.Var(0), cgp.Var(1)))
         out = cgp.evaluate(tree, np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert np.array_equal(out, [3.0, 7.0])
 
-    def test_ln_at_zero_is_sentinel(self, fset):
-        tree = cgp.Call(fset.by_name("ln"), (cgp.Var(0),))
+    def test_ln_at_zero_is_sentinel(self):
+        tree = cgp.Call(cgp.FUNCTION_SET.by_name("ln"), (cgp.Var(0),))
         out = cgp.evaluate(tree, np.array([[0.0], [1.0]]))
         assert out[0] == cgp.LN_SENTINEL
         assert out[1] == 0.0
@@ -185,8 +194,8 @@ class TestEvaluate:
         out = cgp.evaluate(tree, np.array([[1.0, 1.0]]))
         assert out[0] == 3.0
 
-    def test_dimension_mismatch(self, fset):
-        tree = cgp.Call(fset.by_name("+"), (cgp.Var(0), cgp.Var(3)))
+    def test_dimension_mismatch(self):
+        tree = cgp.Call(cgp.FUNCTION_SET.by_name("+"), (cgp.Var(0), cgp.Var(3)))
         with pytest.raises(DimensionMismatch):
             cgp.evaluate(tree, np.zeros((4, 2)))
 
@@ -194,12 +203,12 @@ class TestEvaluate:
         assert cgp.p_div(np.array([5.0]), np.array([0.0]))[0] == 5.0
         assert cgp.p_div(np.array([6.0]), np.array([2.0]))[0] == 3.0
 
-    def test_never_raises_and_flags_overflow(self, fset):
+    def test_never_raises_and_flags_overflow(self):
         rng = np.random.default_rng(11)
         cfg = small_config(n_rows=4, n_cols=6)
         X = rng.uniform(-1e8, 1e8, size=(32, 3))
         for _ in range(200):
-            g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
+            g = cgp.random_genotypes(cfg, 1, rng)[0]
             out = cgp.evaluate_genotype(g, X)[0]
             assert out.shape == (32,)
             assert out.dtype == np.float64
@@ -211,11 +220,11 @@ class TestEvaluate:
         ([["-", 2, 4], ["cos", 5, 3]], 6, [0.5, 2.0]),  # cos(c0 - c2); ignores c1
         ([["+", 0, 3], ["sin", 5, 0]], 4, [2.0]),      # the output gene reads c2
     ])
-    def test_a_row_only_for_each_constant_read(self, fset, monkeypatch, genes,
+    def test_a_row_only_for_each_constant_read(self, monkeypatch, genes,
                                               output, filled):
         cfg = cgp.CgpConfig(n_inputs=2, n_rows=1, n_cols=2, n_constants=3)
-        table = np.array([[fset.by_name(op).code, a, b] for op, a, b in genes])
-        g = cgp.Genotype(cfg, fset, table, np.array([output]),
+        table = np.array([[cgp.FUNCTION_SET.by_name(op).code, a, b] for op, a, b in genes])
+        g = cgp.Genotype(cfg, table, np.array([output]),
                          np.array([0.5, -0.25, 2.0]))
         X = np.random.default_rng(13).uniform(-2, 2, size=(9, 2))
         tree = cgp.decode(g)[0]
@@ -235,22 +244,22 @@ class TestEvaluate:
         active = sorted(cgp.active_nodes(g))
         assert len(steps) == len(active)
         for row, j in zip(steps, active):
-            node = cgp.Genotype(cfg, fset, table, np.array([5 + j]), g.constants)
+            node = cgp.Genotype(cfg, table, np.array([5 + j]), g.constants)
             assert np.array_equal(row, cgp.evaluate(cgp.decode(node)[0], X, g.constants))
         assert np.array_equal(out, expected)
 
 
 class TestActiveNodes:
-    def test_output_on_input_gives_empty_set(self, fset):
+    def test_output_on_input_gives_empty_set(self):
         cfg = cgp.CgpConfig(n_inputs=2, n_rows=1, n_cols=2, n_constants=0)
         genes = np.array([[0, 0, 1], [0, 0, 1]], dtype=np.int64)
-        g = cgp.Genotype(cfg, fset, genes, np.array([0]), np.zeros(0))
+        g = cgp.Genotype(cfg, genes, np.array([0]), np.zeros(0))
         assert cgp.active_nodes(g) == set()
 
-    def test_chain_all_active(self, fset):
+    def test_chain_all_active(self):
         cfg = cgp.CgpConfig(n_inputs=1, n_rows=1, n_cols=3, n_constants=0)
         genes = np.array([[6, 0, 0], [6, 1, 1], [6, 2, 2]], dtype=np.int64)
-        g = cgp.Genotype(cfg, fset, genes, np.array([3]), np.zeros(0))
+        g = cgp.Genotype(cfg, genes, np.array([3]), np.zeros(0))
         assert cgp.active_nodes(g) == {0, 1, 2}
 
     def test_three_output_genome_excludes_unreached(self, three_output_genome):
@@ -259,32 +268,32 @@ class TestActiveNodes:
 
 
 class TestMutate:
-    def test_prob_zero_is_identity(self, fset):
-        g = cgp.random_genotypes(small_config(), fset, 1, np.random.default_rng(0))[0]
+    def test_prob_zero_is_identity(self):
+        g = cgp.random_genotypes(small_config(), 1, np.random.default_rng(0))[0]
         m = cgp.mutate_many(g, 1, 0.0, np.random.default_rng(1))[0]
         assert np.array_equal(m.function_genes, g.function_genes)
         assert np.array_equal(m.output_genes, g.output_genes)
         assert np.array_equal(m.constants, g.constants)
 
-    def test_output_genes_never_change(self, fset):
+    def test_output_genes_never_change(self):
         rng = np.random.default_rng(2)
-        g = cgp.random_genotypes(small_config(), fset, 1, rng)[0]
+        g = cgp.random_genotypes(small_config(), 1, rng)[0]
         for _ in range(50):
             m = cgp.mutate_many(g, 1, 1.0, rng)[0]
             assert np.array_equal(m.output_genes, g.output_genes)
             cgp.validate_genotype(m)
 
-    def test_original_untouched(self, fset):
-        g = cgp.random_genotypes(small_config(), fset, 1, np.random.default_rng(4))[0]
+    def test_original_untouched(self):
+        g = cgp.random_genotypes(small_config(), 1, np.random.default_rng(4))[0]
         snapshot = g.function_genes.copy()
         cgp.mutate_many(g, 1, 1.0, np.random.default_rng(5))[0]
         assert np.array_equal(g.function_genes, snapshot)
 
-    def test_empirical_change_rate(self, fset):
+    def test_empirical_change_rate(self):
         # change rate per gene should be p * (1 - 1/k), k = valid value count
         cfg = small_config(n_constants=0)
         rng = np.random.default_rng(6)
-        g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
+        g = cgp.random_genotypes(cfg, 1, rng)[0]
         p = 0.4
         trials = 10_000
         changed = np.zeros_like(g.function_genes, dtype=float)
@@ -296,15 +305,15 @@ class TestMutate:
         for j in range(cfg.n_nodes):
             col = cfg.node_column(j)
             for slot in range(3):
-                k = len(fset) if slot == 0 else cfg.input_choices(col)
+                k = len(cgp.FUNCTION_SET) if slot == 0 else cfg.input_choices(col)
                 q = p * (1 - 1 / k)
                 sigma = np.sqrt(q * (1 - q) / trials)
                 assert abs(rate[j, slot] - q) < 3 * sigma, (j, slot, rate[j, slot], q)
 
-    def test_mutation_closure_over_sequences(self, fset):
+    def test_mutation_closure_over_sequences(self):
         rng = np.random.default_rng(8)
         for lb in (1, 3):
-            g = cgp.random_genotypes(small_config(levels_back=lb), fset, 1, rng)[0]
+            g = cgp.random_genotypes(small_config(levels_back=lb), 1, rng)[0]
             for _ in range(200):
                 g = cgp.mutate_many(g, 1, rng.uniform(0, 1), rng)[0]
                 cgp.validate_genotype(g)
@@ -314,13 +323,13 @@ class TestMutate:
         genes = g.function_genes.copy()
         genes[8] = [2, 3, 4]   # only touches an inactive node
         genes[9] = [0, 2, 2]
-        g2 = cgp.Genotype(g.config, g.fset, genes, g.output_genes.copy(), g.constants.copy())
+        g2 = cgp.Genotype(g.config, genes, g.output_genes.copy(), g.constants.copy())
         X = np.random.default_rng(9).normal(size=(64, 2))
         for a, b in zip(cgp.evaluate_genotype(g, X), cgp.evaluate_genotype(g2, X)):
             assert np.array_equal(a, b)
 
-    def test_same_seed_same_mutation_stream(self, fset):
-        g = cgp.random_genotypes(small_config(), fset, 1, np.random.default_rng(10))[0]
+    def test_same_seed_same_mutation_stream(self):
+        g = cgp.random_genotypes(small_config(), 1, np.random.default_rng(10))[0]
         r1, r2 = np.random.default_rng(42), np.random.default_rng(42)
         for _ in range(20):
             a = cgp.mutate_many(g, 1, 0.5, r1)[0]
@@ -330,12 +339,12 @@ class TestMutate:
 
 
 class TestMutateMany:
-    def test_empirical_change_rate_over_one_wave(self, fset):
+    def test_empirical_change_rate_over_one_wave(self):
         # per gene, the share of a 10 000-wide wave that differs from the
         # parent should be p * (1 - 1/k), k = valid value count
         cfg = small_config(n_constants=0)
         rng = np.random.default_rng(16)
-        g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
+        g = cgp.random_genotypes(cfg, 1, rng)[0]
         p = 0.4
         trials = 10_000
         wave = cgp.mutate_many(g, trials, p, rng)
@@ -345,25 +354,25 @@ class TestMutateMany:
         for j in range(cfg.n_nodes):
             col = cfg.node_column(j)
             for slot in range(3):
-                k = len(fset) if slot == 0 else cfg.input_choices(col)
+                k = len(cgp.FUNCTION_SET) if slot == 0 else cfg.input_choices(col)
                 q = p * (1 - 1 / k)
                 sigma = np.sqrt(q * (1 - q) / trials)
                 assert abs(rate[j, slot] - q) < 3 * sigma, (j, slot, rate[j, slot], q)
 
     @pytest.mark.parametrize("levels_back", [1, 3])
     @pytest.mark.parametrize("p", [0.03, 0.4, 1.0])
-    def test_every_offspring_valid(self, fset, levels_back, p):
+    def test_every_offspring_valid(self, levels_back, p):
         rng = np.random.default_rng(17)
         g = cgp.random_genotypes(small_config(levels_back=levels_back, n_cols=4,
-                                             n_constants=2), fset, 1, rng)[0]
+                                             n_constants=2), 1, rng)[0]
         wave = cgp.mutate_many(g, 300, p, rng)
         assert len(wave) == 300
         for m in wave:
             cgp.validate_genotype(m)
             assert np.array_equal(m.output_genes, g.output_genes)
 
-    def test_prob_zero_gives_exact_copies(self, fset):
-        g = cgp.random_genotypes(small_config(n_constants=2), fset, 1,
+    def test_prob_zero_gives_exact_copies(self):
+        g = cgp.random_genotypes(small_config(n_constants=2), 1,
                                  np.random.default_rng(18))[0]
         wave = cgp.mutate_many(g, 5, 0.0, np.random.default_rng(19))
         assert len(wave) == 5
@@ -372,8 +381,8 @@ class TestMutateMany:
             assert np.array_equal(m.output_genes, g.output_genes)
             assert np.array_equal(m.constants, g.constants)
 
-    def test_parent_untouched(self, fset):
-        g = cgp.random_genotypes(small_config(n_constants=2), fset, 1,
+    def test_parent_untouched(self):
+        g = cgp.random_genotypes(small_config(n_constants=2), 1,
                                  np.random.default_rng(20))[0]
         before = (g.function_genes.copy(), g.output_genes.copy(), g.constants.copy())
         cgp.mutate_many(g, 50, 1.0, np.random.default_rng(21))
@@ -381,8 +390,8 @@ class TestMutateMany:
         for a, b in zip(before, after):
             assert np.array_equal(a, b)
 
-    def test_offspring_share_no_memory(self, fset):
-        g = cgp.random_genotypes(small_config(n_constants=2), fset, 1,
+    def test_offspring_share_no_memory(self):
+        g = cgp.random_genotypes(small_config(n_constants=2), 1,
                                  np.random.default_rng(22))[0]
         wave = cgp.mutate_many(g, 6, 0.4, np.random.default_rng(23))
         genomes = list(wave) + [g]
@@ -396,8 +405,8 @@ class TestMutateMany:
             for field in fields:
                 assert getattr(m, field).base is None
 
-    def test_bad_probability_rejected(self, fset):
-        g = cgp.random_genotypes(small_config(), fset, 1, np.random.default_rng(24))[0]
+    def test_bad_probability_rejected(self):
+        g = cgp.random_genotypes(small_config(), 1, np.random.default_rng(24))[0]
         for p in (-0.1, 1.5):
             with pytest.raises(ValueError):
                 cgp.mutate_many(g, 3, p, np.random.default_rng(0))
@@ -428,7 +437,7 @@ def stacked(genomes):
 
 def with_genes(g, genes=None, constants=None):
     """A fresh genome with some fields replaced."""
-    return cgp.Genotype(g.config, g.fset,
+    return cgp.Genotype(g.config,
                         g.function_genes.copy() if genes is None else genes,
                         g.output_genes.copy(),
                         g.constants.copy() if constants is None else constants)
@@ -437,12 +446,12 @@ def with_genes(g, genes=None, constants=None):
 class TestPhenotypes:
     @pytest.mark.parametrize("levels_back", [1, None])
     @pytest.mark.parametrize("n_outputs", [1, 3])
-    def test_wave_pass_matches_active_nodes(self, fset, levels_back, n_outputs):
+    def test_wave_pass_matches_active_nodes(self, levels_back, n_outputs):
         cfg = small_config(n_rows=3, n_cols=5, n_constants=2,
                            levels_back=levels_back, n_outputs=n_outputs)
         rng = np.random.default_rng(30)
-        genomes = [cgp.random_genotypes(cfg, fset, 1, rng)[0] for _ in range(300)]
-        wave = cgp.phenotypes(cfg, fset, *stacked(genomes))
+        genomes = [cgp.random_genotypes(cfg, 1, rng)[0] for _ in range(300)]
+        wave = cgp.phenotypes(cfg, *stacked(genomes))
         assert len(wave) == len(wave.n_steps) == len(genomes)
         assert wave.steps.shape == (wave.n_steps.sum(), 4)
         ends = np.cumsum(wave.n_steps)[:-1]
@@ -450,11 +459,11 @@ class TestPhenotypes:
             assert s[:, 0].tolist() == sorted(cgp.active_nodes(g))
             for j, code, a, b in s.tolist():
                 assert (code, a) == tuple(g.function_genes[j, :2])
-                assert b == (g.function_genes[j, 2] if fset[code].arity == 2 else -1)
+                assert b == (g.function_genes[j, 2] if cgp.FUNCTION_SET[code].arity == 2 else -1)
 
-    def test_wave_matches_a_pass_of_one(self, fset):
+    def test_wave_matches_a_pass_of_one(self):
         g = cgp.random_genotypes(small_config(n_rows=3, n_cols=4, n_constants=2),
-                                 fset, 1, np.random.default_rng(31))[0]
+                                 1, np.random.default_rng(31))[0]
         wave = cgp.mutate_many(g, 40, 0.3, np.random.default_rng(32))
         ends = np.cumsum(wave.n_steps)
         for i, m in enumerate(wave):
@@ -462,22 +471,22 @@ class TestPhenotypes:
             assert alone.keys == [wave.keys[i]]
             assert np.array_equal(alone.steps, wave.steps[ends[i] - wave.n_steps[i]:ends[i]])
 
-    def test_take_of_unsorted_rows_equals_a_stack_of_its_genomes(self, fset):
+    def test_take_of_unsorted_rows_equals_a_stack_of_its_genomes(self):
         cfg = small_config(n_rows=3, n_cols=4, n_constants=2, n_outputs=2)
-        wave = cgp.random_genotypes(cfg, fset, 30, np.random.default_rng(35))
+        wave = cgp.random_genotypes(cfg, 30, np.random.default_rng(35))
         for rows in ([7], [29, 3, 3, 0, 18, 4], [5, 4, 3, 2, 1, 0]):
             taken, stacked_ = wave.take(rows), cgp.stack([wave[i] for i in rows])
             assert taken.keys == stacked_.keys
             for field in ("steps", "n_steps", "genes", "outputs", "constants"):
                 assert np.array_equal(getattr(taken, field), getattr(stacked_, field))
 
-    def test_equal_keys_give_bit_equal_outputs(self, fset):
+    def test_equal_keys_give_bit_equal_outputs(self):
         cfg = small_config(n_rows=2, n_cols=3, n_constants=2, n_outputs=2)
         rng = np.random.default_rng(33)
         X = rng.uniform(-3, 3, size=(50, 3))
         groups: dict = {}
         for _ in range(10):
-            parent = cgp.random_genotypes(cfg, fset, 1, rng)[0]
+            parent = cgp.random_genotypes(cfg, 1, rng)[0]
             wave = cgp.mutate_many(parent, 60, 0.15, rng)
             for m, key in zip(wave, wave.keys):
                 groups.setdefault(key, []).append(m)
@@ -492,12 +501,12 @@ class TestPhenotypes:
                 for a, b in zip(first, cgp.evaluate_genotype(m, X)):
                     assert np.array_equal(a, b, equal_nan=True)
 
-    def test_constants_in_the_key_only_when_read(self, fset):
+    def test_constants_in_the_key_only_when_read(self):
         cfg = cgp.CgpConfig(n_inputs=2, n_rows=1, n_cols=2, n_constants=2)
-        add, sin = fset.by_name("+").code, fset.by_name("sin").code
+        add, sin = cgp.FUNCTION_SET.by_name("+").code, cgp.FUNCTION_SET.by_name("sin").code
         # node 0 = x0 + c0 (source 2); node 1 = sin(node 0); c1 is never read
         genes = np.array([[add, 0, 2], [sin, 4, 1]], dtype=np.int64)
-        g = cgp.Genotype(cfg, fset, genes, np.array([5]), np.array([0.5, -0.25]))
+        g = cgp.Genotype(cfg, genes, np.array([5]), np.array([0.5, -0.25]))
 
         def key(genes=None, constants=None):
             return cgp.stack([with_genes(g, genes, constants)]).keys[0]
@@ -520,9 +529,9 @@ class TestPhenotypes:
         genes[9] = [0, 2, 2]
         assert cgp.stack([with_genes(g, genes)]).keys == cgp.stack([g]).keys
 
-    def test_evaluate_runs_the_wave_steps(self, fset, monkeypatch):
+    def test_evaluate_runs_the_wave_steps(self, monkeypatch):
         rng = np.random.default_rng(34)
-        wave = cgp.random_genotypes(small_config(n_rows=3, n_cols=4), fset, 1, rng)
+        wave = cgp.random_genotypes(small_config(n_rows=3, n_cols=4), 1, rng)
         X = rng.uniform(-1, 1, size=(20, 3))
         expected = [cgp.evaluate(t, X, wave[0].constants) for t in cgp.decode(wave[0])]
 
@@ -536,12 +545,12 @@ class TestPhenotypes:
 
 
 class TestDecodeEvaluateConsistency:
-    def test_tree_matches_graph_on_random_genomes(self, fset):
+    def test_tree_matches_graph_on_random_genomes(self):
         rng = np.random.default_rng(12)
         cfg = small_config(n_rows=3, n_cols=4, n_constants=2)
         X = rng.uniform(-2, 2, size=(100, 3))
         for _ in range(50):
-            g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
+            g = cgp.random_genotypes(cfg, 1, rng)[0]
             via_graph = cgp.evaluate_genotype(g, X)
             via_tree = [cgp.evaluate(t, X, g.constants) for t in cgp.decode(g)]
             for a, b in zip(via_graph, via_tree):
@@ -566,18 +575,18 @@ def awkward_inputs(rng, n, d):
 
 class TestEvaluateMany:
     @staticmethod
-    def genomes(cfg, fset, rng, n):
+    def genomes(cfg, rng, n):
         """n random genomes, a fifth of them with every output gene on an
         input or a constant (no steps), a fifth with one such output."""
         base = cfg.n_sources_before_nodes
         out = []
-        for i, g in enumerate(cgp.random_genotypes(cfg, fset, n, rng)):
+        for i, g in enumerate(cgp.random_genotypes(cfg, n, rng)):
             outputs = g.output_genes.copy()
             if i % 5 == 0:
                 outputs = rng.integers(0, base, cfg.n_outputs)
             elif i % 5 == 1:
                 outputs[0] = rng.integers(0, base)
-            out.append(cgp.Genotype(cfg, fset, g.function_genes.copy(), outputs,
+            out.append(cgp.Genotype(cfg, g.function_genes.copy(), outputs,
                                     g.constants.copy()))
         return out
 
@@ -588,7 +597,7 @@ class TestEvaluateMany:
         (20, 200, 60),        # 10-row buffer, 3-row slabs: many blocks and slabs
         (8000, None, None),   # 8-row buffer, one-row slabs read in place
     ])
-    def test_equals_each_genome_alone_and_its_trees(self, fset, monkeypatch,
+    def test_equals_each_genome_alone_and_its_trees(self, monkeypatch,
                                                     levels_back, n_constants,
                                                     n_outputs, n, block, slab):
         if block is not None:
@@ -598,7 +607,7 @@ class TestEvaluateMany:
                            levels_back=levels_back, n_outputs=n_outputs)
         rng = np.random.default_rng(37)
         X = awkward_inputs(rng, n, cfg.n_inputs)
-        genomes = self.genomes(cfg, fset, rng, 40)
+        genomes = self.genomes(cfg, rng, 40)
         many = cgp.evaluate_many(genomes, X)
         assert many.shape == (len(genomes) * n_outputs, n)
         for d, g in enumerate(genomes):
@@ -609,26 +618,26 @@ class TestEvaluateMany:
                 assert same_bits(many[d * n_outputs + j], alone[j])
                 assert same_bits(alone[j], trees[j])
 
-    def test_one_genome_and_no_steps(self, fset):
+    def test_one_genome_and_no_steps(self):
         cfg = small_config(n_constants=2, n_outputs=2)
         X = awkward_inputs(np.random.default_rng(38), 9, 3)
         genes = np.zeros((cfg.n_nodes, 3), dtype=np.int64)
-        g = cgp.Genotype(cfg, fset, genes, np.array([1, 4]), np.array([0.5, -2.0]))
+        g = cgp.Genotype(cfg, genes, np.array([1, 4]), np.array([0.5, -2.0]))
         out = cgp.evaluate_many([g], X)
         assert same_bits(out, [X[:, 1], np.full(9, -2.0)])
 
-    def test_writes_into_out(self, fset):
+    def test_writes_into_out(self):
         rng = np.random.default_rng(39)
-        genomes = cgp.random_genotypes(small_config(), fset, 12, rng)
+        genomes = cgp.random_genotypes(small_config(), 12, rng)
         X = awkward_inputs(rng, 15, 3)
         out = np.full((12, 15), 7.0)
         assert cgp.evaluate_many(genomes, X, out=out) is out
         assert same_bits(out, cgp.evaluate_many(genomes, X))
 
-    def test_mixed_configs_and_bad_widths_rejected(self, fset):
+    def test_mixed_configs_and_bad_widths_rejected(self):
         rng = np.random.default_rng(40)
-        a = cgp.random_genotypes(small_config(), fset, 1, rng)[0]
-        b = cgp.random_genotypes(small_config(n_rows=3), fset, 1, rng)[0]
+        a = cgp.random_genotypes(small_config(), 1, rng)[0]
+        b = cgp.random_genotypes(small_config(n_rows=3), 1, rng)[0]
         with pytest.raises(ValueError, match="share a config"):
             cgp.evaluate_many([a, b], np.zeros((5, 3)))
         with pytest.raises(DimensionMismatch):
@@ -642,7 +651,7 @@ class TestOpsOnSlabs:
     on the CPU that runs the tests."""
 
     @pytest.mark.parametrize("n", [7, 160, 500, 8000])
-    def test_slab_equals_each_row(self, fset, n):
+    def test_slab_equals_each_row(self, n):
         rng = np.random.default_rng(n)
         k = 37
         special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-10, -1e-10, 1e-300,
@@ -654,7 +663,7 @@ class TestOpsOnSlabs:
             x.flat[hit] = rng.choice(special, hit.size)
             columns.append(x)
         slabs = [np.ascontiguousarray(x.T) for x in columns]
-        for op in fset.ops:
+        for op in cgp.FUNCTION_SET.ops:
             args = slabs[:op.arity]
             with np.errstate(all="ignore"):
                 whole = op.fn(*args)
@@ -672,12 +681,12 @@ class TestOpsOnSlabs:
 
 
 class TestToInfix:
-    def test_basic_forms(self, fset):
-        t = cgp.Call(fset.by_name("+"), (cgp.Var(0), cgp.Var(1)))
+    def test_basic_forms(self):
+        t = cgp.Call(cgp.FUNCTION_SET.by_name("+"), (cgp.Var(0), cgp.Var(1)))
         assert cgp.to_infix(t, ["x0", "x1"]) == "(x0 + x1)"
-        t = cgp.Call(fset.by_name("square"), (cgp.Var(1),))
+        t = cgp.Call(cgp.FUNCTION_SET.by_name("square"), (cgp.Var(1),))
         assert cgp.to_infix(t, ["x0", "x1"]) == "((x1)^2)"
-        t = cgp.Call(fset.by_name("sin"), (cgp.Const(0),))
+        t = cgp.Call(cgp.FUNCTION_SET.by_name("sin"), (cgp.Const(0),))
         assert cgp.to_infix(t, ["x0"], [0.25]) == "sin(0.25)"
 
     def test_deterministic(self, three_output_genome):
@@ -687,13 +696,13 @@ class TestToInfix:
         second = [cgp.to_infix(t, names) for t in trees]
         assert first == second
 
-    def test_round_trip_through_reference_parser(self, fset):
+    def test_round_trip_through_reference_parser(self):
         rng = np.random.default_rng(13)
         cfg = small_config(n_rows=3, n_cols=4, n_constants=1)
         names = ["x0", "x1", "x2"]
         X = rng.uniform(-2, 2, size=(50, 3))
         for _ in range(40):
-            g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
+            g = cgp.random_genotypes(cfg, 1, rng)[0]
             tree = cgp.decode(g)[0]
             text = cgp.to_infix(tree, names, g.constants)
             reparsed = parse_infix(text, names)
@@ -703,10 +712,10 @@ class TestToInfix:
 
 class TestValidateGenotype:
     @pytest.mark.parametrize("levels_back", [1, 2, 4])
-    def test_input_window_matches_straight_line_oracle(self, fset, levels_back):
+    def test_input_window_matches_straight_line_oracle(self, levels_back):
         cfg = small_config(n_inputs=2, n_cols=4, n_constants=1,
                            levels_back=levels_back)
-        g = cgp.random_genotypes(cfg, fset, 1, np.random.default_rng(19))[0]
+        g = cgp.random_genotypes(cfg, 1, np.random.default_rng(19))[0]
         base = cfg.n_sources_before_nodes
         for j in range(cfg.n_nodes):
             col = j // cfg.n_rows
@@ -717,7 +726,7 @@ class TestValidateGenotype:
                 for src in range(-2, cfg.n_sources + 2):
                     genes = g.function_genes.copy()
                     genes[j, slot] = src
-                    m = cgp.Genotype(cfg, fset, genes, g.output_genes.copy(),
+                    m = cgp.Genotype(cfg, genes, g.output_genes.copy(),
                                      g.constants.copy())
                     if src in window:
                         cgp.validate_genotype(m)
@@ -726,21 +735,21 @@ class TestValidateGenotype:
                             cgp.validate_genotype(m)
                         assert str(exc.value) == f"node {j} input gene {slot} out of range"
 
-    def test_first_bad_gene_is_named(self, fset):
+    def test_first_bad_gene_is_named(self):
         cfg = small_config(levels_back=1)
-        g = cgp.random_genotypes(cfg, fset, 1, np.random.default_rng(20))[0]
+        g = cgp.random_genotypes(cfg, 1, np.random.default_rng(20))[0]
         genes = g.function_genes.copy()
         genes[3, 2] = genes[4, 1] = cfg.n_sources
-        m = cgp.Genotype(cfg, fset, genes, g.output_genes.copy(), g.constants.copy())
+        m = cgp.Genotype(cfg, genes, g.output_genes.copy(), g.constants.copy())
         with pytest.raises(ValueError, match="node 3 input gene 2 out of range"):
             cgp.validate_genotype(m)
 
 
 class TestSerialization:
-    def test_round_trip(self, fset):
-        g = cgp.random_genotypes(small_config(), fset, 1, np.random.default_rng(14))[0]
+    def test_round_trip(self):
+        g = cgp.random_genotypes(small_config(), 1, np.random.default_rng(14))[0]
         text = cgp.genotype_to_json(g)
-        g2 = cgp.genotype_from_json(text, fset)
+        g2 = cgp.genotype_from_json(text)
         assert np.array_equal(g.function_genes, g2.function_genes)
         assert np.array_equal(g.output_genes, g2.output_genes)
         assert np.array_equal(g.constants, g2.constants)

@@ -715,6 +715,39 @@ class TestEval:
         grid = np.loadtxt(out / "grid.csv", delimiter=",", skiprows=1)
         assert np.array_equal(grid[:, 2], grid[:, 3])
 
+    @pytest.mark.parametrize("layer,field,index,value", [
+        (0, "w", 0, float("nan")),
+        (1, "b", 0, float("inf")),
+        (0, "function_genes", 0, 1.5),       # would read as opcode 1
+        (0, "function_genes", 0, True),
+        (1, "output_genes", 0, 1.5),         # would read as source 1
+        (0, "function_genes", 1, 10 ** 30),  # past int64
+        (1, "layer_index", None, 7),
+    ])
+    def test_bad_genotype_file_exits_3_before_any_artifact(
+            self, tmp_path, capsys, layer, field, index, value):
+        # two identity layers, y = x, each chromosome passing x through
+        weights = tmp_path / "w.json"
+        mlp.save_weights(mlp.MlpModel([(np.eye(1), np.zeros(1))] * 2), weights)
+        net = {"chromosomes": [{
+            "cgp": {"config": {"n_inputs": 1, "n_rows": 1, "n_cols": 1,
+                               "n_constants": 0, "levels_back": 1, "n_outputs": 1},
+                    "function_genes": [0, 0, 0], "output_genes": [0],
+                    "constants": []},
+            "w": [1.0], "b": [0.0], "layer_index": i} for i in range(2)]}
+        rec = net["chromosomes"][layer]
+        if index is None:
+            rec[field] = value
+        else:
+            (rec if field in rec else rec["cgp"])[field][index] = value
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(net))
+        out = tmp_path / "o"
+        assert main(["eval", "--genotype", str(gpath), "--weights", str(weights),
+                     "--domain=-1:1", "--points", "5", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_inputs,widths", [
         (1, [3]),                # one chromosome of the first hidden layer's width
         (1, [3, 1]),
@@ -728,7 +761,6 @@ class TestEval:
         net = surrogate.NetGenotype(())
         if widths:
             net = surrogate.random_net_genotypes(n_inputs, widths,
-                                                 cgp.default_function_set(),
                                                  np.random.default_rng(0), 1, 2, 2)[0]
         gpath = tmp_path / "g.json"
         gpath.write_text(surrogate.net_to_json(net))

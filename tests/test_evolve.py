@@ -28,8 +28,7 @@ def random_trace(rng, n=30, d=2, widths=(3, 1), task=ev.REGRESSION):
 
 
 def random_net(rng, d, widths, fitted_scale=1.0):
-    fset = cgp.default_function_set()
-    net = surrogate.random_net_genotypes(d, list(widths), fset, rng, 1,
+    net = surrogate.random_net_genotypes(d, list(widths), rng, 1,
                                          n_rows=2, n_cols=3)[0]
     chroms = []
     for c in net.chromosomes:
@@ -363,7 +362,7 @@ def population_with_duplicates(rng, d, widths, size=40):
             inactive = sorted(set(range(g.config.n_nodes)) - cgp.active_nodes(g))
             if inactive:
                 genes[inactive[0], 0] = (genes[inactive[0], 0] + 1) % len(g.fset)
-            twin = cgp.Genotype(g.config, g.fset, genes, g.output_genes.copy(),
+            twin = cgp.Genotype(g.config, genes, g.output_genes.copy(),
                                 g.constants.copy())
             chroms.append(surrogate.LayerChromosome(
                 twin, AffineParams(c.affine.w * 2.0, c.affine.b + 1.0), c.layer_index))
@@ -450,11 +449,10 @@ class TestEntryForms:
     @pytest.mark.parametrize("refit", [True, False])
     def test_population_and_list_select_alike(self, task, widths, refit):
         rng = np.random.default_rng(47)
-        fset = cgp.default_function_set()
         for _ in range(3):
             trace = random_trace(rng, widths=widths, task=task)
             parent = random_net(rng, 2, widths)
-            planted = surrogate.random_net_genotypes(2, list(widths), fset, rng, 1,
+            planted = surrogate.random_net_genotypes(2, list(widths), rng, 1,
                                                      1, 2)[0]
             # three runs at each position: an offspring wave, the parent, and
             # a genome of another grid
@@ -609,7 +607,7 @@ class TestEvolve:
         # the population holds waves of two configs
         trace, planted = planted_regression_setup()
         cfg = self.small_cfg(n_offspring=20, max_generations=10, n_rows=10, n_cols=10)
-        other = surrogate.random_net_genotypes(2, trace.widths, cgp.default_function_set(),
+        other = surrogate.random_net_genotypes(2, trace.widths,
                                                np.random.default_rng(46), 1, 10, 10)[0]
         best, log = ev.evolve(trace, ev.REGRESSION, cfg, initial=[other, planted])
         assert log.records[-1].best_total <= 1e-4

@@ -12,7 +12,7 @@ def passthrough_chromosome(n_inputs, w, b, layer_index=0, column=0):
     """Chromosome whose scalar f is just input column `column`."""
     cfg = cgp.CgpConfig(n_inputs=n_inputs, n_rows=1, n_cols=1, n_constants=0)
     genes = np.array([[0, 0, 0]], dtype=np.int64)
-    g = cgp.Genotype(cfg, cgp.default_function_set(), genes,
+    g = cgp.Genotype(cfg, genes,
                      np.array([column]), np.zeros(0))
     return surrogate.LayerChromosome(g, AffineParams(np.asarray(w, float),
                                                      np.asarray(b, float)),
@@ -35,10 +35,9 @@ class TestChromosomeForward:
 
     def test_affine_exactness(self):
         rng = np.random.default_rng(1)
-        fset = cgp.default_function_set()
         for _ in range(30):
             cfg = cgp.CgpConfig(n_inputs=3, n_rows=2, n_cols=3, n_constants=1)
-            g = cgp.random_genotypes(cfg, fset, 1, rng)[0]
+            g = cgp.random_genotypes(cfg, 1, rng)[0]
             width = int(rng.integers(1, 5))
             c = surrogate.LayerChromosome(
                 g, AffineParams(rng.normal(size=width), rng.normal(size=width)), 0)
@@ -54,12 +53,11 @@ class TestChromosomeForward:
 
     def test_constant_minus_cos_at_zero(self):
         # f(u) = 0.88 - cos(u); at u=0 the scalar is -0.12
-        fset = cgp.default_function_set()
         cfg = cgp.CgpConfig(n_inputs=1, n_rows=1, n_cols=2, n_constants=1)
         genes = np.array([[7, 0, 0],    # src 2: cos(u)
                           [1, 1, 2]],   # src 3: const - cos(u)
                          dtype=np.int64)
-        g = cgp.Genotype(cfg, fset, genes, np.array([3]), np.array([0.88]))
+        g = cgp.Genotype(cfg, genes, np.array([3]), np.array([0.88]))
         w = np.array([2.0, -1.0])
         b = np.array([0.5, 0.0])
         c = surrogate.LayerChromosome(g, AffineParams(w, b), 1)
@@ -89,8 +87,7 @@ class TestGenotypeForward:
 
     def test_three_layer_widths_chain(self):
         rng = np.random.default_rng(3)
-        fset = cgp.default_function_set()
-        net = surrogate.random_net_genotypes(2, [4, 4, 1], fset, rng, 1,
+        net = surrogate.random_net_genotypes(2, [4, 4, 1], rng, 1,
                                              n_rows=2, n_cols=3)[0]
         X = rng.uniform(-1, 1, size=(12, 2))
         outs = surrogate.genotype_forward(net, X)
@@ -104,8 +101,7 @@ class TestGenotypeForward:
 
     def test_forward_is_pure(self):
         rng = np.random.default_rng(4)
-        fset = cgp.default_function_set()
-        net = surrogate.random_net_genotypes(1, [3, 1], fset, rng, 1, n_rows=2,
+        net = surrogate.random_net_genotypes(1, [3, 1], rng, 1, n_rows=2,
                                              n_cols=2)[0]
         X = rng.normal(size=(6, 1))
         first = surrogate.genotype_forward(net, X)
@@ -119,23 +115,21 @@ class TestRandomNets:
     @pytest.mark.parametrize("n_inputs,widths", [(1, [3, 1]), (2, [4, 4, 2]), (3, [1])])
     def test_one_net_draws_as_the_one_at_a_time_oracle(self, n_constants, n_inputs,
                                                        widths):
-        fset = cgp.default_function_set()
         for seed in range(10):
             mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(2):
-                a = surrogate.random_net_genotypes(n_inputs, widths, fset, mine, 1, 2,
+                a = surrogate.random_net_genotypes(n_inputs, widths, mine, 1, 2,
                                                    3, n_constants)[0]
-                b = random_net_genotype_one_at_a_time(n_inputs, widths, fset, ref, 2,
+                b = random_net_genotype_one_at_a_time(n_inputs, widths, ref, 2,
                                                       3, n_constants)
                 assert surrogate.net_to_dict(a) == surrogate.net_to_dict(b)
             assert mine.bit_generator.state == ref.bit_generator.state
 
     def test_nets_are_one_wave_per_position(self):
-        fset = cgp.default_function_set()
-        nets = surrogate.random_net_genotypes(2, [3, 3, 1], fset,
+        nets = surrogate.random_net_genotypes(2, [3, 3, 1],
                                               np.random.default_rng(6), 5, 2, 3)
         rng = np.random.default_rng(6)
-        waves = [cgp.random_genotypes(cgp.CgpConfig(n_in, 2, 3), fset, 5, rng)
+        waves = [cgp.random_genotypes(cgp.CgpConfig(n_in, 2, 3), 5, rng)
                  for n_in in (2, 3, 3)]
         assert len(nets) == 5
         for wave, (mine,), affines in zip(waves, nets.waves, nets.affines):
@@ -154,10 +148,9 @@ class TestRandomNets:
 
 class TestPopulation:
     def test_listed_nets_make_one_wave_per_run_of_equal_grids(self):
-        fset = cgp.default_function_set()
         rng = np.random.default_rng(7)
-        small = surrogate.random_net_genotypes(2, [3, 1], fset, rng, 3, 2, 3)
-        other = surrogate.random_net_genotypes(2, [3, 1], fset, rng, 1, 1, 1)
+        small = surrogate.random_net_genotypes(2, [3, 1], rng, 3, 2, 3)
+        other = surrogate.random_net_genotypes(2, [3, 1], rng, 1, 1, 1)
         nets = [small[0], small[1], other[0], small[2]]
         pop = surrogate.Population.of(nets)
         assert len(pop) == 4
@@ -181,11 +174,10 @@ class TestPopulation:
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
-        fset = cgp.default_function_set()
-        net = surrogate.random_net_genotypes(2, [3, 1], fset, rng, 1, n_rows=2,
+        net = surrogate.random_net_genotypes(2, [3, 1], rng, 1, n_rows=2,
                                              n_cols=2)[0]
         text = surrogate.net_to_json(net)
-        net2 = surrogate.net_from_json(text, fset)
+        net2 = surrogate.net_from_json(text)
         assert surrogate.net_to_json(net2) == text
         X = rng.normal(size=(5, 2))
         a = surrogate.genotype_forward(net, X)[-1].h_values
