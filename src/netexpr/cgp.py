@@ -37,7 +37,7 @@ from typing import Callable, ClassVar, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, SchemaError
+from .errors import ConfigError, DimensionMismatch, SchemaError, json_floats
 
 DIV_EPS = 1e-9       # |denominator| below this returns the numerator
 LN_SENTINEL = -1e6   # value of ln at exactly zero
@@ -359,19 +359,26 @@ def mutate_many(g: Genotype, n: int, per_gene_prob: float,
     ``CONST_SIGMA``) with probability p and is redrawn uniformly in
     [-1, 1] with probability ``CONST_REDRAW`` * p.  The number of
     RNG calls does not depend on n, and the original genome is untouched.
+
+    One uniform per gene is drawn in (copy, node, slot) order; then each
+    slot's hits, copy after copy, are found by one ``np.flatnonzero`` and
+    given their new values by one draw and one write through the flat
+    gene tensor: hit i is node i % n_nodes, at flat index 3 * i + slot.
     """
     if not 0.0 <= per_gene_prob <= 1.0:
         raise ValueError("per_gene_prob must be in [0, 1]")
     cfg = g.config
     genes = np.repeat(g.function_genes[None], n, axis=0)
+    flat = genes.reshape(-1)
     mask = rng.random(genes.shape) < per_gene_prob
+    mask = np.ascontiguousarray(mask.reshape(-1, 3).T)    # (3, n * n_nodes)
 
-    hit = mask[..., 0]
-    genes[hit, 0] = rng.integers(0, len(FUNCTION_SET), int(hit.sum()))
+    hit = np.flatnonzero(mask[0])
+    flat[3 * hit] = rng.integers(0, len(FUNCTION_SET), len(hit))
 
     for slot in (1, 2):
-        hit = mask[..., slot]
-        genes[hit, slot] = _draw_sources(cfg, np.nonzero(hit)[1], rng)
+        hit = np.flatnonzero(mask[slot])
+        flat[3 * hit + slot] = _draw_sources(cfg, hit % cfg.n_nodes, rng)
 
     constants = np.repeat(g.constants[None], n, axis=0)
     if cfg.n_constants:
@@ -665,7 +672,7 @@ def genotype_from_dict(d: dict) -> Genotype:
             raise ValueError("function and output genes must be integers")
         genes = np.array(genes, dtype=np.int64).reshape(cfg.n_nodes, 3)
         outputs = np.array(outputs, dtype=np.int64)
-        constants = np.array(d["constants"], dtype=float)
+        constants = json_floats(d["constants"], "constants")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad genotype record: {exc}") from exc
     g = Genotype(cfg, genes, outputs, constants)

@@ -41,7 +41,7 @@ from . import cgp
 from . import evolve as ev
 from . import mlp
 from . import surrogate
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, SchemaError
 
 
 def _utc_now() -> str:
@@ -286,7 +286,10 @@ def _parse_domain(text: str) -> list[tuple[float, float]]:
 
 def cmd_eval(args) -> int:
     model = mlp.load_weights(args.weights)
-    net = surrogate.net_from_json(Path(args.genotype).read_text())
+    try:
+        net = surrogate.net_from_json(Path(args.genotype).read_text())
+    except SchemaError as exc:
+        raise SchemaError(f"genotype file {args.genotype}: {exc}") from exc
     layers = [c.n_inputs for c in net.chromosomes[:1]] + net.widths
     if layers != model.dims:
         raise DataError(f"genotype {args.genotype} chains widths {layers} (inputs "

@@ -1,4 +1,7 @@
-"""Shared exception types, mapped to CLI exit codes in cli.py."""
+"""Shared exception types, mapped to CLI exit codes in cli.py, and the
+check every artifact loader makes of its float fields."""
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -19,3 +22,22 @@ class DimensionMismatch(DataError):
 
 class NumericError(Exception):
     """Training or evaluation produced non-finite values (CLI exit code 4)."""
+
+
+def json_floats(value, field: str) -> np.ndarray:
+    """The float array of a JSON list (nested for a matrix) whose every
+    entry is a JSON number; ``true``, ``false``, strings and ``null`` are
+    not, and raise SchemaError naming the field."""
+    def entries(v):
+        if isinstance(v, list):
+            for x in v:
+                yield from entries(x)
+        else:
+            yield v
+
+    if not all(type(x) in (int, float) for x in entries(value)):
+        raise SchemaError(f"{field} must hold JSON numbers only")
+    try:
+        return np.array(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError(f"{field}: {exc}") from exc

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, DataError, DimensionMismatch, NumericError,
-                     SchemaError)
+                     SchemaError, json_floats)
 
 LINEAR = "linear"
 SOFTMAX = "softmax"
@@ -302,8 +302,9 @@ def load_weights(path: str | Path) -> MlpModel:
         if record["version"] != WEIGHTS_SCHEMA_VERSION:
             raise SchemaError(f"unsupported weight schema version {record['version']}")
         arch = record["arch"]
-        layers = [(np.array(layer["W"], dtype=float), np.array(layer["b"], dtype=float))
-                  for layer in record["layers"]]
+        layers = [(json_floats(layer["W"], f"weight file {path}: layer {i} W"),
+                   json_floats(layer["b"], f"weight file {path}: layer {i} b"))
+                  for i, layer in enumerate(record["layers"])]
         model = MlpModel(layers, record["head"])
     except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         if isinstance(exc, SchemaError):

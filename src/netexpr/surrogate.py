@@ -8,7 +8,8 @@ consumes layer i-1's wrapped output.
 A ``Population`` keeps each position's genomes as ``cgp.Wave``s; only
 an individual picked out becomes a chromosome.  ``net_from_json`` reads
 a genotype file back and raises ``SchemaError`` unless chromosome i has
-layer_index i, integer genes and finite affine params.
+layer_index i, integer genes, and affine params and constants that are
+finite JSON numbers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import cgp
 from .affine import AffineParams
-from .errors import DimensionMismatch, SchemaError
+from .errors import DimensionMismatch, SchemaError, json_floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,14 +130,27 @@ class Population:
         return Population(tuple(map(tuple.__add__, self.waves, other.waves)),
                           tuple(map(tuple.__add__, self.affines, other.affines)))
 
-    def chromosome(self, pos: int, i: int) -> LayerChromosome:
-        """Individual i's chromosome at position pos, owning copies of its genes."""
+    def _row(self, pos: int, i: int) -> tuple[cgp.Wave, int]:
+        """The wave that holds individual i at position pos, and i's row in it."""
         i = range(len(self))[i]
-        affine = self.affines[pos][i]
         for wave in self.waves[pos]:
             if i < len(wave):
-                return LayerChromosome(wave[i], affine, pos)
+                return wave, i
             i -= len(wave)
+
+    def chromosome(self, pos: int, i: int) -> LayerChromosome:
+        """Individual i's chromosome at position pos, owning copies of its genes."""
+        wave, row = self._row(pos, i)
+        return LayerChromosome(wave[row], self.affines[pos][i], pos)
+
+    def pick(self, rows: Sequence[int],
+             affines: Sequence[AffineParams]) -> "Population":
+        """The one individual made of individual rows[pos]'s genome at each
+        position, with the given affines: one-row takes of the waves, which
+        copy their rows and so keep no wave alive."""
+        return Population(tuple((wave.take([row]),) for wave, row in
+                                map(self._row, range(len(rows)), rows)),
+                          tuple((affine,) for affine in affines))
 
     def __getitem__(self, i: int) -> NetGenotype:
         return NetGenotype(tuple(self.chromosome(pos, i)
@@ -174,14 +188,14 @@ def net_to_dict(g: NetGenotype) -> dict:
 
 def net_from_dict(d: dict) -> NetGenotype:
     """The network of a ``net_to_dict`` record: chromosome i must have
-    layer_index i and finite affine params."""
+    layer_index i and affine params that are finite JSON numbers."""
     chroms = []
     try:
         for i, rec in enumerate(d["chromosomes"]):
             if type(rec["layer_index"]) is not int or rec["layer_index"] != i:
                 raise SchemaError(f"layer {i}: layer_index is {rec['layer_index']!r}")
-            affine = AffineParams(np.array(rec["w"], dtype=float),
-                                  np.array(rec["b"], dtype=float))
+            affine = AffineParams(json_floats(rec["w"], f"layer {i} w"),
+                                  json_floats(rec["b"], f"layer {i} b"))
             if not (np.isfinite(affine.w).all() and np.isfinite(affine.b).all()):
                 raise SchemaError(f"layer {i}: affine params w and b must be finite")
             chroms.append(LayerChromosome(cgp.genotype_from_dict(rec["cgp"]), affine, i))

@@ -5,7 +5,8 @@ library's own code paths: a tiny infix parser, a normal-equations fit,
 a per-problem affine loss with its gradient, a limited-memory BFGS fit
 of one problem, the layer loss of one prediction matrix, a plain-loop
 fitness recomputation, MLP training one layer at a time, random genomes
-drawn one at a time, and the CGP operators as plain expressions.
+drawn one at a time, point mutation by boolean-mask writes, and the CGP
+operators as plain expressions.
 """
 
 from __future__ import annotations
@@ -414,6 +415,42 @@ def random_genotype_one_at_a_time(config, rng):
     outputs = rng.integers(0, config.n_sources, config.n_outputs)
     constants = rng.uniform(-1.0, 1.0, config.n_constants)
     return cgp.Genotype(config, genes, outputs, constants)
+
+
+def mutate_many_masked(g, n, per_gene_prob, rng):
+    """n point-mutated copies of one genome by boolean-mask writes into an
+    (n, n_nodes, 3) gene tensor: the same draws in the same order as
+    ``cgp.mutate_many``.  One uniform per gene; the opcode hits, copy
+    after copy, get new opcodes; then each input slot's hits get ranks
+    below their node's ``input_choices``, shifted by ``input_shift`` past
+    the inputs and constants; then each constant's Gaussian nudge and
+    uniform redraw."""
+    config = g.config
+    cols = [config.node_column(j) for j in range(config.n_nodes)]
+    choices = np.array([config.input_choices(c) for c in cols])
+    shifts = np.array([config.input_shift(c) for c in cols])
+    base = config.n_sources_before_nodes
+    genes = np.repeat(g.function_genes[None], n, axis=0)
+    mask = rng.random(genes.shape) < per_gene_prob
+
+    hit = mask[..., 0]
+    genes[hit, 0] = rng.integers(0, len(cgp.FUNCTION_SET), int(hit.sum()))
+    for slot in (1, 2):
+        hit = mask[..., slot]
+        nodes = np.nonzero(hit)[1]
+        ranks = rng.integers(0, choices[nodes])
+        genes[hit, slot] = np.where(ranks < base, ranks, ranks + shifts[nodes])
+
+    constants = np.repeat(g.constants[None], n, axis=0)
+    if config.n_constants:
+        nudge = rng.random(constants.shape) < per_gene_prob
+        constants[nudge] += rng.normal(0.0, cgp.CONST_SIGMA, int(nudge.sum()))
+        redraw = rng.random(constants.shape) < cgp.CONST_REDRAW * per_gene_prob
+        constants[redraw] = rng.uniform(-1.0, 1.0, int(redraw.sum()))
+
+    return cgp.phenotypes(config, genes,
+                          np.broadcast_to(g.output_genes, (n, config.n_outputs)),
+                          constants)
 
 
 def random_net_genotype_one_at_a_time(n_inputs, widths, rng, n_rows, n_cols,

@@ -8,7 +8,8 @@ from netexpr import evolve as ev
 from netexpr.errors import DimensionMismatch
 from netexpr.mlp import LayerTrace
 
-from oracles import PLAIN_OPS, parse_infix, random_genotype_one_at_a_time
+from oracles import (PLAIN_OPS, mutate_many_masked, parse_infix,
+                     random_genotype_one_at_a_time)
 
 
 def small_config(**kw):
@@ -427,6 +428,28 @@ class TestMutateMany:
             ev.evolve(trace, task, cfg, log_stream=stream, include_timing=False)
         assert streams[0].getvalue() == streams[1].getvalue()
         assert len(streams[0].getvalue().splitlines()) == 1 + 8
+
+
+class TestMutateManyMatchesMaskedOracle:
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("shape", [
+        dict(),
+        dict(n_constants=0),
+        dict(n_outputs=3, n_constants=2),
+        dict(n_cols=5, levels_back=2),
+    ])
+    def test_bit_for_bit(self, n, p, shape):
+        cfg = small_config(**shape)
+        g = cgp.random_genotypes(cfg, 1, np.random.default_rng(61))[0]
+        r1, r2 = np.random.default_rng(62), np.random.default_rng(62)
+        got, want = cgp.mutate_many(g, n, p, r1), mutate_many_masked(g, n, p, r2)
+        for field in ("genes", "outputs", "constants", "steps", "n_steps"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+        assert got.keys == want.keys
+        # the generator is left at the same point of its stream
+        assert r1.random() == r2.random()
 
 
 def stacked(genomes):

@@ -748,6 +748,46 @@ class TestEval:
         assert capsys.readouterr().err.startswith("data error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,path,value,field", [
+        ("genotype", ("chromosomes", 0, "w", 0), True, "layer 0 w"),
+        ("genotype", ("chromosomes", 1, "b", 0), False, "layer 1 b"),
+        ("genotype", ("chromosomes", 0, "w", 0), "1.0", "layer 0 w"),
+        ("genotype", ("chromosomes", 0, "cgp", "constants", 0), True, "constants"),
+        ("genotype", ("chromosomes", 1, "cgp", "constants", 0), "0.5", "constants"),
+        ("weights", ("layers", 0, "W", 0, 0), True, "layer 0 W"),
+        ("weights", ("layers", 1, "W", 0, 0), False, "layer 1 W"),
+        ("weights", ("layers", 1, "b", 0), "0", "layer 1 b"),
+        ("genotype", ("chromosomes", 1, "w", 0), 10 ** 400, "layer 1 w"),  # past float
+        ("weights", ("layers", 0, "b", 0), 10 ** 400, "layer 0 b"),
+    ])
+    def test_non_number_json_value_exits_3_before_any_artifact(
+            self, tmp_path, capsys, kind, path, value, field):
+        # two identity layers, y = x, each chromosome passing x through; every
+        # value set here used to read as a float, or to raise a traceback
+        weights = tmp_path / "w.json"
+        mlp.save_weights(mlp.MlpModel([(np.eye(1), np.zeros(1))] * 2), weights)
+        records = {"weights": json.loads(weights.read_text()), "genotype": {
+            "chromosomes": [{
+                "cgp": {"config": {"n_inputs": 1, "n_rows": 1, "n_cols": 1,
+                                   "n_constants": 1, "levels_back": 1, "n_outputs": 1},
+                        "function_genes": [0, 0, 0], "output_genes": [0],
+                        "constants": [0.5]},
+                "w": [1.0], "b": [0.0], "layer_index": i} for i in range(2)]}}
+        rec = records[kind]
+        for key in path[:-1]:
+            rec = rec[key]
+        rec[path[-1]] = value
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(records["genotype"]))
+        weights.write_text(json.dumps(records["weights"]))
+        out = tmp_path / "o"
+        assert main(["eval", "--genotype", str(gpath), "--weights", str(weights),
+                     "--domain=-1:1", "--points", "5", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert str(gpath if kind == "genotype" else weights) in err and field in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_inputs,widths", [
         (1, [3]),                # one chromosome of the first hidden layer's width
         (1, [3, 1]),

@@ -535,6 +535,40 @@ class TestEvolve:
                            self.small_cfg(max_generations=5, fitness_target=1e-30))
         assert len(log.records) - 1 == len(waves) == 4
 
+    @pytest.mark.parametrize("task,widths", [(ev.REGRESSION, (3, 2, 1)),
+                                             (ev.CLASSIFICATION, (3, 2))])
+    def test_parent_is_carried_as_one_row_takes(self, monkeypatch, task, widths):
+        # the next population ends with the parent: at each position a
+        # one-row wave equal to the parent's genome stacked afresh, with the
+        # parent's affine, sharing no memory with the scored waves
+        scored = []
+
+        def recording(population, *args, **kwargs):
+            parent, loss_matrix = select(population, *args, **kwargs)
+            scored.append((population, parent))
+            return parent, loss_matrix
+
+        select = ev.select_layerwise_best
+        monkeypatch.setattr(ev, "select_layerwise_best", recording)
+        trace = random_trace(np.random.default_rng(46), widths=widths, task=task)
+        ev.evolve(trace, task, self.small_cfg(max_generations=8, fitness_target=1e-30,
+                                              affine_refit_every=2))
+        assert len(scored) == 8
+        fields = ("genes", "outputs", "constants", "steps", "n_steps")
+        for (before, parent), (after, _) in zip(scored, scored[1:]):
+            assert len(after) == 11
+            scored_arrays = [getattr(wave, f) for waves in before.waves
+                             for wave in waves for f in fields]
+            for pos, c in enumerate(parent.chromosomes):
+                kept = after.waves[pos][-1]
+                want = cgp.stack([c.genotype])
+                assert len(kept) == 1 and after.affines[pos][-1] is c.affine
+                for field in fields:
+                    a, b = getattr(kept, field), getattr(want, field)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), field
+                    assert not any(np.shares_memory(a, x) for x in scored_arrays)
+                assert kept.keys == want.keys
+
     def test_starting_population_is_one_wave_per_position(self, monkeypatch):
         seen = []
 
