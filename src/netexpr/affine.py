@@ -4,8 +4,9 @@ Both fitters take a whole population of scalar outputs at once, one row
 of F each.  For a squared-error loss each neuron's (w_j, b_j) is ordinary
 least squares of its target column against [f, 1], solved in closed form
 at every layer width.  The softmax cross-entropy output loss is fitted by
-a batched damped Newton method on standardised rows with one class
-pinned.
+a batched Newton method with Armijo backtracking on standardised rows
+with one class pinned; each Hessian diagonal entry is damped by a
+relative NEWTON_RIDGE of itself.
 
 Loss convention: mean over samples, sum over neurons (or classes).
 """
@@ -22,12 +23,12 @@ from .errors import DimensionMismatch
 MSE = "mse"
 CROSS_ENTROPY = "cross_entropy"
 
-NEWTON_MAX_ITERS = 500     # default cap on a cross-entropy fit's Newton steps
+NEWTON_MAX_ITERS = 500     # backstop on a cross-entropy fit's Newton steps
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_HALVINGS = 30
 NEWTON_TOL = 1e-16         # stop once the decrement is at most this * (1 + loss)
-NEWTON_RIDGE = 1e-12       # Hessian damping, relative to its largest diagonal entry
+NEWTON_RIDGE = 1e-12       # Hessian damping, relative to each diagonal entry
 
 
 @dataclass(frozen=True)
@@ -101,17 +102,18 @@ def _ce_lse(G, w, b):
     return Z, m + np.log(np.exp(-m) + np.exp(Z - m[:, None, :]).sum(axis=1))
 
 
-def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
-                       max_iters: int = NEWTON_MAX_ITERS) -> RowFits:
+def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray) -> RowFits:
     """Cross-entropy fit of targets (n, C) against every row of F (P, n).
 
     Softmax is shift-invariant, so class 0 is pinned (w_0 = b_0 = 0) and
     each row has 2(C-1) free parameters.  Rows are centred and scaled to
-    unit variance, fitted by damped Newton from w=0 and the best constant
-    logits, and mapped back.  Each row takes its own Armijo backtracking
-    step and stops once its Newton decrement g'H^-1g/2 is at most
-    NEWTON_TOL * (1 + loss) (converged), when no step decreases the loss,
-    or after ``max_iters`` steps.  A row without spread (as in
+    unit variance, fitted by Newton from w=0 and the best constant logits,
+    and mapped back.  Each Hessian diagonal entry is scaled by
+    1 + NEWTON_RIDGE, so each parameter is damped relative to its own
+    curvature.  Each row takes its own Armijo backtracking step and stops
+    once its Newton decrement g'H^-1g/2 is at most NEWTON_TOL * (1 + loss)
+    (converged), or when no step decreases the loss; NEWTON_MAX_ITERS
+    steps is a backstop only.  A row without spread (as in
     ``fit_affine_mse_rows``), or whose fit is not finite, is degenerate:
     w=0 and b the best constant logits.  Like the MSE fit, every sum runs
     along one row, so equal rows get bit-equal fits wherever they sit.
@@ -157,8 +159,8 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
         H[:, :K, K:] = H[:, K:, :K] = (A * g[:, None, None, :]).sum(axis=3)
         H[:, K:, K:] = A.sum(axis=3)
         H /= n
-        ridge = NEWTON_RIDGE * H[:, diag, diag].max(axis=1, initial=0.0)
-        H[:, diag, diag] += ridge[:, None] + np.finfo(float).tiny
+        H[:, diag, diag] *= 1.0 + NEWTON_RIDGE
+        H[:, diag, diag] += np.finfo(float).tiny
         ok = np.isfinite(H).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
         step = np.zeros((idx.size, D))
         step[ok] = np.linalg.solve(H[ok], -grad[ok][:, :, None])[:, :, 0]
@@ -170,7 +172,7 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
             loss, step, slope, ok = newton_step(active)
             done = -0.5 * slope <= NEWTON_TOL * (1.0 + loss)
             converged[rows[active]] = done & ok
-            go = ok & ~done & (iterations[rows[active]] < max_iters)
+            go = ok & ~done & (iterations[rows[active]] < NEWTON_MAX_ITERS)
             active, step, slope, loss = active[go], step[go], slope[go], loss[go]
 
             # per-row Armijo backtracking; a row that never passes stops

@@ -30,8 +30,8 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import cgp
-from .affine import (CROSS_ENTROPY, MSE, NEWTON_MAX_ITERS, AffineParams,
-                     fit_affine_ce_rows, fit_affine_mse_rows)
+from .affine import (CROSS_ENTROPY, MSE, AffineParams, fit_affine_ce_rows,
+                     fit_affine_mse_rows)
 from .errors import ConfigError, DimensionMismatch
 from .mlp import LayerTrace
 from .surrogate import (LayerChromosome, NetGenotype, Population, apply_affine,
@@ -59,7 +59,6 @@ class EvolveConfig:
     n_rows: int = cgp.CgpConfig.n_rows
     n_cols: int = cgp.CgpConfig.n_cols
     n_constants: int = cgp.CgpConfig.n_constants
-    newton_max_iters: int = NEWTON_MAX_ITERS   # per cross-entropy fit
 
     def __post_init__(self):
         if self.n_offspring < 1:
@@ -219,8 +218,7 @@ def _distinct(keys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def select_layerwise_best(population: Population | Sequence[NetGenotype],
-                          trace: LayerTrace, task: str, refit: bool = True,
-                          newton_max_iters: int = NEWTON_MAX_ITERS):
+                          trace: LayerTrace, task: str, refit: bool = True):
     """Assemble the per-position best chromosomes into one composite parent.
 
     A list of networks is made a ``Population`` first.  Positions are
@@ -232,14 +230,13 @@ def select_layerwise_best(population: Population | Sequence[NetGenotype],
     stands only for individuals that also share one affine object, whose
     params it is scored with; with ``refit`` the distinct rows are
     refitted by one batched call (closed form for MSE, Newton for
-    cross-entropy, ``newton_max_iters`` capping its steps).  Losses come
-    from ``score_rows``, equal to what ``fitness`` gives; rows that are
-    not all finite score the overflow penalty (the fitters mark them
-    degenerate).  Only the chosen individual becomes a chromosome,
-    refitted unless its row is not finite (then it keeps its affine); its
-    values are fed on unchanged.  Ties go to the lowest population index.
-    Returns the composite genotype and the (n_individuals, n_positions)
-    loss matrix.
+    cross-entropy).  Losses come from ``score_rows``, equal to what
+    ``fitness`` gives; rows that are not all finite score the overflow
+    penalty (the fitters mark them degenerate).  Only the chosen
+    individual becomes a chromosome, refitted unless its row is not finite
+    (then it keeps its affine); its values are fed on unchanged.  Ties go
+    to the lowest population index.  Returns the composite genotype and
+    the (n_individuals, n_positions) loss matrix.
     """
     _check_task(task)
     if not len(population):
@@ -279,7 +276,7 @@ def select_layerwise_best(population: Population | Sequence[NetGenotype],
         elif kind == MSE:
             W, B, _ = fit_affine_mse_rows(F, target)
         else:
-            W, B, *_ = fit_affine_ce_rows(F, target, newton_max_iters)
+            W, B, *_ = fit_affine_ce_rows(F, target)
         losses = score_rows(F, W, B, target, kind)[row_of]
         best = int(np.argmin(losses))     # first minimum: lowest-index tie-break
         k = row_of[best]
@@ -335,8 +332,7 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
     for gen in range(cfg.max_generations):
         refit = gen % cfg.affine_refit_every == 0
         parent, loss_matrix = select_layerwise_best(
-            population, trace, task, refit=refit,
-            newton_max_iters=cfg.newton_max_iters)
+            population, trace, task, refit=refit)
         per_pos = loss_matrix.min(axis=0).tolist()
         report = FitnessReport(tuple(per_pos[:-1]), per_pos[-1])
         if report.total <= best_total:       # ties drift to the newer parent

@@ -221,7 +221,7 @@ def test_c9_classification_toy():
     for seed in (2, 3, 4):
         cfg = ev.EvolveConfig(n_offspring=100, max_generations=250,
                               mutation_prob=0.2, fitness_target=1e-6, seed=seed,
-                              affine_refit_every=1, newton_max_iters=50)
+                              affine_refit_every=1)
         best, log = ev.evolve(trace, ev.CLASSIFICATION, cfg)
         runs.append((log.records[-1].best_total, best))
     _, chosen = min(runs, key=lambda r: r[0])

@@ -155,8 +155,7 @@ class TestSelection:
         for _ in range(5):
             trace = random_trace(rng, widths=widths, task=task)
             pop = [random_net(rng, 2, widths) for _ in range(8)]
-            parent, losses = ev.select_layerwise_best(pop, trace, task, refit=refit,
-                                                      newton_max_iters=50)
+            parent, losses = ev.select_layerwise_best(pop, trace, task, refit=refit)
             report = ev.fitness(parent, trace, task)
             assert (losses.min(axis=0).tolist()
                     == list(report.per_layer_mse) + [report.output_loss])
@@ -183,11 +182,10 @@ class TestSelection:
         finite = surrogate.NetGenotype((
             single_op_chromosome("sin", 1, 2, np.ones(3), np.zeros(3), 0),))
         _, losses = ev.select_layerwise_best([broken, finite], trace,
-                                             ev.CLASSIFICATION, newton_max_iters=50)
+                                             ev.CLASSIFICATION)
         assert losses[0, 0] == ev.OVERFLOW_PENALTY
         assert losses[1, 0] < ev.OVERFLOW_PENALTY
-        parent, losses = ev.select_layerwise_best([broken], trace, ev.CLASSIFICATION,
-                                                  newton_max_iters=50)
+        parent, losses = ev.select_layerwise_best([broken], trace, ev.CLASSIFICATION)
         assert losses[0, 0] == ev.OVERFLOW_PENALTY
         assert np.array_equal(parent.chromosomes[0].affine.w, np.full(3, 7.0))
         assert np.array_equal(parent.chromosomes[0].affine.b, np.zeros(3))
@@ -316,7 +314,7 @@ class TestScoreRows:
         assert out.shape == (0,)
 
 
-def select_without_dedup(population, trace, task, refit=True, newton_max_iters=500):
+def select_without_dedup(population, trace, task, refit=True):
     """select_layerwise_best as it was before duplicate phenotypes were
     skipped: every row evaluated, fitted and scored by score_values."""
     targets = ev._position_targets(trace, task)
@@ -331,7 +329,7 @@ def select_without_dedup(population, trace, task, refit=True, newton_max_iters=5
             if kind == ev.MSE:
                 w, b, _ = ev.fit_affine_mse_rows(F[rows], target)
             else:
-                w, b, *_ = ev.fit_affine_ce_rows(F[rows], target, newton_max_iters)
+                w, b, *_ = ev.fit_affine_ce_rows(F[rows], target)
             for i, wi, bi in zip(rows, w, b):
                 chroms[i] = chroms[i].with_affine(AffineParams(wi, bi))
         losses = np.full(len(chroms), ev.OVERFLOW_PENALTY)
@@ -383,10 +381,8 @@ class TestDuplicatePhenotypes:
         for _ in range(3):
             trace = random_trace(rng, widths=widths, task=task)
             pop = population_with_duplicates(rng, 2, widths)
-            parent, losses = ev.select_layerwise_best(pop, trace, task, refit=refit,
-                                                      newton_max_iters=50)
-            ref_parent, ref_losses = select_without_dedup(pop, trace, task, refit,
-                                                          newton_max_iters=50)
+            parent, losses = ev.select_layerwise_best(pop, trace, task, refit=refit)
+            ref_parent, ref_losses = select_without_dedup(pop, trace, task, refit)
             assert np.array_equal(losses, ref_losses)
             for c, r in zip(parent.chromosomes, ref_parent.chromosomes):
                 assert same_genome(c.genotype, r.genotype)
@@ -461,10 +457,8 @@ class TestEntryForms:
                    + surrogate.Population.of([planted]))
             assert [len(waves) for waves in pop.waves] == [3] * len(widths)
             listed = [pop[i] for i in range(len(pop))]
-            got, losses = ev.select_layerwise_best(pop, trace, task, refit=refit,
-                                                   newton_max_iters=50)
-            want, ref = ev.select_layerwise_best(listed, trace, task, refit=refit,
-                                                 newton_max_iters=50)
+            got, losses = ev.select_layerwise_best(pop, trace, task, refit=refit)
+            want, ref = ev.select_layerwise_best(listed, trace, task, refit=refit)
             assert np.array_equal(losses.view(np.int64), ref.view(np.int64))
             for c, r in zip(got.chromosomes, want.chromosomes):
                 assert same_genome(c.genotype, r.genotype)
@@ -661,7 +655,7 @@ class TestEvolve:
         rng = np.random.default_rng(12)
         trace = random_trace(rng, widths=(3, 2), task=ev.CLASSIFICATION)
         cfg = self.small_cfg(max_generations=5, fitness_target=1e-12,
-                             affine_refit_every=2, newton_max_iters=50)
+                             affine_refit_every=2)
         best, log = ev.evolve(trace, ev.CLASSIFICATION, cfg)
         assert len(log.records) == 5
         assert np.isfinite(log.records[-1].best_total)
