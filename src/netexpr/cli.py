@@ -347,24 +347,26 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    run_dirs = sorted(Path(args.dir).glob("run_*"))
-    if not run_dirs:
+    # by run number: as strings, run_10 sorts before run_2
+    runs = sorted((int(d.name[4:]), d) for d in Path(args.dir).glob("run_*")
+                  if d.name[4:].isdecimal())
+    if not runs:
         raise DataError(f"no run_* directories under {args.dir}")
     finals = []
-    for run_dir in run_dirs:
+    for _, run_dir in runs:
         csv_path = run_dir / "convergence.csv"
         header, rows = mlp.read_table(csv_path)
         if not {"best_total", "output_loss"} <= set(header):
             raise DataError(f"{csv_path} has no best_total or output_loss column")
         if finals and header != list(finals[0]):
             raise DataError(f"{csv_path}: header {','.join(header)} differs from "
-                            f"{run_dirs[0].name}'s {','.join(finals[0])}")
+                            f"{runs[0][1].name}'s {','.join(finals[0])}")
         finals.append(dict(zip(header, rows[-1].tolist())))
     layer_cols = [c for c in finals[0] if c.startswith("layer")]
     print(f"{'run':>4} {'best_total':>14} " +
           " ".join(f"{c:>12}" for c in layer_cols) + f" {'output_loss':>12}")
-    for i, row in enumerate(finals):
-        print(f"{i:>4} {row['best_total']:>14.6g} " +
+    for (r, _), row in zip(runs, finals):
+        print(f"{r:>4} {row['best_total']:>14.6g} " +
               " ".join(f"{row[c]:>12.6g}" for c in layer_cols) +
               f" {row['output_loss']:>12.6g}")
     bests = [row["best_total"] for row in finals]

@@ -18,6 +18,13 @@ one affine fit and one loss, and all losses come from one batched pass
 ``fitness`` scores through the same loss rule on one matrix
 (``score_values``), so selection, and so the convergence log, is the
 same as scoring every individual on its own, bit for bit.
+
+Predictions are scored neuron-major, (rows, width, n): the residual,
+the class max, ``exp`` and the log-sum-exp run along the samples, and one
+transposing copy puts each block back in sample-major order for the flat
+row sum.  The class sum keeps numpy's own order, so losses are the same
+bits as a sample-major pass: a reduce over the class axis below
+PAIRWISE_SUM_MIN classes, the sample-major last-axis sum from there up.
 """
 
 from __future__ import annotations
@@ -45,6 +52,11 @@ CLASSIFIER_REFIT_EVERY = 50    # explain's affine refit cadence for a classifier
 
 OVERFLOW_PENALTY = 1e12
 SCORE_BLOCK = 1 << 15    # predictions per block of the batched loss pass
+# numpy sums a contiguous run of 8 or more values pairwise, through 8
+# accumulators, and a shorter run in sequence.  A reduce over the class
+# axis of a neuron-major block always adds in sequence, so it gives the
+# sample-major class sum bit for bit only below this many classes.
+PAIRWISE_SUM_MIN = 8
 
 
 @dataclass
@@ -133,38 +145,54 @@ def _check_task(task: str) -> None:
 
 
 def _layer_losses(x: np.ndarray, target: np.ndarray, kind: str) -> np.ndarray:
-    """Layer loss of each prediction matrix in x (R, n, width), which it
-    overwrites: the mean square error over samples and neurons, or the
-    soft-target cross-entropy over samples.
+    """Layer loss of each prediction matrix in x (R, width, n), stored
+    neuron-major and overwritten, against target (width, n): the mean
+    square error over samples and neurons, or the soft-target
+    cross-entropy over samples.
 
-    Each matrix is flattened to one (n * width) row and reduced along it,
-    so a loss does not depend on the other matrices; no BLAS product or
-    running statistics.  A loss that is not finite scores the flat
-    overflow penalty.  That covers every non-finite prediction: inf or
-    NaN survives squaring and summing, and the log-softmax of a row with
-    an inf logit has a NaN or -inf term.  The caller silences the
+    The residual and square, and the class max, shift, ``exp`` and
+    log-sum-exp subtraction, run along the samples.  The class sum takes
+    numpy's own order for a sample's classes: a reduce over the class
+    axis below PAIRWISE_SUM_MIN classes, the sample-major last-axis sum
+    from there up.  One transposing copy then puts each matrix back in
+    sample-major order as one (n * width) row, which is reduced along
+    itself, so a loss does not depend on the other matrices; no BLAS
+    product or running statistics.  A loss that is not finite scores the
+    flat overflow penalty.  That covers every non-finite prediction: inf
+    or NaN survives squaring and summing, and the log-softmax of a sample
+    with an inf logit has a NaN or -inf term.  The caller silences the
     floating-point warnings.
     """
-    R, n, width = x.shape
-    flat = x.reshape(R, -1)
+    R, width, n = x.shape
     if kind == MSE:
         x -= target
         x *= x
-        loss = flat.sum(axis=1) / (n * width)
     else:
-        x -= x.max(axis=2, keepdims=True)
-        x -= np.log(np.exp(x).sum(axis=2, keepdims=True))
+        x -= x.max(axis=1, keepdims=True)
+        e = np.exp(x)
+        if width < PAIRWISE_SUM_MIN:
+            total = e.sum(axis=1, keepdims=True)
+        else:
+            total = _sample_major(e).sum(axis=2)[:, None, :]
+        x -= np.log(total)
         x *= target
-        loss = -flat.sum(axis=1) / n
+    flat = _sample_major(x).reshape(R, -1)
+    loss = flat.sum(axis=1) / (n * width) if kind == MSE else -flat.sum(axis=1) / n
     loss[~np.isfinite(loss)] = OVERFLOW_PENALTY
     return loss
 
 
+def _sample_major(x: np.ndarray) -> np.ndarray:
+    """A neuron-major block (R, width, n) as a C-order (R, n, width) array."""
+    return np.ascontiguousarray(x.transpose(0, 2, 1))
+
+
 def score_values(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
-    """Layer loss of one prediction matrix (n, width), by ``score_rows``'s rule."""
-    x = np.array(pred, dtype=float, order="C")[None]
+    """Layer loss of one prediction matrix (n, width), by ``score_rows``'s rule;
+    ``pred`` is copied neuron-major and left as it is."""
+    x = np.array(pred.T, dtype=float, order="C")[None]
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(_layer_losses(x, target, kind)[0])
+        return float(_layer_losses(x, target.T, kind)[0])
 
 
 def _position_targets(trace: LayerTrace, task: str):
@@ -194,18 +222,20 @@ def score_rows(F: np.ndarray, W: np.ndarray, B: np.ndarray, target: np.ndarray,
     every row i of F (R, n), bit for bit.
 
     Rows are taken in blocks of at most SCORE_BLOCK predictions, so the
-    temporaries stay small; each block's predictions are made in one
-    buffer that ``_layer_losses`` then scores in place.
+    temporaries stay small; each block's predictions are made neuron-major,
+    (rows, width, n), in one buffer that ``_layer_losses`` then scores in
+    place against the target made neuron-major once.
     """
     R, n = F.shape
     width = target.shape[1]
+    target = np.ascontiguousarray(target.T)
     losses = np.empty(R)
     step = max(1, SCORE_BLOCK // (n * width))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, R, step):
             block = slice(lo, lo + step)
-            x = F[block, :, None] * W[block, None, :]
-            x += B[block, None, :]
+            x = F[block, None, :] * W[block, :, None]
+            x += B[block, :, None]
             losses[block] = _layer_losses(x, target, kind)
     return losses
 

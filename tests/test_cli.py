@@ -859,6 +859,17 @@ class TestReport:
         text = capsys.readouterr().out
         assert "best:" in text and "mean:" in text
 
+    def test_runs_are_listed_by_run_number(self, tmp_path, capsys):
+        # as strings, run_10 and run_11 sort before run_2
+        for r in range(12):
+            (tmp_path / f"run_{r}").mkdir()
+            (tmp_path / f"run_{r}" / "convergence.csv").write_text(
+                f"generation,best_total,mean_total,output_loss\n0,{r + 1}.5,9.0,0.25\n")
+        assert main(["report", "--dir", str(tmp_path)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:-1]
+        assert [row.split()[:2] for row in rows] == [[str(r), f"{r + 1}.5"]
+                                                     for r in range(12)]
+
     def test_empty_dir_exits_3(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path)]) == 3
 

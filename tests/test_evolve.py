@@ -307,6 +307,63 @@ class TestScoreRows:
         monkeypatch.setattr(ev, "SCORE_BLOCK", 7)
         assert ev.score_rows(F, W, B, target, ev.MSE).tolist() == whole.tolist()
 
+    @pytest.mark.parametrize("n", [40, 500])
+    @pytest.mark.parametrize("width", [2, 7, 8, 9, 16])
+    def test_cross_entropy_bit_for_bit_on_both_sides_of_the_pairwise_sum(self, n, width):
+        # below PAIRWISE_SUM_MIN classes the class sum is a reduce over the
+        # class axis, from there up the sample-major last-axis sum
+        rng = np.random.default_rng(n + width)
+        R = 24
+        target = soft_targets(rng, n, width)
+        target[0, 0] = 0.0
+        F = rng.normal(size=(R, n)) * rng.choice([0.1, 1.0, 3.0], size=(R, 1))
+        W = rng.normal(size=(R, width))
+        B = rng.normal(size=(R, width))
+        F[0, 3] = np.nan
+        F[1, 5] = np.inf
+        F[2, 7] = -np.inf
+        F[3] = np.nan
+        # one -inf logit among finite ones: on sample 0's class 0 (target 0),
+        # then on sample 1's class 0 (target > 0)
+        F[4, 0], W[4], B[4] = -1e300, 1.0, 0.0
+        W[4, 0] = 1e10
+        F[5, 1], W[5], B[5] = -1e300, 1.0, 0.0
+        W[5, 0] = 1e10
+        B[6, 0] = -np.inf                    # class 0 is -inf on every sample
+        W[7] = 0.0                           # inf times 0 is NaN
+        F[7, 2] = np.inf
+        got = ev.score_rows(F, W, B, target, ev.CROSS_ENTROPY)
+        preds = [apply_affine(F[i], AffineParams(W[i], B[i])) for i in range(R)]
+        want = np.array([score_values_plain(p, target, ev.CROSS_ENTROPY) for p in preds])
+        one = np.array([ev.score_values(p, target, ev.CROSS_ENTROPY) for p in preds])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(one.view(np.int64), want.view(np.int64))
+        assert got[:8].tolist() == [ev.OVERFLOW_PENALTY] * 8
+        assert (got[8:] < ev.OVERFLOW_PENALTY).all()
+
+    def test_small_blocks_give_the_same_cross_entropy_losses(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        F, W, B = rng.normal(size=(30, 50)), rng.normal(size=(30, 4)), rng.normal(size=(30, 4))
+        target = soft_targets(rng, 50, 4)
+        whole = ev.score_rows(F, W, B, target, ev.CROSS_ENTROPY)
+        monkeypatch.setattr(ev, "SCORE_BLOCK", 7)
+        assert ev.score_rows(F, W, B, target, ev.CROSS_ENTROPY).tolist() == whole.tolist()
+
+    @pytest.mark.parametrize("kind", [ev.MSE, ev.CROSS_ENTROPY])
+    @pytest.mark.parametrize("width", [3, 9])
+    def test_score_values_takes_c_and_fortran_order_alike(self, kind, width):
+        rng = np.random.default_rng(44)
+        target = (soft_targets(rng, 25, width) if kind == ev.CROSS_ENTROPY
+                  else rng.normal(size=(25, width)))
+        pred_c = rng.normal(size=(25, width))
+        pred_f = np.asfortranarray(pred_c)
+        kept = pred_c.copy()
+        loss_c = ev.score_values(pred_c, target, kind)
+        loss_f = ev.score_values(pred_f, target, kind)
+        assert pred_f.flags.f_contiguous and not pred_f.flags.c_contiguous
+        assert loss_c == loss_f == score_values_plain(kept, target, kind)
+        assert np.array_equal(pred_c, kept) and np.array_equal(pred_f, kept)
+
     def test_no_rows(self):
         target = np.zeros((10, 2))
         out = ev.score_rows(np.zeros((0, 10)), np.zeros((0, 2)), np.zeros((0, 2)),
