@@ -6,7 +6,8 @@ least squares of its target column against [f, 1], solved in closed form
 at every layer width.  The softmax cross-entropy output loss is fitted by
 a batched Newton method with Armijo backtracking on standardised rows
 with one class pinned; each Hessian diagonal entry is damped by a
-relative NEWTON_RIDGE of itself.
+relative NEWTON_RIDGE of itself, and each step reads the logits,
+log-sum-exp and loss of the candidate the last line search accepted.
 
 Loss convention: mean over samples, sum over neurons (or classes).
 """
@@ -117,6 +118,8 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray) -> RowFits:
     ``fit_affine_mse_rows``), or whose fit is not finite, is degenerate:
     w=0 and b the best constant logits.  Like the MSE fit, every sum runs
     along one row, so equal rows get bit-equal fits wherever they sit.
+    A step starts from the logits, log-sum-exp and loss its row's accepted
+    Armijo candidate computed, which are the same bits as recomputing them.
     """
     P, n = F.shape
     C = targets.shape[1]
@@ -146,10 +149,9 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray) -> RowFits:
         return ((mass * lse).sum(axis=1) - linear) / n
 
     def newton_step(idx):
-        """Loss, Newton step, its slope g'step, and whether it is finite."""
+        """Newton step, its slope g'step, and whether it is finite."""
         g = G[idx]
-        Z, lse = _ce_lse(g, tw[idx], tb[idx])
-        prob = np.exp(Z - lse[:, None, :])               # (R, K, n)
+        prob = np.exp(Z[idx] - lse[idx][:, None, :])     # (R, K, n)
         Q = mass * prob
         grad = np.concatenate([(Q * g[:, None, :]).sum(axis=2) - TG[idx],
                                Q.sum(axis=2) - t_sum], axis=1) / n
@@ -164,12 +166,18 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray) -> RowFits:
         ok = np.isfinite(H).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
         step = np.zeros((idx.size, D))
         step[ok] = np.linalg.solve(H[ok], -grad[ok][:, :, None])[:, :, 0]
-        return loss_of(idx, tw[idx], tb[idx], lse), step, (grad * step).sum(axis=1), ok
+        return step, (grad * step).sum(axis=1), ok
 
     active = np.arange(rows.size)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # each row's logits, log-sum-exp and loss at its parameters: at the
+        # start, then its accepted Armijo candidate's, which the next Newton
+        # step reads rather than recomputes
+        Z, lse = _ce_lse(G, tw, tb)
+        losses = loss_of(active, tw, tb, lse)
         while active.size:
-            loss, step, slope, ok = newton_step(active)
+            step, slope, ok = newton_step(active)
+            loss = losses[active]
             done = -0.5 * slope <= NEWTON_TOL * (1.0 + loss)
             converged[rows[active]] = done & ok
             go = ok & ~done & (iterations[rows[active]] < NEWTON_MAX_ITERS)
@@ -184,10 +192,13 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray) -> RowFits:
                 idx = active[pending]
                 cw = tw[idx] + t[pending, None] * step[pending, :K]
                 cb = tb[idx] + t[pending, None] * step[pending, K:]
-                cand = loss_of(idx, cw, cb, _ce_lse(G[idx], cw, cb)[1])
+                cZ, c_lse = _ce_lse(G[idx], cw, cb)
+                cand = loss_of(idx, cw, cb, c_lse)
                 accept = np.isfinite(cand) & (
                     cand <= loss[pending] + ARMIJO_C * t[pending] * slope[pending])
-                tw[idx[accept]], tb[idx[accept]] = cw[accept], cb[accept]
+                won = idx[accept]
+                tw[won], tb[won] = cw[accept], cb[accept]
+                Z[won], lse[won], losses[won] = cZ[accept], c_lse[accept], cand[accept]
                 pending = pending[~accept]
                 t[pending] *= ARMIJO_SHRINK
             active = np.delete(active, pending)

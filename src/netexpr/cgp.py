@@ -21,9 +21,11 @@ byte key: equal keys compute equal values, bit for bit.  Waves come from
 ``random_genotypes``, ``mutate_many`` and, for genomes made one at a
 time, ``stack``.
 
-``evaluate_many`` runs a wave's steps together: one op call per
+``evaluate_many`` runs the steps of a wave, or of the listed rows of
+waves chained, together, reading them in place: one op call per
 (column, opcode) group on slabs of a bounded value buffer.
-``evaluate_genotype`` is its one-genome form.  ``decode`` and
+``evaluate_genotype`` is its one-genome form; a genome taken from a wave
+brings its phenotype along, so it is not stacked again.  ``decode`` and
 ``evaluate`` build and run expression trees, for printing and as the
 tests' reference.
 """
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Sequence, Union
 
 import numpy as np
@@ -71,12 +73,13 @@ def p_ln(a, out=None):
 
 def p_tan(a, out=None):
     out = np.tan(a, out=out)
-    return np.clip(out, -CLAMP, CLAMP, out=out)
+    np.maximum(out, -CLAMP, out=out)
+    return np.minimum(out, CLAMP, out=out)
 
 
 def p_exp(a, out=None):
-    out = np.exp(a, out=out)
-    return np.clip(out, -CLAMP, CLAMP, out=out)
+    out = np.exp(a, out=out)     # never negative: only the upper clamp acts
+    return np.minimum(out, CLAMP, out=out)
 
 
 @dataclass(frozen=True)
@@ -183,13 +186,16 @@ class Genotype:
     ``function_genes`` has one row per grid node: (opcode, input_a, input_b).
     Arity-1 ops ignore input_b, but the gene exists and can mutate.
     ``output_genes`` point at any source (input, constant, or node).
-    Opcodes index ``FUNCTION_SET``.
+    Opcodes index ``FUNCTION_SET``.  A genome taken from a wave keeps
+    its one-row ``wave``, the phenotype found there, so it is evaluated
+    without being stacked afresh.
     """
     fset: ClassVar[FunctionSet] = FUNCTION_SET   # the table, read-only
     config: CgpConfig
     function_genes: np.ndarray   # (n_nodes, 3) int
     output_genes: np.ndarray     # (n_outputs,) int
     constants: np.ndarray        # (n_constants,) float
+    wave: "Wave | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         self.function_genes.setflags(write=False)
@@ -215,19 +221,60 @@ class Wave:
         return len(self.keys)
 
     def __getitem__(self, i: int) -> Genotype:
-        """Genome i, owning copies of its rows: a view would keep the wave alive."""
-        return Genotype(self.config, self.genes[i].copy(),
-                        self.outputs[i].copy(), self.constants[i].copy())
+        """Genome i, owning copies of its rows (a view would keep the wave
+        alive), with its one-row wave: views of those copies, and copies of
+        its steps and key."""
+        genes, outputs, constants = (self.genes[i].copy(), self.outputs[i].copy(),
+                                     self.constants[i].copy())
+        rows = np.array([i], dtype=np.intp)
+        one = Wave(self.config, genes[None], outputs[None], constants[None],
+                   self.steps[_step_index(self.n_steps, rows)], self.n_steps[rows],
+                   [self.keys[i]])
+        return Genotype(self.config, genes, outputs, constants, one)
 
     def take(self, rows) -> "Wave":
         """The wave of the listed rows, in that order."""
         rows = np.asarray(rows, dtype=np.intp)
-        n_steps = self.n_steps[rows]
-        first = (np.cumsum(self.n_steps) - self.n_steps)[rows]
-        at = np.repeat(first - np.cumsum(n_steps) + n_steps, n_steps)
         return Wave(self.config, self.genes[rows], self.outputs[rows],
-                    self.constants[rows], self.steps[at + np.arange(len(at))],
-                    n_steps, [self.keys[i] for i in rows.tolist()])
+                    self.constants[rows], self.steps[_step_index(self.n_steps, rows)],
+                    self.n_steps[rows], [self.keys[i] for i in rows.tolist()])
+
+
+def _step_index(n_steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Where the listed genomes' steps sit, in that order, in a steps array
+    of genomes with these step counts, genome after genome."""
+    counts = n_steps[rows]
+    first = (np.cumsum(n_steps) - n_steps)[rows]
+    return np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _chained_rows(waves: Sequence[Wave], rows) -> tuple[np.ndarray, ...]:
+    """n_steps, steps, outputs and constants of the listed rows of waves
+    chained (rows numbered across them, in any order), gathered from the
+    waves' own arrays: no gene tensor is read."""
+    if rows is None and len(waves) == 1:
+        w = waves[0]
+        return w.n_steps, w.steps, w.outputs, w.constants
+    rows = np.arange(sum(map(len, waves))) if rows is None else np.asarray(rows, dtype=np.intp)
+    starts = np.cumsum([0] + [len(w) for w in waves])
+    if rows.size and not 0 <= rows.min() <= rows.max() < starts[-1]:
+        raise IndexError(f"rows out of range for {starts[-1]} genomes")
+    wave_of = np.searchsorted(starts, rows, side="right") - 1
+    first = waves[0]
+    n_steps = np.empty(len(rows), dtype=first.n_steps.dtype)
+    outputs = np.empty((len(rows), first.config.n_outputs), dtype=first.outputs.dtype)
+    constants = np.empty((len(rows), first.config.n_constants))
+    picks = []
+    for k, (w, start) in enumerate(zip(waves, starts)):
+        mine = np.flatnonzero(wave_of == k)
+        local = rows[mine] - start
+        n_steps[mine], outputs[mine], constants[mine] = (
+            w.n_steps[local], w.outputs[local], w.constants[local])
+        picks.append((w, mine, local))
+    steps = np.empty((int(n_steps.sum()), 4), dtype=first.steps.dtype)
+    for w, mine, local in picks:
+        steps[_step_index(n_steps, mine)] = w.steps[_step_index(w.n_steps, local)]
+    return n_steps, steps, outputs, constants
 
 
 def validate_genotype(g: Genotype) -> None:
@@ -410,43 +457,55 @@ def active_nodes(g: Genotype) -> set[int]:
     return active
 
 
-def evaluate_many(genomes: Wave | Sequence[Genotype], inputs: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate a wave (a list of genomes is stacked) on one input, by opcode.
+def evaluate_many(genomes: Wave | Sequence[Wave] | Sequence[Genotype],
+                  inputs: np.ndarray, out: np.ndarray | None = None,
+                  rows=None) -> np.ndarray:
+    """Evaluate genomes on one input, by opcode: a wave, waves of one config
+    chained, or a list of genomes (stacked).
 
-    Returns (len(genomes) * n_outputs, n): row d * n_outputs + j is output j
-    of genome d (written into ``out`` when given).  Each input column, each
-    constant a genome reads and each active step has a row in one value
-    buffer of at most ``EVAL_BLOCK`` elements, reused by successive blocks
-    of whole genomes when they do not fit at once.  A block's steps are
-    sorted by (column, opcode); a node reads only earlier columns, so each
-    group runs as one call of its op on the (k, n) slabs of its operands,
-    gathered ``EVAL_SLAB // n`` rows at a time, and writes its own rows; a
-    one-row slab is read in place.  Ops are elementwise, so every row
-    equals what evaluating its genome alone gives, bit for bit.
+    ``rows`` lists the genomes to evaluate, numbered across the chained
+    waves, in any order (default all).  They are read in place, from the
+    waves' steps, outputs and constants; no gene tensor is copied.
+    Returns (len(rows) * n_outputs, n): row d * n_outputs + j is output j
+    of listed genome d (written into ``out`` when given).  Each input
+    column, each constant a genome reads and each active step has a row in
+    one value buffer of at most ``EVAL_BLOCK`` elements, reused by
+    successive blocks of whole genomes when they do not fit at once.  A
+    block's steps are sorted by (column, opcode); a node reads only earlier
+    columns, so each group runs as one call of its op on the (k, n) slabs
+    of its operands, gathered ``EVAL_SLAB // n`` rows at a time, and writes
+    its own rows; a one-row slab is read in place.  Ops are elementwise, so
+    every row equals what evaluating its genome alone gives, bit for bit.
     Non-finite values propagate; callers flag them with ``np.isfinite``.
     """
-    wave = genomes if isinstance(genomes, Wave) else stack(genomes)
-    cfg = wave.config
+    if isinstance(genomes, Wave):
+        waves = [genomes]
+    elif len(genomes) and isinstance(genomes[0], Wave):
+        waves = list(genomes)
+    else:
+        waves = [stack(genomes)]
+    cfg = waves[0].config
+    if any(w.config != cfg for w in waves):
+        raise ValueError("chained waves must share a config")
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != cfg.n_inputs:
         raise DimensionMismatch(
             f"expected {cfg.n_inputs} input columns, got shape {inputs.shape}")
-    D, (n, n_in) = len(wave), inputs.shape
+    n_steps, steps, outputs, constants = _chained_rows(waves, rows)
+    D, S, (n, n_in) = len(n_steps), len(steps), inputs.shape
     base, n_out = cfg.n_sources_before_nodes, cfg.n_outputs
     if out is None:
         out = np.empty((D * n_out, n))
 
-    n_steps, S = wave.n_steps, len(wave.steps)
-    node, code, a, b = wave.steps.T
+    node, code, a, b = steps.T
     owner = np.repeat(np.arange(D), n_steps)
     # the constants read, genome by genome in slot order; the extra last
     # column takes the second input gene (-1) of arity-1 steps
     read = np.zeros((D, cfg.n_sources + 1), dtype=bool)
     read[owner, a] = read[owner, b] = True
-    read[np.arange(D)[:, None], wave.outputs] = True
+    read[np.arange(D)[:, None], outputs] = True
     c_owner, c_slot = np.nonzero(read[:, n_in:base])
-    c_value = wave.constants[c_owner, c_slot, None]
+    c_value = constants[c_owner, c_slot, None]
 
     # blocks of whole genomes whose constants and steps fit beside the
     # inputs: as few as the budget allows, filled evenly (every block but
@@ -479,7 +538,7 @@ def evaluate_many(genomes: Wave | Sequence[Genotype], inputs: np.ndarray,
     row_of[c_owner, n_in + c_slot] = c_row
     row_of[owner[order], base + node[order]] = s_row
     operands = (row_of[owner, a][order], row_of[owner, b][order])
-    out_rows = row_of[np.arange(D)[:, None], wave.outputs].reshape(-1)
+    out_rows = row_of[np.arange(D)[:, None], outputs].reshape(-1)
 
     # slabs: runs of at most `height` steps of one group
     height = max(1, EVAL_SLAB // max(n, 1))
@@ -513,8 +572,9 @@ def evaluate_many(genomes: Wave | Sequence[Genotype], inputs: np.ndarray,
 
 
 def evaluate_genotype(g: Genotype, inputs: np.ndarray) -> list[np.ndarray]:
-    """One genome's ``evaluate_many``: one vector per output gene."""
-    return list(evaluate_many([g], inputs))
+    """One genome's ``evaluate_many``, from the wave it was taken from when it
+    has one: one vector per output gene."""
+    return list(evaluate_many([g] if g.wave is None else g.wave, inputs))
 
 
 # --- phenotype trees -------------------------------------------------------

@@ -20,7 +20,8 @@ names the option.  The config classes check the rest: what spans fields
 ``ConfigError``.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
-Every exit 2 prints one ``config error:`` line.
+Every exit 2 prints one ``config error:`` line; a size option whose
+arrays cannot be allocated (``MemoryError``) is one too.
 """
 
 from __future__ import annotations
@@ -256,8 +257,8 @@ def cmd_sample_boundary(args) -> int:
         # (the data is finite) or more kept points than drawn
         raise ConfigError(f"{exc} (--margin {args.margin!r}, --pool {args.pool}, "
                           f"--keep {args.keep})") from None
-    out = _out_dir(args)
     sample = bdry.sample_near_boundary(model, cfg)
+    out = _out_dir(args)
     manifest = Manifest("sample-boundary", {
         "weights": args.weights, "benchmark": args.benchmark, "csv": args.csv,
         "pool": args.pool, "keep": args.keep, "margin": args.margin,
@@ -554,6 +555,10 @@ def main(argv=None) -> int:
         return exc.code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:   # a size option too large to allocate for
+        print(f"config error: out of memory, a size option is too large "
+              f"({' '.join(str(exc).split()) or 'allocation failed'})", file=sys.stderr)
         return 2
     except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -29,6 +29,7 @@ PAIRWISE_SUM_MIN classes, the sample-major last-axis sum from there up.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -255,8 +256,12 @@ def select_layerwise_best(population: Population | Sequence[NetGenotype],
     scanned in order.  At position i every individual sees the
     already-selected prefix's output, so individuals with equal phenotype
     keys have equal scalar outputs: each distinct key is evaluated once,
-    in one ``cgp.evaluate_many`` pass per wave but for individual 0's row,
-    and its row of F stands for all of them.  Without ``refit`` a row
+    and its row of F stands for all of them.  Individual 0's row goes
+    through ``chromosome_scalar``, its chromosome carrying its wave's
+    phenotype, so nothing is restacked; the other distinct rows are read
+    in place from the waves, one ``cgp.evaluate_many`` call per run of
+    waves of one grid config (so the carried parent joins its offspring),
+    and no gene tensor is copied.  Without ``refit`` a row
     stands only for individuals that also share one affine object, whose
     params it is scored with; with ``refit`` the distinct rows are
     refitted by one batched call (closed form for MSE, Newton for
@@ -285,19 +290,21 @@ def select_layerwise_best(population: Population | Sequence[NetGenotype],
             # ``evolve`` every offspring shares its parent's
             keys = [(key, id(affine)) for key, affine in zip(keys, affines)]
         firsts, row_of = _distinct(keys)
-        # individual 0 is always the first distinct one; the rest are
-        # evaluated wave by wave.  Row 0 goes through ``chromosome_scalar``
-        # first, which checks the input width and is where a tracer that
-        # wraps it finds each position's start.
+        # individual 0 is always the first distinct one.  It goes through
+        # ``chromosome_scalar``, which checks the input width and is where a
+        # tracer that wraps it finds each position's start.
         f = chromosome_scalar(population.chromosome(pos, 0), current)
         F = np.empty((len(firsts), f.shape[0]))
         F[0] = f
         starts = np.cumsum([0] + [len(wave) for wave in waves])
-        cuts = [1, *np.searchsorted(firsts, starts[1:]).tolist()]   # wave by wave
-        for wave, start, lo, hi in zip(waves, starts, cuts, cuts[1:]):
+        lo = 1
+        for _, run in itertools.groupby(range(len(waves)), lambda k: waves[k].config):
+            run = list(run)
+            hi = int(np.searchsorted(firsts, starts[run[-1] + 1]))
             if hi > lo:
-                cgp.evaluate_many(wave.take(firsts[lo:hi] - start), current,
-                                  out=F[lo:hi])
+                cgp.evaluate_many([waves[k] for k in run], current, out=F[lo:hi],
+                                  rows=firsts[lo:hi] - starts[run[0]])
+            lo = hi
         # one loss (and with refit one fit) per distinct row, shared by its
         # duplicates
         if not refit:

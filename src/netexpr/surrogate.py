@@ -139,7 +139,8 @@ class Population:
             i -= len(wave)
 
     def chromosome(self, pos: int, i: int) -> LayerChromosome:
-        """Individual i's chromosome at position pos, owning copies of its genes."""
+        """Individual i's chromosome at position pos, owning copies of its
+        genes, and keeping their one-row wave for evaluation."""
         wave, row = self._row(pos, i)
         return LayerChromosome(wave[row], self.affines[pos][i], pos)
 

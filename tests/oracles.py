@@ -3,7 +3,8 @@
 Everything here is deliberately written straight-line, separate from the
 library's own code paths: a tiny infix parser, a normal-equations fit,
 a per-problem affine loss with its gradient, a limited-memory BFGS fit
-of one problem, the layer loss of one prediction matrix, a plain-loop
+of one problem, the batched cross-entropy fit that recomputes every
+Newton step's logits, the layer loss of one prediction matrix, a plain-loop
 fitness recomputation, MLP training one layer at a time, random genomes
 drawn one at a time, point mutation by boolean-mask writes, and the CGP
 operators as plain expressions.
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from netexpr import cgp, mlp
+from netexpr import affine, cgp, mlp
 from netexpr.affine import (ARMIJO_C, ARMIJO_SHRINK, CROSS_ENTROPY, MAX_HALVINGS, MSE,
-                            AffineParams)
+                            NEWTON_RIDGE, NEWTON_TOL, AffineParams, RowFits,
+                            _centre_rows)
 from netexpr.errors import DimensionMismatch
 from netexpr.evolve import OVERFLOW_PENALTY
 from netexpr.surrogate import LayerChromosome, NetGenotype
@@ -275,6 +277,120 @@ def fit_affine_lbfgs(problem: FitProblem, memory: int = LBFGS_MEMORY,
         converged = float(np.linalg.norm(grad)) <= tol
 
     return FitResult(unpack(x), loss, iterations, converged)
+
+
+def _ce_lse_plain(G, w, b):
+    """Logits (R, K, n) of classes 1..K for rows G (R, n), and the
+    log-sum-exp (R, n) over them and the pinned class 0."""
+    Z = w[:, :, None] * G[:, None, :] + b[:, :, None]
+    m = Z.max(axis=1, initial=0.0)
+    return Z, m + np.log(np.exp(-m) + np.exp(Z - m[:, None, :]).sum(axis=1))
+
+
+def fit_affine_ce_rows_recomputing(F: np.ndarray, targets: np.ndarray) -> RowFits:
+    """``affine.fit_affine_ce_rows`` as it was before each Newton step read
+    the logits, log-sum-exp and loss of the accepted Armijo candidate: here
+    every step recomputes them.  The reference its results must equal bit
+    for bit.
+
+    Cross-entropy fit of targets (n, C) against every row of F (P, n).
+
+    Softmax is shift-invariant, so class 0 is pinned (w_0 = b_0 = 0) and
+    each row has 2(C-1) free parameters.  Rows are centred and scaled to
+    unit variance, fitted by Newton from w=0 and the best constant logits,
+    and mapped back.  Each Hessian diagonal entry is scaled by
+    1 + NEWTON_RIDGE, so each parameter is damped relative to its own
+    curvature.  Each row takes its own Armijo backtracking step and stops
+    once its Newton decrement g'H^-1g/2 is at most NEWTON_TOL * (1 + loss)
+    (converged), or when no step decreases the loss; NEWTON_MAX_ITERS
+    steps is a backstop only.  A row without spread (as in
+    ``fit_affine_mse_rows``), or whose fit is not finite, is degenerate:
+    w=0 and b the best constant logits.  Like the MSE fit, every sum runs
+    along one row, so equal rows get bit-equal fits wherever they sit.
+    """
+    P, n = F.shape
+    C = targets.shape[1]
+    K, D = C - 1, 2 * (C - 1)
+    mass = targets.sum(axis=1)                     # 1 for probability rows
+    b_const = np.log(np.maximum(targets.mean(axis=0), np.finfo(float).tiny))
+    b_const -= b_const[0]
+    w = np.zeros((P, C))
+    b = np.tile(b_const, (P, 1))
+    converged = np.zeros(P, dtype=bool)
+    iterations = np.zeros(P, dtype=np.int64)
+
+    f_mean, Fc, s_ff, spread = _centre_rows(F)
+    rows = np.flatnonzero(spread)
+    scale = np.sqrt(s_ff[rows] / n)
+    G = Fc[rows] / scale[:, None]                  # standardised rows (R, n)
+    G2 = G * G
+    T = targets[:, 1:].T                           # (K, n)
+    t_sum = T.sum(axis=1)
+    TG = (G[:, None, :] * T).sum(axis=2)           # (R, K)
+    tw = np.zeros((rows.size, K))                  # standardised parameters
+    tb = np.tile(b_const[1:], (rows.size, 1))
+    diag = np.arange(D)
+
+    def loss_of(idx, cw, cb, lse):
+        linear = (cw * TG[idx]).sum(axis=1) + (cb * t_sum).sum(axis=1)
+        return ((mass * lse).sum(axis=1) - linear) / n
+
+    def newton_step(idx):
+        """Loss, Newton step, its slope g'step, and whether it is finite."""
+        g = G[idx]
+        Z, lse = _ce_lse_plain(g, tw[idx], tb[idx])
+        prob = np.exp(Z - lse[:, None, :])               # (R, K, n)
+        Q = mass * prob
+        grad = np.concatenate([(Q * g[:, None, :]).sum(axis=2) - TG[idx],
+                               Q.sum(axis=2) - t_sum], axis=1) / n
+        A = Q[:, :, None, :] * (np.eye(K)[:, :, None] - prob[:, None, :, :])
+        H = np.empty((idx.size, D, D))
+        H[:, :K, :K] = (A * G2[idx][:, None, None, :]).sum(axis=3)
+        H[:, :K, K:] = H[:, K:, :K] = (A * g[:, None, None, :]).sum(axis=3)
+        H[:, K:, K:] = A.sum(axis=3)
+        H /= n
+        H[:, diag, diag] *= 1.0 + NEWTON_RIDGE
+        H[:, diag, diag] += np.finfo(float).tiny
+        ok = np.isfinite(H).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
+        step = np.zeros((idx.size, D))
+        step[ok] = np.linalg.solve(H[ok], -grad[ok][:, :, None])[:, :, 0]
+        return loss_of(idx, tw[idx], tb[idx], lse), step, (grad * step).sum(axis=1), ok
+
+    active = np.arange(rows.size)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while active.size:
+            loss, step, slope, ok = newton_step(active)
+            done = -0.5 * slope <= NEWTON_TOL * (1.0 + loss)
+            converged[rows[active]] = done & ok
+            go = ok & ~done & (iterations[rows[active]] < affine.NEWTON_MAX_ITERS)
+            active, step, slope, loss = active[go], step[go], slope[go], loss[go]
+
+            # per-row Armijo backtracking; a row that never passes stops
+            t = np.ones(active.size)
+            pending = np.arange(active.size)
+            for _ in range(MAX_HALVINGS):
+                if not pending.size:
+                    break
+                idx = active[pending]
+                cw = tw[idx] + t[pending, None] * step[pending, :K]
+                cb = tb[idx] + t[pending, None] * step[pending, K:]
+                cand = loss_of(idx, cw, cb, _ce_lse_plain(G[idx], cw, cb)[1])
+                accept = np.isfinite(cand) & (
+                    cand <= loss[pending] + ARMIJO_C * t[pending] * slope[pending])
+                tw[idx[accept]], tb[idx[accept]] = cw[accept], cb[accept]
+                pending = pending[~accept]
+                t[pending] *= ARMIJO_SHRINK
+            active = np.delete(active, pending)
+            iterations[rows[active]] += 1
+
+        w[rows, 1:] = tw / scale[:, None]
+        b[rows, 1:] = tb - w[rows, 1:] * f_mean[rows, None]
+    degenerate = ~(spread & np.isfinite(w).all(axis=1) & np.isfinite(b).all(axis=1))
+    w[degenerate] = 0.0
+    b[degenerate] = b_const
+    converged[degenerate] = True
+    iterations[degenerate] = 0
+    return RowFits(w, b, degenerate, converged, iterations)
 
 
 def score_values_plain(pred: np.ndarray, target: np.ndarray, kind: str) -> float:

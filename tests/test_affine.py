@@ -7,7 +7,8 @@ import pytest
 from netexpr import affine, cgp
 from netexpr.affine import AffineParams
 
-from oracles import FitProblem, fit_affine_lbfgs, loss_and_grad, normal_equations_fit
+from oracles import (FitProblem, fit_affine_ce_rows_recomputing, fit_affine_lbfgs,
+                     loss_and_grad, normal_equations_fit)
 
 
 def random_mse_problem(rng, n=50, width=3):
@@ -221,6 +222,22 @@ def ce_rows(rng, n, count):
 
 
 class TestBatchedCrossEntropy:
+    @pytest.fixture(autouse=True)
+    def fits_equal_the_recomputing_reference(self, monkeypatch):
+        """Every fit these tests make equals, bit for bit in every field,
+        the reference that recomputes each Newton step's logits,
+        log-sum-exp and loss."""
+        def checked(F, targets):
+            got = fit(F, targets)
+            want = fit_affine_ce_rows_recomputing(F, targets)
+            for name, a, b in zip(got._fields, got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+            return got
+
+        fit = affine.fit_affine_ce_rows
+        monkeypatch.setattr(affine, "fit_affine_ce_rows", checked)
+
     def test_no_worse_than_lbfgs(self):
         rng = np.random.default_rng(20)
         for width in (2, 3, 4):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -657,6 +658,27 @@ class TestEvaluateMany:
         assert cgp.evaluate_many(genomes, X, out=out) is out
         assert same_bits(out, cgp.evaluate_many(genomes, X))
 
+    def test_listed_rows_of_chained_waves_equal_their_genomes_stacked(self):
+        cfg = small_config(n_rows=3, n_cols=4, n_constants=2, n_outputs=2)
+        rng = np.random.default_rng(41)
+        waves = [cgp.random_genotypes(cfg, k, rng) for k in (7, 1, 5)]
+        genomes = [g for w in waves for g in w]
+        X = awkward_inputs(rng, 20, 3)
+        # the rows are read from the steps, output genes and constants alone
+        blind = [dataclasses.replace(w, genes=None) for w in waves]
+        for rows in ([0], [12, 7, 0, 7, 3, 8], list(range(13))[::-1]):
+            want = cgp.evaluate_many([genomes[i] for i in rows], X)
+            assert same_bits(cgp.evaluate_many(blind, X, rows=rows), want)
+        assert same_bits(cgp.evaluate_many(blind[2], X, rows=[4, 0]),
+                         cgp.evaluate_many([genomes[12], genomes[8]], X))
+        assert same_bits(cgp.evaluate_many(waves, X), cgp.evaluate_many(genomes, X))
+        for rows in ([13], [-1]):
+            with pytest.raises(IndexError):
+                cgp.evaluate_many(waves, X, rows=rows)
+        other = cgp.random_genotypes(small_config(n_rows=2), 1, rng)
+        with pytest.raises(ValueError, match="share a config"):
+            cgp.evaluate_many([waves[0], other], X, rows=[0])
+
     def test_mixed_configs_and_bad_widths_rejected(self):
         rng = np.random.default_rng(40)
         a = cgp.random_genotypes(small_config(), 1, rng)[0]
@@ -701,6 +723,24 @@ class TestOpsOnSlabs:
                     assert same_bits(whole[i], expected), op.name
                     assert same_bits(into[i], expected), op.name
                     assert same_bits(row, expected), op.name
+
+
+    @pytest.mark.parametrize("name,fn", [("tan", np.tan), ("exp", np.exp)])
+    def test_clamps_equal_the_clip_form_bit_for_bit(self, name, fn):
+        # tan and exp clamp by np.maximum / np.minimum (exp by np.minimum
+        # only, as it is never negative), not np.clip: the same raw bits,
+        # NaN sign and payload included, written in place or not
+        C = cgp.CLAMP
+        x = np.array([np.inf, -np.inf, np.nan, -np.nan, C, -C, -0.0, 0.0, 1e300,
+                      -1e300, np.pi / 2, -np.pi / 2, 27.7, 710.0, -750.0])
+        op = cgp.FUNCTION_SET.by_name(name)
+        with np.errstate(all="ignore"):
+            want = np.clip(fn(x), -C, C).view(np.int64)
+            into = np.empty_like(x)
+            assert op.fn(x, out=into) is into
+            assert np.array_equal(op.fn(x).view(np.int64), want)
+        assert np.array_equal(into.view(np.int64), want)
+        assert np.abs(into[~np.isnan(into)]).max() == C     # the clamp acted
 
 
 class TestToInfix:

@@ -847,6 +847,43 @@ class TestEval:
         assert len(lines) == 18
 
 
+class TestOversizeOptions:
+    """A size option whose first array cannot be allocated exits 2 with one
+    ``config error:`` line.  Each first array is over 2^57 bytes, more than
+    any virtual address space, so its allocation fails at once whatever the
+    overcommit setting and touches no memory, yet under numpy's 2^63-byte
+    limit, so numpy raises ``MemoryError`` and not ``ValueError``."""
+
+    def check(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_sample_boundary_pool(self, toy_classifier, tmp_path, capsys):
+        # the pool is (2^54, 2) float64: 2^58 bytes
+        cls_out, csv = toy_classifier
+        out = tmp_path / "b"
+        self.check(["sample-boundary", "--weights", str(cls_out / "weights.json"),
+                    "--csv", str(csv), "--pool", str(2 ** 54), "--keep", "10",
+                    "--seed", "2", "--out", str(out)], capsys)
+        assert not out.exists()
+
+    def test_explain_offspring(self, trained_k0, tmp_path, capsys):
+        # the first position's opcodes are (2^48, 100) int64: 2^57.6 bytes
+        self.check(["explain", "--weights", str(trained_k0 / "weights.json"),
+                    "--benchmark", "K0", "--seed", "0", "--offspring", str(2 ** 48),
+                    "--generations", "1", "--out", str(tmp_path / "x")], capsys)
+
+    def test_eval_points(self, tmp_path, capsys):
+        # the grid is 2^55 float64: 2^58 bytes
+        weights, gpath = TestEval().make_identity_artifacts(tmp_path)
+        out = tmp_path / "o"
+        self.check(["eval", "--genotype", str(gpath), "--weights", str(weights),
+                    "--domain=-1:1", "--points", str(2 ** 55), "--out", str(out)], capsys)
+        assert not out.exists()
+
+
 class TestReport:
     def test_summarizes_runs(self, trained_k0, tmp_path, capsys):
         out = tmp_path / "o"

@@ -46,14 +46,15 @@ def same_genome(a, b):
 
 def position_finder(pop):
     """The position in pop of a genome, or of the first of a list or wave
-    of genomes, found by its genes and constants, which no two positions
-    share."""
+    of genomes or of a list of waves, found by its genes and constants,
+    which no two positions share."""
     def key(g):
+        while not isinstance(g, cgp.Genotype):
+            g = g[0]
         return g.function_genes.tobytes(), g.output_genes.tobytes(), g.constants.tobytes()
 
     where = {key(c.genotype): c.layer_index for indiv in pop for c in indiv.chromosomes}
-    return lambda genomes: where[key(genomes if isinstance(genomes, cgp.Genotype)
-                                     else genomes[0])]
+    return lambda genomes: where[key(genomes)]
 
 
 class TestFitness:
@@ -453,21 +454,21 @@ class TestDuplicatePhenotypes:
         trace = random_trace(rng, widths=(3, 1))
         pop = population_with_duplicates(rng, 2, (3, 1))
         position = position_finder(pop)
-        rows = [0, 0]
+        counts = [0, 0]
         inside = []      # chromosome_scalar evaluates its row by evaluate_many
 
         def scalar(c, inputs):
-            rows[c.layer_index] += 1
+            counts[c.layer_index] += 1
             inside.append(c)
             try:
                 return surrogate.chromosome_scalar(c, inputs)
             finally:
                 inside.pop()
 
-        def many(genomes, inputs, out=None):
+        def many(genomes, inputs, out=None, rows=None):
             if not inside:
-                rows[position(genomes)] += len(genomes)
-            return evaluate_many(genomes, inputs, out=out)
+                counts[position(genomes)] += len(genomes if rows is None else rows)
+            return evaluate_many(genomes, inputs, out=out, rows=rows)
 
         evaluate_many = cgp.evaluate_many
         monkeypatch.setattr(ev, "chromosome_scalar", scalar)
@@ -475,7 +476,7 @@ class TestDuplicatePhenotypes:
         ev.select_layerwise_best(pop, trace, ev.REGRESSION)
         for pos in range(2):
             keys = cgp.stack([p.chromosomes[pos].genotype for p in pop]).keys
-            assert rows[pos] == len(set(keys)) < len(pop)
+            assert counts[pos] == len(set(keys)) < len(pop)
 
     def test_non_finite_duplicates_take_the_penalty(self):
         trace, exact = planted_regression_setup()
@@ -522,6 +523,64 @@ class TestEntryForms:
                 assert np.array_equal(c.affine.w, r.affine.w)
                 assert np.array_equal(c.affine.b, r.affine.b)
                 assert c.layer_index == r.layer_index
+
+
+class TestInPlaceSelection:
+    """Selection reads each position's waves as they are: it finds no
+    phenotype again and copies no gene tensor for ``evaluate_many``."""
+
+    @pytest.mark.parametrize("task,widths", [(ev.REGRESSION, (3, 2, 1)),
+                                             (ev.CLASSIFICATION, (3, 2))])
+    @pytest.mark.parametrize("refit", [True, False])
+    def test_evaluate_many_reads_the_population_waves(self, monkeypatch, task,
+                                                      widths, refit):
+        rng = np.random.default_rng(48)
+        trace = random_trace(rng, widths=widths, task=task)
+        parent = random_net(rng, 2, widths)
+        planted = surrogate.random_net_genotypes(2, list(widths), rng, 1, 1, 2)[0]
+        # at each position an offspring wave, the carried parent (same
+        # grid) and a genome of another grid
+        pop = (surrogate.mutate_net(parent, 0.2, rng, 15)
+               + surrogate.Population.of([parent])
+               + surrogate.Population.of([planted]))
+        calls, inside = [], []
+
+        def scalar(c, inputs):
+            inside.append(c)
+            try:
+                return surrogate.chromosome_scalar(c, inputs)
+            finally:
+                inside.pop()
+
+        def many(genomes, inputs, out=None, rows=None):
+            calls.append((inside[-1] if inside else None, genomes, rows))
+            return evaluate_many(genomes, inputs, out=out, rows=rows)
+
+        def no_phenotypes(*args, **kwargs):
+            raise AssertionError("selection found a phenotype again")
+
+        evaluate_many = cgp.evaluate_many
+        monkeypatch.setattr(ev, "chromosome_scalar", scalar)
+        monkeypatch.setattr(cgp, "evaluate_many", many)
+        monkeypatch.setattr(cgp, "phenotypes", no_phenotypes)
+        ev.select_layerwise_best(pop, trace, task, refit=refit)
+        seen = []
+        for pos, waves in enumerate(pop.waves):
+            mine = [(c, genomes, rows) for c, genomes, rows in calls
+                    if (c.layer_index == pos if c is not None
+                        else any(w is genomes[0] for w in waves))]
+            # row 0's chromosome brings its own one-row wave, a view of its
+            # genes; then one call per grid that has rows left to evaluate,
+            # offspring and parent together
+            (c, row0, _), *rest = mine
+            assert c is not None and row0 is c.genotype.wave and len(row0) == 1
+            assert np.shares_memory(row0.genes, c.genotype.function_genes)
+            same_grid = len(set(waves[0].keys + waves[1].keys)) > 1
+            assert [list(genomes) for _, genomes, _ in rest] == (
+                [list(waves[:2])] * same_grid + [[waves[2]]])
+            assert all(c is None and rows is not None for c, _, rows in rest)
+            seen.append(same_grid)
+        assert any(seen)
 
 
 class TestTracerContract:
@@ -619,6 +678,38 @@ class TestEvolve:
                     assert a.dtype == b.dtype and np.array_equal(a, b), field
                     assert not any(np.shares_memory(a, x) for x in scored_arrays)
                 assert kept.keys == want.keys
+
+    @pytest.mark.parametrize("task,widths", [(ev.REGRESSION, (3, 2, 1)),
+                                             (ev.CLASSIFICATION, (3, 2))])
+    def test_phenotypes_found_once_per_position_per_generation(self, monkeypatch,
+                                                               task, widths):
+        # by the starting waves, then by mutate_many; never by selection
+        calls, where = [], []
+
+        def tagged(tag, fn):
+            def call(*args, **kwargs):
+                where.append(tag)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    where.pop()
+            return call
+
+        def counted(*args, **kwargs):
+            calls.append(tuple(where))
+            return phenotypes(*args, **kwargs)
+
+        phenotypes = cgp.phenotypes
+        monkeypatch.setattr(cgp, "phenotypes", counted)
+        monkeypatch.setattr(cgp, "mutate_many", tagged("mutate", cgp.mutate_many))
+        monkeypatch.setattr(ev, "select_layerwise_best",
+                            tagged("select", ev.select_layerwise_best))
+        trace = random_trace(np.random.default_rng(49), widths=widths, task=task)
+        _, log = ev.evolve(trace, task, self.small_cfg(max_generations=6,
+                                                       fitness_target=1e-30,
+                                                       affine_refit_every=2))
+        assert len(log.records) == 6
+        assert calls == [()] * len(widths) + [("mutate",)] * (5 * len(widths))
 
     def test_starting_population_is_one_wave_per_position(self, monkeypatch):
         seen = []
