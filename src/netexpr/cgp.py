@@ -46,7 +46,10 @@ LN_SENTINEL = -1e6   # value of ln at exactly zero
 CLAMP = 1e12         # output clamp for tan and exp
 CONST_SIGMA = 0.1    # std of a mutation's Gaussian nudge to a constant
 CONST_REDRAW = 0.1   # a constant's redraw chance, as a fraction of p
-EVAL_BLOCK = 1 << 16  # elements of evaluate_many's value buffer
+# elements of evaluate_many's value buffer: the smallest power of two that
+# holds a K0 position after the first generation (n = 160, about 200
+# distinct genomes needing up to about 1 600 rows) as one block
+EVAL_BLOCK = 1 << 18
 EVAL_SLAB = 1 << 13   # elements of each operand slab it gathers
 
 
@@ -208,13 +211,15 @@ class Wave:
     """P genomes of one config as stacked arrays, ``genes`` (P, n_nodes, 3),
     ``outputs`` (P, n_outputs) and ``constants`` (P, n_constants), and
     their phenotypes: ``steps`` (S, 4), genome after genome, ``n_steps``
-    per genome and ``keys`` (see ``phenotypes``)."""
+    per genome, ``reads`` (P, n_constants), true where a genome reads a
+    constant, and ``keys`` (see ``phenotypes``)."""
     config: CgpConfig
     genes: np.ndarray
     outputs: np.ndarray
     constants: np.ndarray
     steps: np.ndarray
     n_steps: np.ndarray
+    reads: np.ndarray
     keys: list[bytes]
 
     def __len__(self) -> int:
@@ -229,7 +234,7 @@ class Wave:
         rows = np.array([i], dtype=np.intp)
         one = Wave(self.config, genes[None], outputs[None], constants[None],
                    self.steps[_step_index(self.n_steps, rows)], self.n_steps[rows],
-                   [self.keys[i]])
+                   self.reads[rows], [self.keys[i]])
         return Genotype(self.config, genes, outputs, constants, one)
 
     def take(self, rows) -> "Wave":
@@ -237,7 +242,8 @@ class Wave:
         rows = np.asarray(rows, dtype=np.intp)
         return Wave(self.config, self.genes[rows], self.outputs[rows],
                     self.constants[rows], self.steps[_step_index(self.n_steps, rows)],
-                    self.n_steps[rows], [self.keys[i] for i in rows.tolist()])
+                    self.n_steps[rows], self.reads[rows],
+                    [self.keys[i] for i in rows.tolist()])
 
 
 def _step_index(n_steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -249,32 +255,33 @@ def _step_index(n_steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _chained_rows(waves: Sequence[Wave], rows) -> tuple[np.ndarray, ...]:
-    """n_steps, steps, outputs and constants of the listed rows of waves
-    chained (rows numbered across them, in any order), gathered from the
-    waves' own arrays: no gene tensor is read."""
+    """n_steps, steps, outputs, constants and reads of the listed rows of
+    waves chained (rows numbered across them, in any order), gathered from
+    the waves' own arrays: no gene tensor is read.  Ascending rows, such as
+    selection's, are each wave's own run of rows; others are gathered in
+    ascending order, then put back in the listed one."""
     if rows is None and len(waves) == 1:
         w = waves[0]
-        return w.n_steps, w.steps, w.outputs, w.constants
-    rows = np.arange(sum(map(len, waves))) if rows is None else np.asarray(rows, dtype=np.intp)
+        return w.n_steps, w.steps, w.outputs, w.constants, w.reads
     starts = np.cumsum([0] + [len(w) for w in waves])
+    rows = np.arange(starts[-1]) if rows is None else np.asarray(rows, dtype=np.intp)
     if rows.size and not 0 <= rows.min() <= rows.max() < starts[-1]:
         raise IndexError(f"rows out of range for {starts[-1]} genomes")
-    wave_of = np.searchsorted(starts, rows, side="right") - 1
-    first = waves[0]
-    n_steps = np.empty(len(rows), dtype=first.n_steps.dtype)
-    outputs = np.empty((len(rows), first.config.n_outputs), dtype=first.outputs.dtype)
-    constants = np.empty((len(rows), first.config.n_constants))
-    picks = []
-    for k, (w, start) in enumerate(zip(waves, starts)):
-        mine = np.flatnonzero(wave_of == k)
-        local = rows[mine] - start
-        n_steps[mine], outputs[mine], constants[mine] = (
-            w.n_steps[local], w.outputs[local], w.constants[local])
-        picks.append((w, mine, local))
-    steps = np.empty((int(n_steps.sum()), 4), dtype=first.steps.dtype)
-    for w, mine, local in picks:
-        steps[_step_index(n_steps, mine)] = w.steps[_step_index(w.n_steps, local)]
-    return n_steps, steps, outputs, constants
+    back = None
+    if (rows[1:] < rows[:-1]).any():
+        order = np.argsort(rows, kind="stable")
+        rows, back = rows[order], np.argsort(order)
+    cut = np.searchsorted(rows, starts)
+    runs = [(w, rows[lo:hi] - start) for w, start, lo, hi in zip(waves, starts, cut, cut[1:])]
+    steps = np.concatenate([w.steps[_step_index(w.n_steps, local)] for w, local in runs])
+    n_steps, outputs, constants, reads = (
+        np.concatenate([getattr(w, name)[local] for w, local in runs])
+        for name in ("n_steps", "outputs", "constants", "reads"))
+    if back is not None:
+        steps = steps[_step_index(n_steps, back)]
+        n_steps, outputs, constants, reads = (
+            part[back] for part in (n_steps, outputs, constants, reads))
+    return n_steps, steps, outputs, constants, reads
 
 
 def validate_genotype(g: Genotype) -> None:
@@ -322,6 +329,8 @@ def _draw_sources(config: CgpConfig, nodes: np.ndarray,
     """One input gene for each listed node, uniform over its valid sources."""
     choices, shifts = _input_tables(config)
     ranks = rng.integers(0, choices[nodes])
+    if config.levels_back >= config.n_cols - 1:    # no column is shifted
+        return ranks
     return np.where(ranks < config.n_sources_before_nodes, ranks, ranks + shifts[nodes])
 
 
@@ -344,9 +353,10 @@ def phenotypes(config: CgpConfig, genes: np.ndarray, outputs: np.ndarray,
     ``genes`` is (P, n_nodes, 3), ``outputs`` (P, n_outputs) and
     ``constants`` (P, n_constants).  Sources are marked as read column by
     column, from the outputs back to the inputs, over the whole stack at
-    once; a node is active when it is read.  A genome's steps are
-    (node, opcode, input_a, input_b) for each active node in node order,
-    with input_b = -1 for arity-1 ops.  Its key is the bytes of the int64s
+    once; a node is active when it is read, and ``reads`` keeps which
+    constants are.  A genome's steps are (node, opcode, input_a, input_b)
+    for each active node in node order, with input_b = -1 for arity-1 ops.
+    Its key is the bytes of the int64s
     [step count, output genes, steps, bit patterns of the constants read];
     the count and the steps fix how many constants follow, so equal keys
     mean equal phenotypes.
@@ -368,7 +378,8 @@ def phenotypes(config: CgpConfig, genes: np.ndarray, outputs: np.ndarray,
     steps = np.stack([node, live[:, 0], live[:, 1],
                       np.where(_BINARY_OPS[live[:, 0]], live[:, 2], -1)], axis=1)
     n_steps = np.bincount(owner, minlength=P)
-    c_owner, c_slot = np.nonzero(read[:, config.n_inputs:base])
+    reads = read[:, config.n_inputs:base]
+    c_owner, c_slot = np.nonzero(reads)
     const_bits = np.ascontiguousarray(constants, dtype=float).view(np.int64)
 
     # every key's int64s, back to back in one buffer: a stable sort by
@@ -382,7 +393,7 @@ def phenotypes(config: CgpConfig, genes: np.ndarray, outputs: np.ndarray,
     ends = np.cumsum(np.bincount(belongs, minlength=P)).tolist()
     buf = packed.tobytes()
     keys = [buf[8 * lo:8 * hi] for lo, hi in zip([0] + ends, ends)]
-    return Wave(config, genes, outputs, constants, steps, n_steps, keys)
+    return Wave(config, genes, outputs, constants, steps, n_steps, reads.copy(), keys)
 
 
 def stack(genomes: Sequence[Genotype]) -> Wave:
@@ -465,18 +476,20 @@ def evaluate_many(genomes: Wave | Sequence[Wave] | Sequence[Genotype],
 
     ``rows`` lists the genomes to evaluate, numbered across the chained
     waves, in any order (default all).  They are read in place, from the
-    waves' steps, outputs and constants; no gene tensor is copied.
-    Returns (len(rows) * n_outputs, n): row d * n_outputs + j is output j
-    of listed genome d (written into ``out`` when given).  Each input
-    column, each constant a genome reads and each active step has a row in
-    one value buffer of at most ``EVAL_BLOCK`` elements, reused by
-    successive blocks of whole genomes when they do not fit at once.  A
-    block's steps are sorted by (column, opcode); a node reads only earlier
-    columns, so each group runs as one call of its op on the (k, n) slabs
-    of its operands, gathered ``EVAL_SLAB // n`` rows at a time, and writes
-    its own rows; a one-row slab is read in place.  Ops are elementwise, so
-    every row equals what evaluating its genome alone gives, bit for bit.
-    Non-finite values propagate; callers flag them with ``np.isfinite``.
+    waves' steps, outputs, constants and the constants each reads; no gene
+    tensor is copied.  Returns (len(rows) * n_outputs, n): row d * n_outputs
+    + j is output j of listed genome d (written into ``out`` when given).
+    Each input column, each constant a genome reads and each active step
+    has a row in one value buffer of at most ``EVAL_BLOCK`` elements (or
+    of one genome's rows, when a single genome needs more), so a call runs
+    as one block unless n is large; then successive blocks of whole genomes
+    reuse the buffer.  A block's steps are sorted by (column, opcode); a
+    node reads only earlier columns, so each group runs as one call of its
+    op on the (k, n) slabs of its operands, gathered ``EVAL_SLAB // n`` rows
+    at a time, and writes its own rows; a one-row slab is read in place.
+    Ops are elementwise, so every row equals what evaluating its genome
+    alone gives, bit for bit.  Non-finite values propagate; callers flag
+    them with ``np.isfinite``.
     """
     if isinstance(genomes, Wave):
         waves = [genomes]
@@ -491,51 +504,45 @@ def evaluate_many(genomes: Wave | Sequence[Wave] | Sequence[Genotype],
     if inputs.ndim != 2 or inputs.shape[1] != cfg.n_inputs:
         raise DimensionMismatch(
             f"expected {cfg.n_inputs} input columns, got shape {inputs.shape}")
-    n_steps, steps, outputs, constants = _chained_rows(waves, rows)
-    D, S, (n, n_in) = len(n_steps), len(steps), inputs.shape
-    base, n_out = cfg.n_sources_before_nodes, cfg.n_outputs
+    n_steps, steps, outputs, constants, reads = _chained_rows(waves, rows)
+    D, (n, n_in), n_out = len(n_steps), inputs.shape, cfg.n_outputs
+    base = cfg.n_sources_before_nodes
     if out is None:
         out = np.empty((D * n_out, n))
 
+    # blocks of whole genomes whose constants and steps fit beside the
+    # inputs: one when they all do, else as few as the budget allows, filled
+    # evenly (every block but the last holds more than its share, so no
+    # more blocks are made).  A block's rows are the inputs, its constants,
+    # then its steps sorted by (column, opcode), so that each group of
+    # steps writes consecutive rows.
     node, code, a, b = steps.T
     owner = np.repeat(np.arange(D), n_steps)
-    # the constants read, genome by genome in slot order; the extra last
-    # column takes the second input gene (-1) of arity-1 steps
-    read = np.zeros((D, cfg.n_sources + 1), dtype=bool)
-    read[owner, a] = read[owner, b] = True
-    read[np.arange(D)[:, None], outputs] = True
-    c_owner, c_slot = np.nonzero(read[:, n_in:base])
-    c_value = constants[c_owner, c_slot, None]
-
-    # blocks of whole genomes whose constants and steps fit beside the
-    # inputs: as few as the budget allows, filled evenly (every block but
-    # the last holds more than its share, so no more blocks are made)
-    need = n_steps + np.bincount(c_owner, minlength=D)
-    total = np.concatenate([[0], np.cumsum(need)])
+    c_owner, c_slot = np.nonzero(reads)
+    C, S = len(c_owner), len(steps)
+    key = node // cfg.n_rows * len(FUNCTION_SET) + code
     room = max(EVAL_BLOCK // max(n, 1) - n_in, cfg.n_constants + cfg.n_nodes)
-    share = -(-int(total[-1]) // max(1, -(-int(total[-1]) // room)))
-    room = min(room, share + int(need.max()))
-    cuts = [0]
-    while cuts[-1] < D:
-        cuts.append(int(np.searchsorted(total, total[cuts[-1]] + room, "right")) - 1)
-    n_blocks = len(cuts) - 1
-    block = np.repeat(np.arange(n_blocks), np.diff(cuts))
-
-    # a block's rows: the inputs, its constants, then its steps by (column,
-    # opcode); each group of steps writes consecutive rows
-    c_block = block[c_owner]
-    c_first = np.searchsorted(c_block, np.arange(n_blocks + 1))
-    c_row = n_in + np.arange(len(c_owner)) - c_first[c_block]
-    groups = cfg.n_cols * len(FUNCTION_SET)
-    key = block[owner] * groups + node // cfg.n_rows * len(FUNCTION_SET) + code
+    cuts, c_first, s_first = [0, D], np.array([0, C]), np.array([0, S])
+    if C + S > room:
+        ends = np.concatenate([[0], np.cumsum(n_steps + np.count_nonzero(reads, axis=1))])
+        share = -(-(C + S) // -(-(C + S) // room))
+        room = min(room, share + int(np.diff(ends).max()))
+        cuts = [0]
+        while cuts[-1] < D:
+            cuts.append(int(np.searchsorted(ends, ends[cuts[-1]] + room, "right")) - 1)
+        block = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+        c_first, s_first = (np.searchsorted(block[of], np.arange(len(cuts)))
+                            for of in (c_owner, owner))
+        key += block[owner] * (cfg.n_cols * len(FUNCTION_SET))   # sorted within blocks
+    c_count, s_count = np.diff(c_first), np.diff(s_first)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    s_block = key // groups
-    s_first = np.searchsorted(s_block, np.arange(n_blocks + 1))
-    s_row = n_in + np.diff(c_first)[s_block] + np.arange(S) - s_first[s_block]
+    # the extra last column takes the second input gene (-1) of arity-1 steps
     row_of = np.zeros((D, cfg.n_sources + 1), dtype=np.intp)
     row_of[:, :n_in] = np.arange(n_in)
-    row_of[c_owner, n_in + c_slot] = c_row
+    row_of[c_owner, n_in + c_slot] = (n_in + np.arange(C)
+                                      - np.repeat(c_first[:-1], c_count))
+    s_row = n_in + np.arange(S) + np.repeat(c_count - s_first[:-1], s_count)
     row_of[owner[order], base + node[order]] = s_row
     operands = (row_of[owner, a][order], row_of[owner, b][order])
     out_rows = row_of[np.arange(D)[:, None], outputs].reshape(-1)
@@ -547,17 +554,17 @@ def evaluate_many(genomes: Wave | Sequence[Wave] | Sequence[Genotype],
     new_group[1:] = key[1:] != key[:-1]
     offset = at - np.maximum.accumulate(np.where(new_group, at, 0))
     lo = np.flatnonzero(offset % height == 0)
-    slab_block = np.searchsorted(lo, s_first)
-    hi = np.append(lo[1:], S)
+    slab_first = np.searchsorted(lo, s_first).tolist()
+    slab_ops = (s_row[lo].tolist(), lo.tolist(), np.append(lo[1:], S).tolist(),
+                code[order][lo].tolist())
     slabs = np.empty((2, min(height, int(offset.max(initial=0)) + 1), n))
-    buf = np.empty((n_in + int(np.diff(total[cuts]).max()), n))
+    buf = np.empty((n_in + int((c_count + s_count).max(initial=0)), n))
     buf[:n_in] = inputs.T
-    slab_ops = (s_row[lo].tolist(), lo.tolist(), hi.tolist(), code[order][lo].tolist())
+    c_value = constants[c_owner, c_slot, None]
     with np.errstate(all="ignore"):
-        for i in range(n_blocks):
-            c_lo, c_hi = c_first[i], c_first[i + 1]
-            buf[n_in:n_in + c_hi - c_lo] = c_value[c_lo:c_hi]    # its constant rows
-            for dest, s, e, op in zip(*(part[slab_block[i]:slab_block[i + 1]]
+        for i, (g_lo, g_hi) in enumerate(zip(cuts, cuts[1:])):
+            buf[n_in:n_in + c_count[i]] = c_value[c_first[i]:c_first[i + 1]]
+            for dest, s, e, op in zip(*(part[slab_first[i]:slab_first[i + 1]]
                                         for part in slab_ops)):
                 if e - s == 1:
                     args = [buf[rows[s]] for rows in operands[:_ARITY[op]]]
@@ -566,8 +573,8 @@ def evaluate_many(genomes: Wave | Sequence[Wave] | Sequence[Genotype],
                     args = [buf.take(rows[s:e], axis=0, out=slab[:e - s], mode="clip")
                             for rows, slab in zip(operands[:_ARITY[op]], slabs)]
                     _FNS[op](*args, out=buf[dest:dest + e - s])
-            buf.take(out_rows[cuts[i] * n_out:cuts[i + 1] * n_out], axis=0,
-                     out=out[cuts[i] * n_out:cuts[i + 1] * n_out], mode="clip")
+            buf.take(out_rows[g_lo * n_out:g_hi * n_out], axis=0,
+                     out=out[g_lo * n_out:g_hi * n_out], mode="clip")
     return out
 
 

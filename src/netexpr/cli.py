@@ -21,7 +21,8 @@ names the option.  The config classes check the rest: what spans fields
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 Every exit 2 prints one ``config error:`` line; a size option whose
-arrays cannot be allocated (``MemoryError``) is one too.
+arrays cannot be allocated (``MemoryError``) is one too.  An ``explain``
+that fails removes the ``--out`` that it made.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import argparse
 import json
 import math
 import re
+import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -193,7 +195,6 @@ def cmd_explain(args) -> int:
         mutation_prob=args.mutation, fitness_target=args.target,
         affine_refit_every=cadence, seed=run_seed, n_rows=args.rows,
         n_cols=args.cols, n_constants=args.constants) for run_seed in seeds]
-    out = _out_dir(args)
     trace = mlp.forward_trace(model, X)
     manifest = Manifest("explain", {
         "weights": args.weights, "benchmark": args.benchmark, "csv": args.csv,
@@ -205,6 +206,20 @@ def cmd_explain(args) -> int:
         "threads": args.threads, "timings": not args.no_timings,
     }, seeds=seeds)
 
+    out = Path(args.out)
+    made = not out.exists()
+    try:
+        _explain_runs(args, cfgs, trace, task, names, _out_dir(args), manifest)
+    except Exception:
+        # a failed explain leaves no --out that it made
+        if made:
+            shutil.rmtree(out, ignore_errors=True)
+        raise
+    return 0
+
+
+def _explain_runs(args, cfgs, trace, task, names, out: Path, manifest: Manifest) -> None:
+    """Evolve each run into out/run_<r>, then write the summary and manifest."""
     summary_runs = []
     for r, cfg in enumerate(cfgs):
         run_dir = out / f"run_{r}"
@@ -239,7 +254,6 @@ def cmd_explain(args) -> int:
     mlp.write_json(manifest.add("summary", out / "summary.json"), summary)
     manifest.save(out)
     print(f"best over {args.runs} run(s): {summary['best_total']:.6g}")
-    return 0
 
 
 def cmd_sample_boundary(args) -> int:

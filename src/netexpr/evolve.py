@@ -388,12 +388,12 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
             log_stream.flush()
         if best_total <= cfg.fitness_target or gen + 1 == cfg.max_generations:
             break
-        # the parent joins the next wave as the rows selection chose, taken
-        # from the scored waves with its own affines; the takes are copies,
-        # so the scored population can go before the next wave is made and
-        # the two are never alive at once
-        kept = population.pick(loss_matrix.argmin(axis=0),
-                               [c.affine for c in parent.chromosomes])
+        # the parent joins the next wave as its chromosomes' one-row waves,
+        # with its own affines; a chosen genome owns copies of its rows, so
+        # the scored population can go before the next wave is made and the
+        # two are never alive at once
+        kept = Population(tuple((c.genotype.wave,) for c in parent.chromosomes),
+                          tuple((c.affine,) for c in parent.chromosomes))
         del population
         population = mutate_net(parent, cfg.mutation_prob, rng, cfg.n_offspring) + kept
     return best_geno, log

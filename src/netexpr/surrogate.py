@@ -144,15 +144,6 @@ class Population:
         wave, row = self._row(pos, i)
         return LayerChromosome(wave[row], self.affines[pos][i], pos)
 
-    def pick(self, rows: Sequence[int],
-             affines: Sequence[AffineParams]) -> "Population":
-        """The one individual made of individual rows[pos]'s genome at each
-        position, with the given affines: one-row takes of the waves, which
-        copy their rows and so keep no wave alive."""
-        return Population(tuple((wave.take([row]),) for wave, row in
-                                map(self._row, range(len(rows)), rows)),
-                          tuple((affine,) for affine in affines))
-
     def __getitem__(self, i: int) -> NetGenotype:
         return NetGenotype(tuple(self.chromosome(pos, i)
                                  for pos in range(len(self.waves))))

@@ -679,6 +679,53 @@ class TestEvaluateMany:
         with pytest.raises(ValueError, match="share a config"):
             cgp.evaluate_many([waves[0], other], X, rows=[0])
 
+    @staticmethod
+    def offspring_position():
+        """The waves and rows selection hands ``evaluate_many`` at one
+        position: the distinct rows of one parent's 200 offspring (p = 0.4)
+        and the parent, on 3 inputs.  The parent, the largest of 50 random
+        genomes, has 10 active steps; its offspring need about 1 500 buffer
+        rows, as a K0 position's do after the first generation."""
+        cfg = cgp.CgpConfig(n_inputs=3)
+        rng = np.random.default_rng(0)
+        pool = cgp.random_genotypes(cfg, 50, rng)
+        parent = pool[int(np.argmax(pool.n_steps))]
+        waves = [cgp.mutate_many(parent, 200, 0.4, rng), parent.wave]
+        first: dict = {}
+        for i, key in enumerate(key for w in waves for key in w.keys):
+            first.setdefault(key, i)
+        return waves, np.array(list(first.values()))
+
+    @pytest.mark.parametrize("n", [160, 8000])
+    def test_one_sweep_of_the_groups_unless_n_is_large(self, monkeypatch, n):
+        waves, rows = self.offspring_position()
+        cfg = waves[0].config
+        X = awkward_inputs(np.random.default_rng(n), n, cfg.n_inputs)
+        calls, buffers = [], []
+
+        def counting(fn):
+            def call(*args, out):
+                calls.append(fn)
+                buffers.append(out.base.size)     # the value buffer it writes
+                return fn(*args, out=out)
+            return call
+
+        monkeypatch.setattr(cgp, "_FNS", [counting(fn) for fn in cgp._FNS])
+        got = cgp.evaluate_many(waves, X, rows=rows)
+        assert max(buffers) <= max(cgp.EVAL_BLOCK,
+                                   (cfg.n_inputs + cfg.n_constants + cfg.n_nodes) * n)
+        if n == 160:
+            # one call per (column, opcode) group and slab, as with no bound
+            ops = len(calls)
+            calls.clear()
+            monkeypatch.setattr(cgp, "EVAL_BLOCK", 1 << 40)
+            assert same_bits(cgp.evaluate_many(waves, X, rows=rows), got)
+            assert ops <= len(calls)
+        else:
+            # blocks of whole genomes, each row as its genome gives it alone
+            for d, row in enumerate(rows):
+                assert same_bits(got[d], cgp.evaluate_many(waves, X, rows=[row])[0])
+
     def test_mixed_configs_and_bad_widths_rejected(self):
         rng = np.random.default_rng(40)
         a = cgp.random_genotypes(small_config(), 1, rng)[0]

@@ -871,9 +871,20 @@ class TestOversizeOptions:
 
     def test_explain_offspring(self, trained_k0, tmp_path, capsys):
         # the first position's opcodes are (2^48, 100) int64: 2^57.6 bytes
+        out = tmp_path / "x"
         self.check(["explain", "--weights", str(trained_k0 / "weights.json"),
                     "--benchmark", "K0", "--seed", "0", "--offspring", str(2 ** 48),
-                    "--generations", "1", "--out", str(tmp_path / "x")], capsys)
+                    "--generations", "1", "--out", str(out)], capsys)
+        assert not out.exists()
+
+    def test_explain_keeps_an_out_that_existed(self, trained_k0, tmp_path, capsys):
+        out = tmp_path / "x"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        self.check(["explain", "--weights", str(trained_k0 / "weights.json"),
+                    "--benchmark", "K0", "--seed", "0", "--offspring", str(2 ** 48),
+                    "--generations", "1", "--out", str(out)], capsys)
+        assert (out / "notes.txt").read_text() == "kept"
 
     def test_eval_points(self, tmp_path, capsys):
         # the grid is 2^55 float64: 2^58 bytes
