@@ -18,12 +18,12 @@ backwards from the output genes, and the constants they read.  Genomes
 of one config are kept as a ``Wave`` of stacked arrays; one vectorised
 pass (``phenotypes``) finds every genome's active steps and an exact
 byte key: equal keys compute equal values, bit for bit.  Waves come from
-``random_genotypes``, ``mutate_many`` and, for genomes made one at a
-time, ``stack``.
+``random_genotypes``, ``mutate_many`` (a genome's offspring, then the
+genome itself) and, for genomes made one at a time, ``stack``.
 
-``evaluate_many`` runs the steps of a wave, or of the listed rows of
-waves chained, together, reading them in place: one op call per
-(column, opcode) group on slabs of a bounded value buffer.
+``evaluate_many`` runs the steps of a wave, or of its listed rows,
+together, reading them in place: one op call per (column, opcode) group
+on slabs of a bounded value buffer.
 ``evaluate_genotype`` is its one-genome form; a genome taken from a wave
 brings its phenotype along, so it is not stacked again.  ``decode`` and
 ``evaluate`` build and run expression trees, for printing and as the
@@ -254,36 +254,6 @@ def _step_index(n_steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
-def _chained_rows(waves: Sequence[Wave], rows) -> tuple[np.ndarray, ...]:
-    """n_steps, steps, outputs, constants and reads of the listed rows of
-    waves chained (rows numbered across them, in any order), gathered from
-    the waves' own arrays: no gene tensor is read.  Ascending rows, such as
-    selection's, are each wave's own run of rows; others are gathered in
-    ascending order, then put back in the listed one."""
-    if rows is None and len(waves) == 1:
-        w = waves[0]
-        return w.n_steps, w.steps, w.outputs, w.constants, w.reads
-    starts = np.cumsum([0] + [len(w) for w in waves])
-    rows = np.arange(starts[-1]) if rows is None else np.asarray(rows, dtype=np.intp)
-    if rows.size and not 0 <= rows.min() <= rows.max() < starts[-1]:
-        raise IndexError(f"rows out of range for {starts[-1]} genomes")
-    back = None
-    if (rows[1:] < rows[:-1]).any():
-        order = np.argsort(rows, kind="stable")
-        rows, back = rows[order], np.argsort(order)
-    cut = np.searchsorted(rows, starts)
-    runs = [(w, rows[lo:hi] - start) for w, start, lo, hi in zip(waves, starts, cut, cut[1:])]
-    steps = np.concatenate([w.steps[_step_index(w.n_steps, local)] for w, local in runs])
-    n_steps, outputs, constants, reads = (
-        np.concatenate([getattr(w, name)[local] for w, local in runs])
-        for name in ("n_steps", "outputs", "constants", "reads"))
-    if back is not None:
-        steps = steps[_step_index(n_steps, back)]
-        n_steps, outputs, constants, reads = (
-            part[back] for part in (n_steps, outputs, constants, reads))
-    return n_steps, steps, outputs, constants, reads
-
-
 def validate_genotype(g: Genotype) -> None:
     """Raise ValueError if any gene refers outside its valid source set."""
     cfg = g.config
@@ -408,7 +378,8 @@ def stack(genomes: Sequence[Genotype]) -> Wave:
 
 def mutate_many(g: Genotype, n: int, per_gene_prob: float,
                 rng: np.random.Generator) -> Wave:
-    """Point-mutate n copies of one genome as one (n, n_nodes, 3) gene tensor.
+    """The next wave of one genome: n point-mutated copies, then g itself,
+    unmutated, as row n, in one (n + 1, n_nodes, 3) gene tensor.
 
     Each function and input gene of each copy is resampled with the given
     probability, uniformly from its valid value set (so the observable
@@ -418,17 +389,18 @@ def mutate_many(g: Genotype, n: int, per_gene_prob: float,
     [-1, 1] with probability ``CONST_REDRAW`` * p.  The number of
     RNG calls does not depend on n, and the original genome is untouched.
 
-    One uniform per gene is drawn in (copy, node, slot) order; then each
-    slot's hits, copy after copy, are found by one ``np.flatnonzero`` and
-    given their new values by one draw and one write through the flat
-    gene tensor: hit i is node i % n_nodes, at flat index 3 * i + slot.
+    One uniform per gene of the n copies is drawn in (copy, node, slot)
+    order; then each slot's hits, copy after copy, are found by one
+    ``np.flatnonzero`` and given their new values by one draw and one
+    write through the flat gene tensor: hit i is node i % n_nodes, at flat
+    index 3 * i + slot.
     """
     if not 0.0 <= per_gene_prob <= 1.0:
         raise ValueError("per_gene_prob must be in [0, 1]")
     cfg = g.config
-    genes = np.repeat(g.function_genes[None], n, axis=0)
+    genes = np.repeat(g.function_genes[None], n + 1, axis=0)
     flat = genes.reshape(-1)
-    mask = rng.random(genes.shape) < per_gene_prob
+    mask = rng.random((n, cfg.n_nodes, 3)) < per_gene_prob
     mask = np.ascontiguousarray(mask.reshape(-1, 3).T)    # (3, n * n_nodes)
 
     hit = np.flatnonzero(mask[0])
@@ -438,15 +410,16 @@ def mutate_many(g: Genotype, n: int, per_gene_prob: float,
         hit = np.flatnonzero(mask[slot])
         flat[3 * hit + slot] = _draw_sources(cfg, hit % cfg.n_nodes, rng)
 
-    constants = np.repeat(g.constants[None], n, axis=0)
+    constants = np.repeat(g.constants[None], n + 1, axis=0)
     if cfg.n_constants:
-        nudge = rng.random(constants.shape) < per_gene_prob
-        constants[nudge] += rng.normal(0.0, CONST_SIGMA, int(nudge.sum()))
-        redraw = rng.random(constants.shape) < CONST_REDRAW * per_gene_prob
-        constants[redraw] = rng.uniform(-1.0, 1.0, int(redraw.sum()))
+        mutants = constants[:n]
+        nudge = rng.random(mutants.shape) < per_gene_prob
+        mutants[nudge] += rng.normal(0.0, CONST_SIGMA, int(nudge.sum()))
+        redraw = rng.random(mutants.shape) < CONST_REDRAW * per_gene_prob
+        mutants[redraw] = rng.uniform(-1.0, 1.0, int(redraw.sum()))
 
     return phenotypes(cfg, genes,
-                      np.broadcast_to(g.output_genes, (n, cfg.n_outputs)), constants)
+                      np.broadcast_to(g.output_genes, (n + 1, cfg.n_outputs)), constants)
 
 
 def active_nodes(g: Genotype) -> set[int]:
@@ -468,17 +441,16 @@ def active_nodes(g: Genotype) -> set[int]:
     return active
 
 
-def evaluate_many(genomes: Wave | Sequence[Wave] | Sequence[Genotype],
-                  inputs: np.ndarray, out: np.ndarray | None = None,
-                  rows=None) -> np.ndarray:
-    """Evaluate genomes on one input, by opcode: a wave, waves of one config
-    chained, or a list of genomes (stacked).
+def evaluate_many(genomes: Wave | Sequence[Genotype], inputs: np.ndarray,
+                  out: np.ndarray | None = None, rows=None) -> np.ndarray:
+    """Evaluate genomes on one input, by opcode: a wave, or a list of
+    genomes (stacked).
 
-    ``rows`` lists the genomes to evaluate, numbered across the chained
-    waves, in any order (default all).  They are read in place, from the
-    waves' steps, outputs, constants and the constants each reads; no gene
-    tensor is copied.  Returns (len(rows) * n_outputs, n): row d * n_outputs
-    + j is output j of listed genome d (written into ``out`` when given).
+    ``rows`` lists the wave's genomes to evaluate, in any order (default
+    all).  They are read in place, from the wave's steps, outputs,
+    constants and the constants each reads; no gene tensor is copied.
+    Returns (len(rows) * n_outputs, n): row d * n_outputs + j is output j
+    of listed genome d (written into ``out`` when given).
     Each input column, each constant a genome reads and each active step
     has a row in one value buffer of at most ``EVAL_BLOCK`` elements (or
     of one genome's rows, when a single genome needs more), so a call runs
@@ -491,20 +463,21 @@ def evaluate_many(genomes: Wave | Sequence[Wave] | Sequence[Genotype],
     alone gives, bit for bit.  Non-finite values propagate; callers flag
     them with ``np.isfinite``.
     """
-    if isinstance(genomes, Wave):
-        waves = [genomes]
-    elif len(genomes) and isinstance(genomes[0], Wave):
-        waves = list(genomes)
-    else:
-        waves = [stack(genomes)]
-    cfg = waves[0].config
-    if any(w.config != cfg for w in waves):
-        raise ValueError("chained waves must share a config")
+    wave = genomes if isinstance(genomes, Wave) else stack(genomes)
+    cfg = wave.config
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != cfg.n_inputs:
         raise DimensionMismatch(
             f"expected {cfg.n_inputs} input columns, got shape {inputs.shape}")
-    n_steps, steps, outputs, constants, reads = _chained_rows(waves, rows)
+    n_steps, steps, outputs, constants, reads = (
+        wave.n_steps, wave.steps, wave.outputs, wave.constants, wave.reads)
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size and not 0 <= rows.min() <= rows.max() < len(wave):
+            raise IndexError(f"rows out of range for {len(wave)} genomes")
+        steps = steps[_step_index(n_steps, rows)]
+        n_steps, outputs, constants, reads = (
+            part[rows] for part in (n_steps, outputs, constants, reads))
     D, (n, n_in), n_out = len(n_steps), inputs.shape, cfg.n_outputs
     base = cfg.n_sources_before_nodes
     if out is None:

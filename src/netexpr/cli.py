@@ -22,7 +22,8 @@ names the option.  The config classes check the rest: what spans fields
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 Every exit 2 prints one ``config error:`` line; a size option whose
 arrays cannot be allocated (``MemoryError``) is one too.  An ``explain``
-that fails removes the ``--out`` that it made.
+that fails removes the ``--out`` that it made; ``train`` and
+``sample-boundary`` make theirs only once the model or sample is made.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ def cmd_train(args) -> int:
         raise DataError(f"class id {int(yte.max())} is in the test split only; "
                         f"the train split's ids end at {int(ytr.max())}")
 
-    out = _out_dir(args)
     model = mlp.train((Xtr, ytr), arch, cfg, head=head)
+    out = _out_dir(args)
 
     metrics = {
         "train_loss": mlp.train_loss(model, Xtr, ytr),

@@ -3,7 +3,8 @@
 Each generation scores every individual's chromosome position by
 position: the best chromosome at position i (affine-fitted against the
 traced layer output, fed with the already-chosen prefix's output) joins a
-composite parent, which is then mutated into the next wave of offspring.
+composite parent, which is then mutated into the next wave of offspring,
+the parent itself riding as its last row.
 
 Total fitness is the mean of the hidden-layer MSEs plus the output-layer
 loss (MSE for regression, soft-target cross-entropy for classification).
@@ -29,7 +30,6 @@ PAIRWISE_SUM_MIN classes, the sample-major last-axis sum from there up.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -259,9 +259,9 @@ def select_layerwise_best(population: Population | Sequence[NetGenotype],
     and its row of F stands for all of them.  Individual 0's row goes
     through ``chromosome_scalar``, its chromosome carrying its wave's
     phenotype, so nothing is restacked; the other distinct rows are read
-    in place from the waves, one ``cgp.evaluate_many`` call per run of
-    waves of one grid config (so the carried parent joins its offspring),
-    and no gene tensor is copied.  Without ``refit`` a row
+    in place, one ``cgp.evaluate_many`` call per wave that has any (in
+    ``evolve``, one wave: the offspring, then the parent), and no gene
+    tensor is copied.  Without ``refit`` a row
     stands only for individuals that also share one affine object, whose
     params it is scored with; with ``refit`` the distinct rows are
     refitted by one batched call (closed form for MSE, Newton for
@@ -296,15 +296,12 @@ def select_layerwise_best(population: Population | Sequence[NetGenotype],
         f = chromosome_scalar(population.chromosome(pos, 0), current)
         F = np.empty((len(firsts), f.shape[0]))
         F[0] = f
-        starts = np.cumsum([0] + [len(wave) for wave in waves])
-        lo = 1
-        for _, run in itertools.groupby(range(len(waves)), lambda k: waves[k].config):
-            run = list(run)
-            hi = int(np.searchsorted(firsts, starts[run[-1] + 1]))
+        lo, start = 1, 0
+        for wave in waves:
+            hi = int(np.searchsorted(firsts, start + len(wave)))
             if hi > lo:
-                cgp.evaluate_many([waves[k] for k in run], current, out=F[lo:hi],
-                                  rows=firsts[lo:hi] - starts[run[0]])
-            lo = hi
+                cgp.evaluate_many(wave, current, out=F[lo:hi], rows=firsts[lo:hi] - start)
+            lo, start = hi, start + len(wave)
         # one loss (and with refit one fit) per distinct row, shared by its
         # duplicates
         if not refit:
@@ -388,12 +385,10 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
             log_stream.flush()
         if best_total <= cfg.fitness_target or gen + 1 == cfg.max_generations:
             break
-        # the parent joins the next wave as its chromosomes' one-row waves,
-        # with its own affines; a chosen genome owns copies of its rows, so
-        # the scored population can go before the next wave is made and the
-        # two are never alive at once
-        kept = Population(tuple((c.genotype.wave,) for c in parent.chromosomes),
-                          tuple((c.affine,) for c in parent.chromosomes))
+        # the parent rides as the last row of its offspring's wave at each
+        # position, with its own affines; a chosen genome owns copies of its
+        # rows, so the scored population can go before the next wave is made
+        # and the two are never alive at once
         del population
-        population = mutate_net(parent, cfg.mutation_prob, rng, cfg.n_offspring) + kept
+        population = mutate_net(parent, cfg.mutation_prob, rng, cfg.n_offspring)
     return best_geno, log

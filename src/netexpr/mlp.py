@@ -226,27 +226,29 @@ def train(dataset: tuple[np.ndarray, np.ndarray], arch: list[int],
     batch = min(cfg.batch_size, n)
     b1, b2 = ADAM_BETAS
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        Xo, To = X[order], T[order]
-        for lo in range(0, n, batch):
-            grads = _gradients(model, Xo[lo:lo + batch], To[lo:lo + batch])
-            g = np.concatenate([p.ravel() for layer in grads for p in layer])
-            step += 1
-            if cfg.optimizer == "sgd":
-                theta -= cfg.learning_rate * g
-            else:   # b1 * m + (1 - b1) * g and its v twin, op for op, in place
-                m *= b1
-                m += (1 - b1) * g
-                v *= b2
-                v += (1 - b2) * g * g
-                c1 = 1 - b1 ** step
-                c2 = 1 - b2 ** step
-                theta -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        if epoch % 50 == 0 or epoch == cfg.epochs - 1:
-            loss = _loss(model, X, T)
-            if not np.isfinite(loss):
-                raise NumericError(f"training loss went non-finite at epoch {epoch}")
+    # a diverging run overflows silently; the loss check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            Xo, To = X[order], T[order]
+            for lo in range(0, n, batch):
+                grads = _gradients(model, Xo[lo:lo + batch], To[lo:lo + batch])
+                g = np.concatenate([p.ravel() for layer in grads for p in layer])
+                step += 1
+                if cfg.optimizer == "sgd":
+                    theta -= cfg.learning_rate * g
+                else:   # b1 * m + (1 - b1) * g and its v twin, op for op, in place
+                    m *= b1
+                    m += (1 - b1) * g
+                    v *= b2
+                    v += (1 - b2) * g * g
+                    c1 = 1 - b1 ** step
+                    c2 = 1 - b2 ** step
+                    theta -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            if epoch % 50 == 0 or epoch == cfg.epochs - 1:
+                loss = _loss(model, X, T)
+                if not np.isfinite(loss):
+                    raise NumericError(f"training loss went non-finite at epoch {epoch}")
     model.layers = [(W.copy(), b.copy()) for W, b in layers]
     return model
 

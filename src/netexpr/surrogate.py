@@ -110,7 +110,8 @@ class Population:
     consecutive individuals at position pos (one wave for a drawn or
     mutated population, one per run of equal grid configs for a listed
     one), and ``affines[pos][i]`` is individual i's params there;
-    offspring share their parent's object."""
+    offspring share their parent's object, as the parent, their wave's
+    last row, does."""
     waves: tuple[tuple[cgp.Wave, ...], ...]
     affines: tuple[tuple[AffineParams, ...], ...]
 
@@ -125,10 +126,6 @@ class Population:
 
     def __len__(self) -> int:
         return len(self.affines[0])
-
-    def __add__(self, other: "Population") -> "Population":
-        return Population(tuple(map(tuple.__add__, self.waves, other.waves)),
-                          tuple(map(tuple.__add__, self.affines, other.affines)))
 
     def _row(self, pos: int, i: int) -> tuple[cgp.Wave, int]:
         """The wave that holds individual i at position pos, and i's row in it."""
@@ -162,11 +159,12 @@ def random_net_genotypes(n_inputs: int, widths: list[int], rng: np.random.Genera
 
 def mutate_net(g: NetGenotype, per_gene_prob: float, rng: np.random.Generator,
                n: int) -> Population:
-    """n offspring of one network: one ``cgp.mutate_many`` wave per
-    position, in position order; affine params carry over as-is."""
+    """n offspring of one network, then the network itself as individual
+    n: one ``cgp.mutate_many`` wave of n + 1 rows per position, in
+    position order; affine params carry over as-is."""
     return Population(tuple((cgp.mutate_many(c.genotype, n, per_gene_prob, rng),)
                             for c in g.chromosomes),
-                      tuple((c.affine,) * n for c in g.chromosomes))
+                      tuple((c.affine,) * (n + 1) for c in g.chromosomes))
 
 
 def net_to_dict(g: NetGenotype) -> dict:

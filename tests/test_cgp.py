@@ -368,7 +368,7 @@ class TestMutateMany:
         g = cgp.random_genotypes(small_config(levels_back=levels_back, n_cols=4,
                                              n_constants=2), 1, rng)[0]
         wave = cgp.mutate_many(g, 300, p, rng)
-        assert len(wave) == 300
+        assert len(wave) == 301     # the offspring, then the parent
         for m in wave:
             cgp.validate_genotype(m)
             assert np.array_equal(m.output_genes, g.output_genes)
@@ -377,7 +377,7 @@ class TestMutateMany:
         g = cgp.random_genotypes(small_config(n_constants=2), 1,
                                  np.random.default_rng(18))[0]
         wave = cgp.mutate_many(g, 5, 0.0, np.random.default_rng(19))
-        assert len(wave) == 5
+        assert len(wave) == 6
         for m in wave:
             assert np.array_equal(m.function_genes, g.function_genes)
             assert np.array_equal(m.output_genes, g.output_genes)
@@ -444,11 +444,14 @@ class TestMutateManyMatchesMaskedOracle:
         cfg = small_config(**shape)
         g = cgp.random_genotypes(cfg, 1, np.random.default_rng(61))[0]
         r1, r2 = np.random.default_rng(62), np.random.default_rng(62)
-        got, want = cgp.mutate_many(g, n, p, r1), mutate_many_masked(g, n, p, r2)
-        for field in ("genes", "outputs", "constants", "steps", "n_steps"):
-            a, b = getattr(got, field), getattr(want, field)
-            assert a.dtype == b.dtype and np.array_equal(a, b), field
-        assert got.keys == want.keys
+        wave = cgp.mutate_many(g, n, p, r1)
+        # the n offspring, then the parent unmutated as row n
+        for got, want in ((wave.take(range(n)), mutate_many_masked(g, n, p, r2)),
+                          (wave.take([n]), cgp.stack([g]))):
+            for field in ("genes", "outputs", "constants", "steps", "n_steps"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), field
+            assert got.keys == want.keys
         # the generator is left at the same point of its stream
         assert r1.random() == r2.random()
 
@@ -658,48 +661,43 @@ class TestEvaluateMany:
         assert cgp.evaluate_many(genomes, X, out=out) is out
         assert same_bits(out, cgp.evaluate_many(genomes, X))
 
-    def test_listed_rows_of_chained_waves_equal_their_genomes_stacked(self):
+    def test_listed_rows_of_a_wave_equal_their_genomes_stacked(self):
         cfg = small_config(n_rows=3, n_cols=4, n_constants=2, n_outputs=2)
         rng = np.random.default_rng(41)
-        waves = [cgp.random_genotypes(cfg, k, rng) for k in (7, 1, 5)]
-        genomes = [g for w in waves for g in w]
+        wave = cgp.random_genotypes(cfg, 13, rng)
+        genomes = list(wave)
         X = awkward_inputs(rng, 20, 3)
         # the rows are read from the steps, output genes and constants alone
-        blind = [dataclasses.replace(w, genes=None) for w in waves]
+        blind = dataclasses.replace(wave, genes=None)
         for rows in ([0], [12, 7, 0, 7, 3, 8], list(range(13))[::-1]):
             want = cgp.evaluate_many([genomes[i] for i in rows], X)
             assert same_bits(cgp.evaluate_many(blind, X, rows=rows), want)
-        assert same_bits(cgp.evaluate_many(blind[2], X, rows=[4, 0]),
-                         cgp.evaluate_many([genomes[12], genomes[8]], X))
-        assert same_bits(cgp.evaluate_many(waves, X), cgp.evaluate_many(genomes, X))
-        for rows in ([13], [-1]):
+        assert same_bits(cgp.evaluate_many(blind, X), cgp.evaluate_many(genomes, X))
+        for rows in ([len(wave)], [-1]):
             with pytest.raises(IndexError):
-                cgp.evaluate_many(waves, X, rows=rows)
-        other = cgp.random_genotypes(small_config(n_rows=2), 1, rng)
-        with pytest.raises(ValueError, match="share a config"):
-            cgp.evaluate_many([waves[0], other], X, rows=[0])
+                cgp.evaluate_many(wave, X, rows=rows)
 
     @staticmethod
     def offspring_position():
-        """The waves and rows selection hands ``evaluate_many`` at one
-        position: the distinct rows of one parent's 200 offspring (p = 0.4)
-        and the parent, on 3 inputs.  The parent, the largest of 50 random
-        genomes, has 10 active steps; its offspring need about 1 500 buffer
-        rows, as a K0 position's do after the first generation."""
+        """The wave and rows selection hands ``evaluate_many`` at one
+        position: the distinct rows of one parent's wave, its 200 offspring
+        (p = 0.4) and then the parent, on 3 inputs.  The parent, the largest
+        of 50 random genomes, has 10 active steps; its offspring need about
+        1 500 buffer rows, as a K0 position's do after the first generation."""
         cfg = cgp.CgpConfig(n_inputs=3)
         rng = np.random.default_rng(0)
         pool = cgp.random_genotypes(cfg, 50, rng)
         parent = pool[int(np.argmax(pool.n_steps))]
-        waves = [cgp.mutate_many(parent, 200, 0.4, rng), parent.wave]
+        wave = cgp.mutate_many(parent, 200, 0.4, rng)
         first: dict = {}
-        for i, key in enumerate(key for w in waves for key in w.keys):
+        for i, key in enumerate(wave.keys):
             first.setdefault(key, i)
-        return waves, np.array(list(first.values()))
+        return wave, np.array(list(first.values()))
 
     @pytest.mark.parametrize("n", [160, 8000])
     def test_one_sweep_of_the_groups_unless_n_is_large(self, monkeypatch, n):
-        waves, rows = self.offspring_position()
-        cfg = waves[0].config
+        wave, rows = self.offspring_position()
+        cfg = wave.config
         X = awkward_inputs(np.random.default_rng(n), n, cfg.n_inputs)
         calls, buffers = [], []
 
@@ -711,7 +709,7 @@ class TestEvaluateMany:
             return call
 
         monkeypatch.setattr(cgp, "_FNS", [counting(fn) for fn in cgp._FNS])
-        got = cgp.evaluate_many(waves, X, rows=rows)
+        got = cgp.evaluate_many(wave, X, rows=rows)
         assert max(buffers) <= max(cgp.EVAL_BLOCK,
                                    (cfg.n_inputs + cfg.n_constants + cfg.n_nodes) * n)
         if n == 160:
@@ -719,12 +717,12 @@ class TestEvaluateMany:
             ops = len(calls)
             calls.clear()
             monkeypatch.setattr(cgp, "EVAL_BLOCK", 1 << 40)
-            assert same_bits(cgp.evaluate_many(waves, X, rows=rows), got)
+            assert same_bits(cgp.evaluate_many(wave, X, rows=rows), got)
             assert ops <= len(calls)
         else:
             # blocks of whole genomes, each row as its genome gives it alone
             for d, row in enumerate(rows):
-                assert same_bits(got[d], cgp.evaluate_many(waves, X, rows=[row])[0])
+                assert same_bits(got[d], cgp.evaluate_many(wave, X, rows=[row])[0])
 
     def test_mixed_configs_and_bad_widths_rejected(self):
         rng = np.random.default_rng(40)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,19 @@ class TestTrain:
         assert main(["train", "--csv", str(csv), "--arch", "2", "--lr", "1e6",
                      "--epochs", "60", "--seed", "0",
                      "--out", str(tmp_path / "o")]) == 4
+
+    def test_overflowing_step_exits_4_quietly_with_no_out(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--benchmark", "K0", "--lr", "1e200", "--epochs",
+                         "50", "--seed", "0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert [str(w.message) for w in caught] == []
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+        assert "Warning" not in err
+        assert not out.exists()
 
     def test_non_finite_weight_exits_4_naming_the_file(self, tmp_path, monkeypatch,
                                                       capsys):

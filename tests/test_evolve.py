@@ -494,6 +494,21 @@ class TestDuplicatePhenotypes:
             assert losses[0, 0] == losses[2, 0] == ev.OVERFLOW_PENALTY
 
 
+def three_waves(rng, widths):
+    """A population of three waves at each position: a parent's offspring
+    wave (the parent its last row), the parent again as a one-row wave of
+    the same grid, and a genome of another grid."""
+    parent = random_net(rng, 2, widths)
+    planted = surrogate.random_net_genotypes(2, list(widths), rng, 1, 1, 2)
+    offspring = surrogate.mutate_net(parent, 0.2, rng, 15)
+    chromosomes = parent.chromosomes
+    return surrogate.Population(
+        tuple((wave, cgp.stack([c.genotype]), other) for (wave,), c, (other,)
+              in zip(offspring.waves, chromosomes, planted.waves)),
+        tuple(affines + (c.affine,) + other for affines, c, other
+              in zip(offspring.affines, chromosomes, planted.affines)))
+
+
 class TestEntryForms:
     """A ``Population`` and the same individuals listed as ``NetGenotype``s
     select alike."""
@@ -505,14 +520,7 @@ class TestEntryForms:
         rng = np.random.default_rng(47)
         for _ in range(3):
             trace = random_trace(rng, widths=widths, task=task)
-            parent = random_net(rng, 2, widths)
-            planted = surrogate.random_net_genotypes(2, list(widths), rng, 1,
-                                                     1, 2)[0]
-            # three runs at each position: an offspring wave, the parent, and
-            # a genome of another grid
-            pop = (surrogate.mutate_net(parent, 0.2, rng, 15)
-                   + surrogate.Population.of([parent])
-                   + surrogate.Population.of([planted]))
+            pop = three_waves(rng, widths)
             assert [len(waves) for waves in pop.waves] == [3] * len(widths)
             listed = [pop[i] for i in range(len(pop))]
             got, losses = ev.select_layerwise_best(pop, trace, task, refit=refit)
@@ -536,13 +544,7 @@ class TestInPlaceSelection:
                                                       widths, refit):
         rng = np.random.default_rng(48)
         trace = random_trace(rng, widths=widths, task=task)
-        parent = random_net(rng, 2, widths)
-        planted = surrogate.random_net_genotypes(2, list(widths), rng, 1, 1, 2)[0]
-        # at each position an offspring wave, the carried parent (same
-        # grid) and a genome of another grid
-        pop = (surrogate.mutate_net(parent, 0.2, rng, 15)
-               + surrogate.Population.of([parent])
-               + surrogate.Population.of([planted]))
+        pop = three_waves(rng, widths)
         calls, inside = [], []
 
         def scalar(c, inputs):
@@ -568,18 +570,25 @@ class TestInPlaceSelection:
         for pos, waves in enumerate(pop.waves):
             mine = [(c, genomes, rows) for c, genomes, rows in calls
                     if (c.layer_index == pos if c is not None
-                        else any(w is genomes[0] for w in waves))]
+                        else any(w is genomes for w in waves))]
             # row 0's chromosome brings its own one-row wave, a view of its
-            # genes; then one call per grid that has rows left to evaluate,
-            # offspring and parent together
+            # genes; then one call per wave that has distinct rows left
             (c, row0, _), *rest = mine
             assert c is not None and row0 is c.genotype.wave and len(row0) == 1
             assert np.shares_memory(row0.genes, c.genotype.function_genes)
-            same_grid = len(set(waves[0].keys + waves[1].keys)) > 1
-            assert [list(genomes) for _, genomes, _ in rest] == (
-                [list(waves[:2])] * same_grid + [[waves[2]]])
+            keys = [key for wave in waves for key in wave.keys]
+            if not refit:
+                keys = [(key, id(a)) for key, a in zip(keys, pop.affines[pos])]
+            first: dict = {}
+            for i, key in enumerate(keys):
+                first.setdefault(key, i)
+            owner = np.repeat(np.arange(len(waves)), [len(wave) for wave in waves])
+            left = sorted(set(owner[list(first.values())[1:]].tolist()))
+            assert [genomes for _, genomes, _ in rest] == [waves[k] for k in left]
             assert all(c is None and rows is not None for c, _, rows in rest)
-            seen.append(same_grid)
+            # the parent's own one-row wave repeats its offspring wave's last row
+            assert 1 not in left
+            seen.append(left == [0, 2])
         assert any(seen)
 
 
@@ -647,10 +656,11 @@ class TestEvolve:
 
     @pytest.mark.parametrize("task,widths", [(ev.REGRESSION, (3, 2, 1)),
                                              (ev.CLASSIFICATION, (3, 2))])
-    def test_parent_is_carried_as_one_row_takes(self, monkeypatch, task, widths):
-        # the next population ends with the parent: at each position a
-        # one-row wave equal to the parent's genome stacked afresh, with the
-        # parent's affine, sharing no memory with the scored waves
+    def test_parent_rides_as_the_last_row_of_its_offspring_wave(self, monkeypatch,
+                                                                task, widths):
+        # the next population ends with the parent: at each position one
+        # wave, whose last row equals the parent's genome stacked afresh,
+        # with the parent's affine, sharing no memory with the scored waves
         scored = []
 
         def recording(population, *args, **kwargs):
@@ -670,13 +680,14 @@ class TestEvolve:
             scored_arrays = [getattr(wave, f) for waves in before.waves
                              for wave in waves for f in fields]
             for pos, c in enumerate(parent.chromosomes):
-                kept = after.waves[pos][-1]
-                want = cgp.stack([c.genotype])
-                assert len(kept) == 1 and after.affines[pos][-1] is c.affine
+                (wave,) = after.waves[pos]
+                assert len(wave) == 11 and after.affines[pos][-1] is c.affine
+                kept, want = wave.take([10]), cgp.stack([c.genotype])
+                assert not any(np.shares_memory(getattr(wave, f), x)
+                               for f in fields for x in scored_arrays)
                 for field in fields:
                     a, b = getattr(kept, field), getattr(want, field)
                     assert a.dtype == b.dtype and np.array_equal(a, b), field
-                    assert not any(np.shares_memory(a, x) for x in scored_arrays)
                 assert kept.keys == want.keys
 
     @pytest.mark.parametrize("task,widths", [(ev.REGRESSION, (3, 2, 1)),
