@@ -8,12 +8,15 @@ a batched Newton method with Armijo backtracking on standardised rows
 with one class pinned; each Hessian diagonal entry is damped by a
 relative NEWTON_RIDGE of itself, and each step reads the logits,
 log-sum-exp and loss of the candidate the last line search accepted.
+Its large temporaries are written in place into work arrays (``CeWork``),
+which a caller that fits many times keeps from one fit to the next.
 
 Loss convention: mean over samples, sum over neurons (or classes).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,15 +98,57 @@ class RowFits(NamedTuple):
     iterations: np.ndarray
 
 
-def _ce_lse(G, w, b):
-    """Logits (R, K, n) of classes 1..K for rows G (R, n), and the
-    log-sum-exp (R, n) over them and the pinned class 0."""
-    Z = w[:, :, None] * G[:, None, :] + b[:, :, None]
-    m = Z.max(axis=1, initial=0.0)
-    return Z, m + np.log(np.exp(-m) + np.exp(Z - m[:, None, :]).sum(axis=1))
+class CeWork:
+    """Work arrays that ``fit_affine_ce_rows`` writes its large temporaries
+    into, owned by a caller that fits many times (``evolve``, for one run).
+
+    Each name holds one flat buffer.  It grows to the largest size asked
+    of it and is handed out as a C-ordered view of its front, the layout
+    numpy gives a fresh result, so reductions over it add in the same
+    order.  A run's fits thus reuse the same memory, where fresh arrays at
+    every Newton step are handed back to the system and faulted in again.
+    The contents are scratch: a fit writes every element it reads.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
 
 
-def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray) -> RowFits:
+def _rows_of(a, idx, work, name):
+    """``a[idx]``: ``a`` itself when idx lists all of its rows (in order, as
+    every caller's do), else gathered into the work array ``name``."""
+    if idx.size == a.shape[0]:
+        return a
+    return np.take(a, idx, axis=0, out=work.take(name, idx.size, *a.shape[1:]),
+                   mode="clip")
+
+
+def _ce_lse(G, w, b, Z, lse, work):
+    """Logits of classes 1..K for rows G (R, n) into Z (R, K, n), and the
+    log-sum-exp over them and the pinned class 0 into lse (R, n)."""
+    R, K, n = Z.shape
+    np.multiply(w[:, :, None], G[:, None, :], out=Z)
+    Z += b[:, :, None]
+    m = np.max(Z, axis=1, initial=0.0, out=work.take("m", R, n))
+    e = np.subtract(Z, m[:, None, :], out=work.take("e", R, K, n))
+    np.exp(e, out=e)
+    np.sum(e, axis=1, out=lse)
+    e0 = np.negative(m, out=work.take("e0", R, n))
+    np.exp(e0, out=e0)
+    np.add(e0, lse, out=lse)
+    np.log(lse, out=lse)
+    np.add(m, lse, out=lse)
+
+
+def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
+                       work: CeWork | None = None) -> RowFits:
     """Cross-entropy fit of targets (n, C) against every row of F (P, n).
 
     Softmax is shift-invariant, so class 0 is pinned (w_0 = b_0 = 0) and
@@ -120,7 +165,17 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray) -> RowFits:
     along one row, so equal rows get bit-equal fits wherever they sit.
     A step starts from the logits, log-sum-exp and loss its row's accepted
     Armijo candidate computed, which are the same bits as recomputing them.
+
+    The large temporaries, (R, K, n) and (R, K, K, n) for R rows with
+    spread and K = C - 1, are written in place into ``work``, made for
+    this call when none is given.  Every elementwise op and reduction is
+    the same as on fresh arrays, in the same order, so a fit does not
+    depend on what earlier fits left in ``work``.  While every row is
+    still active, a step reads the rows in place rather than gathering
+    them.
     """
+    if work is None:
+        work = CeWork()
     P, n = F.shape
     C = targets.shape[1]
     K, D = C - 1, 2 * (C - 1)
@@ -134,46 +189,62 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray) -> RowFits:
 
     f_mean, Fc, s_ff, spread = _centre_rows(F)
     rows = np.flatnonzero(spread)
+    R = rows.size
     scale = np.sqrt(s_ff[rows] / n)
-    G = Fc[rows] / scale[:, None]                  # standardised rows (R, n)
-    G2 = G * G
+    # standardised rows (R, n), divided in place once gathered
+    G = np.divide(_rows_of(Fc, rows, work, "G"), scale[:, None],
+                  out=work.take("G", R, n))
+    del Fc
+    G2 = np.multiply(G, G, out=work.take("G2", R, n))
     T = targets[:, 1:].T                           # (K, n)
     t_sum = T.sum(axis=1)
     TG = (G[:, None, :] * T).sum(axis=2)           # (R, K)
-    tw = np.zeros((rows.size, K))                  # standardised parameters
-    tb = np.tile(b_const[1:], (rows.size, 1))
+    tw = np.zeros((R, K))                          # standardised parameters
+    tb = np.tile(b_const[1:], (R, 1))
     diag = np.arange(D)
+    eye = np.eye(K)[:, :, None]
 
     def loss_of(idx, cw, cb, lse):
         linear = (cw * TG[idx]).sum(axis=1) + (cb * t_sum).sum(axis=1)
-        return ((mass * lse).sum(axis=1) - linear) / n
+        mass_lse = np.multiply(mass, lse, out=work.take("mass_lse", *lse.shape))
+        return (mass_lse.sum(axis=1) - linear) / n
 
     def newton_step(idx):
         """Newton step, its slope g'step, and whether it is finite."""
-        g = G[idx]
-        prob = np.exp(Z[idx] - lse[idx][:, None, :])     # (R, K, n)
-        Q = mass * prob
-        grad = np.concatenate([(Q * g[:, None, :]).sum(axis=2) - TG[idx],
+        r = idx.size
+        g = _rows_of(G, idx, work, "g")
+        prob = np.subtract(_rows_of(Z, idx, work, "prob"),
+                           _rows_of(lse, idx, work, "lse_rows")[:, None, :],
+                           out=work.take("prob", r, K, n))
+        np.exp(prob, out=prob)
+        Q = np.multiply(mass, prob, out=work.take("Q", r, K, n))
+        Qg = np.multiply(Q, g[:, None, :], out=work.take("product", r, K, n))
+        grad = np.concatenate([Qg.sum(axis=2) - TG[idx],
                                Q.sum(axis=2) - t_sum], axis=1) / n
-        A = Q[:, :, None, :] * (np.eye(K)[:, :, None] - prob[:, None, :, :])
-        H = np.empty((idx.size, D, D))
-        H[:, :K, :K] = (A * G2[idx][:, None, None, :]).sum(axis=3)
-        H[:, :K, K:] = H[:, K:, :K] = (A * g[:, None, None, :]).sum(axis=3)
+        A = np.subtract(eye, prob[:, None, :, :], out=work.take("A", r, K, K, n))
+        np.multiply(Q[:, :, None, :], A, out=A)
+        product = work.take("product", r, K, K, n)
+        H = np.empty((r, D, D))
+        g2 = _rows_of(G2, idx, work, "g2")
+        H[:, :K, :K] = np.multiply(A, g2[:, None, None, :], out=product).sum(axis=3)
+        H[:, :K, K:] = H[:, K:, :K] = np.multiply(
+            A, g[:, None, None, :], out=product).sum(axis=3)
         H[:, K:, K:] = A.sum(axis=3)
         H /= n
         H[:, diag, diag] *= 1.0 + NEWTON_RIDGE
         H[:, diag, diag] += np.finfo(float).tiny
         ok = np.isfinite(H).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
-        step = np.zeros((idx.size, D))
+        step = np.zeros((r, D))
         step[ok] = np.linalg.solve(H[ok], -grad[ok][:, :, None])[:, :, 0]
         return step, (grad * step).sum(axis=1), ok
 
-    active = np.arange(rows.size)
+    active = np.arange(R)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # each row's logits, log-sum-exp and loss at its parameters: at the
         # start, then its accepted Armijo candidate's, which the next Newton
         # step reads rather than recomputes
-        Z, lse = _ce_lse(G, tw, tb)
+        Z, lse = work.take("Z", R, K, n), work.take("lse", R, n)
+        _ce_lse(G, tw, tb, Z, lse, work)
         losses = loss_of(active, tw, tb, lse)
         while active.size:
             step, slope, ok = newton_step(active)
@@ -190,15 +261,20 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray) -> RowFits:
                 if not pending.size:
                     break
                 idx = active[pending]
+                r = idx.size
                 cw = tw[idx] + t[pending, None] * step[pending, :K]
                 cb = tb[idx] + t[pending, None] * step[pending, K:]
-                cZ, c_lse = _ce_lse(G[idx], cw, cb)
+                # the step's gathers ("g", "prob", "lse_rows") are free again
+                cZ, c_lse = work.take("cZ", r, K, n), work.take("c_lse", r, n)
+                _ce_lse(_rows_of(G, idx, work, "g"), cw, cb, cZ, c_lse, work)
                 cand = loss_of(idx, cw, cb, c_lse)
                 accept = np.isfinite(cand) & (
                     cand <= loss[pending] + ARMIJO_C * t[pending] * slope[pending])
-                won = idx[accept]
+                won, kept = idx[accept], np.flatnonzero(accept)
                 tw[won], tb[won] = cw[accept], cb[accept]
-                Z[won], lse[won], losses[won] = cZ[accept], c_lse[accept], cand[accept]
+                Z[won] = _rows_of(cZ, kept, work, "prob")
+                lse[won] = _rows_of(c_lse, kept, work, "lse_rows")
+                losses[won] = cand[accept]
                 pending = pending[~accept]
                 t[pending] *= ARMIJO_SHRINK
             active = np.delete(active, pending)

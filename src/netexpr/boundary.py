@@ -4,6 +4,10 @@ A point's distance to the boundary is sum_k |p_k - 1/C| over the model's
 class probabilities: zero exactly when the prediction is maximally
 uncertain.  The sampler draws a uniform pool inside per-feature bounds and
 keeps the points with the smallest distances, ties resolved by draw order.
+The pool is drawn at once but pushed through the model in row blocks of
+about SAMPLE_BLOCK points, so only one block's activations are alive at a
+time; what the whole pool keeps is its points, probabilities, distances
+and one sort order.
 """
 
 from __future__ import annotations
@@ -15,6 +19,11 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, SchemaError
 from .mlp import SOFTMAX, MlpModel, predict, read_table, write_table
+
+# pool rows per forward pass.  The pool is cut into near-equal blocks of at
+# least half this many rows: a product of very few rows can take another
+# BLAS path, whose bits need not match the whole pool's.
+SAMPLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -76,7 +85,11 @@ def sample_near_boundary(model: MlpModel, cfg: BoundarySampleConfig) -> Boundary
     """Draw the pool, score it through the model, keep the closest points.
 
     Deterministic per seed; the kept set is exactly the keep_size smallest
-    distances with earlier draws winning ties.
+    distances with earlier draws winning ties.  The pool is scored in
+    near-equal row blocks of about SAMPLE_BLOCK points, which give the same
+    bits as one pass over the whole pool.  A wide ``--margin`` puts points
+    so far outside the data that a layer's product overflows; the pass
+    runs with those warnings off, as ``mlp.train`` does.
     """
     if model.head != SOFTMAX:
         raise ValueError("boundary sampling needs a softmax model")
@@ -86,8 +99,14 @@ def sample_near_boundary(model: MlpModel, cfg: BoundarySampleConfig) -> Boundary
     rng = np.random.default_rng(cfg.seed)
     pool = rng.uniform(cfg.bounds[:, 0], cfg.bounds[:, 1],
                        size=(cfg.pool_size, cfg.bounds.shape[0]))
-    probs = predict(model, pool)
-    d = boundary_distances(probs)
+    probs = np.empty((cfg.pool_size, model.dims[-1]))
+    d = np.empty(cfg.pool_size)
+    n_blocks = -(-cfg.pool_size // SAMPLE_BLOCK)
+    edges = [cfg.pool_size * i // n_blocks for i in range(n_blocks + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(edges, edges[1:]):
+            probs[lo:hi] = predict(model, pool[lo:hi])
+            d[lo:hi] = boundary_distances(probs[lo:hi])
     keep = np.argsort(d, kind="stable")[:cfg.keep_size]
     return BoundarySample(pool[keep], probs[keep], d[keep])
 

@@ -38,7 +38,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import cgp
-from .affine import (CROSS_ENTROPY, MSE, AffineParams, fit_affine_ce_rows,
+from .affine import (CROSS_ENTROPY, MSE, AffineParams, CeWork, fit_affine_ce_rows,
                      fit_affine_mse_rows)
 from .errors import ConfigError, DimensionMismatch
 from .mlp import LayerTrace
@@ -249,7 +249,8 @@ def _distinct(keys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def select_layerwise_best(population: Population | Sequence[NetGenotype],
-                          trace: LayerTrace, task: str, refit: bool = True):
+                          trace: LayerTrace, task: str, refit: bool = True,
+                          work: CeWork | None = None):
     """Assemble the per-position best chromosomes into one composite parent.
 
     A list of networks is made a ``Population`` first.  Positions are
@@ -271,7 +272,8 @@ def select_layerwise_best(population: Population | Sequence[NetGenotype],
     individual becomes a chromosome, refitted unless its row is not finite
     (then it keeps its affine); its values are fed on unchanged.  Ties go
     to the lowest population index.  Returns the composite genotype and
-    the (n_individuals, n_positions) loss matrix.
+    the (n_individuals, n_positions) loss matrix.  ``work`` holds the
+    cross-entropy fit's work arrays, for a caller that selects many times.
     """
     _check_task(task)
     if not len(population):
@@ -310,7 +312,7 @@ def select_layerwise_best(population: Population | Sequence[NetGenotype],
         elif kind == MSE:
             W, B, _ = fit_affine_mse_rows(F, target)
         else:
-            W, B, *_ = fit_affine_ce_rows(F, target)
+            W, B, *_ = fit_affine_ce_rows(F, target, work)
         losses = score_rows(F, W, B, target, kind)[row_of]
         best = int(np.argmin(losses))     # first minimum: lowest-index tie-break
         k = row_of[best]
@@ -362,11 +364,12 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
 
     best_geno: NetGenotype | None = None
     best_total = math.inf
+    work = CeWork()      # the cross-entropy fits' work arrays, for this run
     start = time.perf_counter()
     for gen in range(cfg.max_generations):
         refit = gen % cfg.affine_refit_every == 0
         parent, loss_matrix = select_layerwise_best(
-            population, trace, task, refit=refit)
+            population, trace, task, refit=refit, work=work)
         per_pos = loss_matrix.min(axis=0).tolist()
         report = FitnessReport(tuple(per_pos[:-1]), per_pos[-1])
         if report.total <= best_total:       # ties drift to the newer parent

@@ -6,8 +6,9 @@ a per-problem affine loss with its gradient, a limited-memory BFGS fit
 of one problem, the batched cross-entropy fit that recomputes every
 Newton step's logits, the layer loss of one prediction matrix, a plain-loop
 fitness recomputation, MLP training one layer at a time, random genomes
-drawn one at a time, point mutation by boolean-mask writes, and the CGP
-operators as plain expressions.
+drawn one at a time, point mutation by boolean-mask writes, the CGP
+operators as plain expressions, and the boundary sampler that scores its
+whole pool in one pass.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from netexpr import affine, cgp, mlp
+from netexpr import affine, boundary, cgp, mlp
 from netexpr.affine import (ARMIJO_C, ARMIJO_SHRINK, CROSS_ENTROPY, MAX_HALVINGS, MSE,
                             NEWTON_RIDGE, NEWTON_TOL, AffineParams, RowFits,
                             _centre_rows)
@@ -391,6 +392,19 @@ def fit_affine_ce_rows_recomputing(F: np.ndarray, targets: np.ndarray) -> RowFit
     converged[degenerate] = True
     iterations[degenerate] = 0
     return RowFits(w, b, degenerate, converged, iterations)
+
+
+def sample_near_boundary_whole_pool(model, cfg) -> boundary.BoundarySample:
+    """``boundary.sample_near_boundary`` as it was before the pool was
+    scored in row blocks: the whole pool goes through ``predict`` in one
+    pass.  The reference its samples must equal bit for bit."""
+    rng = np.random.default_rng(cfg.seed)
+    pool = rng.uniform(cfg.bounds[:, 0], cfg.bounds[:, 1],
+                       size=(cfg.pool_size, cfg.bounds.shape[0]))
+    probs = mlp.predict(model, pool)
+    d = boundary.boundary_distances(probs)
+    keep = np.argsort(d, kind="stable")[:cfg.keep_size]
+    return boundary.BoundarySample(pool[keep], probs[keep], d[keep])
 
 
 def score_values_plain(pred: np.ndarray, target: np.ndarray, kind: str) -> float:

@@ -441,3 +441,32 @@ class TestValidation:
     def test_unknown_loss(self):
         with pytest.raises(ValueError):
             FitProblem(np.array([1.0, 2.0]), np.ones((2, 1)), "huber")
+
+
+class TestCeWorkArrays:
+    def test_reused_arrays_give_fresh_fits(self):
+        # R grows and shrinks, then K goes from 1 to 8, so every fit reads
+        # buffers that a larger or differently shaped fit wrote before it
+        rng = np.random.default_rng(40)
+        work = affine.CeWork()
+        for count, n, width in [(2, 30, 2), (9, 50, 2), (1, 20, 2), (5, 45, 2),
+                                (3, 25, 9), (6, 40, 9), (2, 30, 2)]:
+            t = ce_targets(rng, n, width, soft=count % 2 == 1)
+            F = ce_rows(rng, n, count)
+            F = np.concatenate([F, np.full((1, n), 3.0)])    # a degenerate row
+            got = affine.fit_affine_ce_rows(F, t, work)
+            for want in (affine.fit_affine_ce_rows(F, t),
+                         fit_affine_ce_rows_recomputing(F, t)):
+                for name, a, b in zip(got._fields, got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    assert a.tobytes() == b.tobytes(), name
+
+    def test_buffers_grow_and_are_reused(self):
+        work = affine.CeWork()
+        a = work.take("x", 2, 3)
+        a[...] = 1.0
+        b = work.take("x", 6)
+        assert b.base is a.base and b.flags["C_CONTIGUOUS"]
+        c = work.take("x", 3, 4)
+        assert c.shape == (3, 4) and c.base is not a.base
+        assert work.take("x", 2, 2).base is c.base

@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from netexpr import boundary, mlp
 from netexpr.errors import DataError
+
+from oracles import sample_near_boundary_whole_pool
+
+BLOCK = boundary.SAMPLE_BLOCK
 
 
 def constant_uniform_model(n_features=2, n_classes=2):
@@ -114,6 +120,41 @@ class TestSampler:
         assert np.array_equal(b, [[0.0, 2.0], [-1.0, 3.0]])
         b2 = boundary.bounds_from_data(X, margin=0.5)
         assert np.array_equal(b2, [[-1.0, 3.0], [-3.0, 5.0]])
+
+
+def two_hidden_layer_model(seed):
+    """A 2-10-10-2 softmax net whose logits spread over several units."""
+    model = mlp.init_model(2, [10, 10], 2, mlp.SOFTMAX, np.random.default_rng(seed))
+    return mlp.MlpModel([(3.0 * W, b + 0.1) for W, b in model.layers], head=mlp.SOFTMAX)
+
+
+class TestBlockedPool:
+    @pytest.mark.parametrize("pool,keep", [
+        (BLOCK - 1, 100), (BLOCK, 100), (BLOCK + 1, 100), (BLOCK + 7, 333),
+        (2 * BLOCK + 1, 100), (50001, 500), (BLOCK + 1, BLOCK + 1)])
+    def test_equals_the_whole_pool_pass(self, pool, keep):
+        model = two_hidden_layer_model(30)
+        cfg = boundary.BoundarySampleConfig(bounds=[[-3, 2], [-2, 3]], pool_size=pool,
+                                            keep_size=keep, seed=31)
+        got = boundary.sample_near_boundary(model, cfg)
+        want = sample_near_boundary_whole_pool(model, cfg)
+        for name in ("x", "probs", "distance"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_memory_is_the_pool_not_its_activations(self):
+        # the pool, its probabilities, distances and sort order are 48 bytes a
+        # point here; one pass over the whole pool held about 340
+        model = two_hidden_layer_model(32)
+        cfg = boundary.BoundarySampleConfig(bounds=[[-2, 2], [-2, 2]],
+                                            pool_size=50000, keep_size=500, seed=33)
+        tracemalloc.start()
+        try:
+            boundary.sample_near_boundary(model, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * cfg.pool_size
 
 
 class TestCsv:

@@ -449,6 +449,21 @@ class TestSampleBoundary:
         assert (str(cfg) in errors[0]) == (from_file and "'" in shown)
         assert not out.exists()
 
+    def test_wide_margin_samples_quietly(self, toy_classifier, tmp_path, capsys):
+        # the pool reaches 1e307 times the data's range, past what a layer's
+        # product can hold
+        cls_out, csv = toy_classifier
+        out = tmp_path / "b"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sample-boundary", "--weights", str(cls_out / "weights.json"),
+                         "--csv", str(csv), "--pool", "1000", "--keep", "10",
+                         "--margin", "1e307", "--seed", "2", "--out", str(out)])
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        assert "Warning" not in capsys.readouterr().err
+        assert len((out / "samples.csv").read_text().splitlines()) == 11
+
     def test_regression_model_exits(self, trained_k0, tmp_path):
         # linear-head model cannot be boundary-sampled
         code = main(["sample-boundary", "--weights", str(trained_k0 / "weights.json"),

@@ -819,6 +819,34 @@ class TestEvolve:
         assert len(log.records) == 5
         assert np.isfinite(log.records[-1].best_total)
 
+    @pytest.mark.parametrize("widths", [(3, 2), (4, 9)])
+    def test_classification_log_equals_fits_on_fresh_arrays(self, monkeypatch, widths):
+        # one set of cross-entropy work arrays serves every fit of a run, and
+        # leaves the convergence log as fits on fresh arrays write it
+        trace = random_trace(np.random.default_rng(47), n=40, widths=widths,
+                             task=ev.CLASSIFICATION)
+        cfg = self.small_cfg(n_offspring=30, max_generations=8, fitness_target=1e-12)
+        works = []
+
+        def fit(F, targets, work=None):
+            works.append(work)
+            return original(F, targets, work)
+
+        def fresh(F, targets, work=None):
+            return original(F, targets)
+
+        original = ev.fit_affine_ce_rows
+        logs = []
+        for patched in (fit, fresh):
+            monkeypatch.setattr(ev, "fit_affine_ce_rows", patched)
+            stream = io.StringIO()
+            ev.evolve(trace, ev.CLASSIFICATION, cfg, log_stream=stream,
+                      include_timing=False)
+            logs.append(stream.getvalue())
+        assert logs[0] == logs[1]
+        assert len(works) == 8 and works[0] is not None
+        assert all(work is works[0] for work in works)
+
     def test_incremental_stream_matches_log(self):
         rng = np.random.default_rng(13)
         trace = random_trace(rng)
