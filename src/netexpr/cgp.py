@@ -3,8 +3,8 @@
 A genome is a fixed grid of function nodes addressed by integer genes.
 Data sources are numbered consecutively: primary inputs first, then
 evolvable constants, then the grid nodes in column-major order.  A node
-may read from any source in a strictly earlier column (within
-``levels_back``), which makes the graph acyclic by construction.
+may read from any source in a strictly earlier column, which makes the
+graph acyclic by construction.
 
 Opcodes index one fixed table of 11 operators, ``FUNCTION_SET``; a
 saved genome stores them as bare indices, so the table's order is part
@@ -141,7 +141,6 @@ class CgpConfig:
     n_rows: int = 10
     n_cols: int = 10
     n_constants: int = 1
-    levels_back: int | None = None   # None means n_cols (all earlier columns)
     n_outputs: int = 1
 
     def __post_init__(self):
@@ -149,10 +148,6 @@ class CgpConfig:
             raise ConfigError("counts must be >= 1")
         if self.n_constants < 0:
             raise ConfigError("n_constants must be >= 0")
-        if self.levels_back is None:
-            object.__setattr__(self, "levels_back", self.n_cols)
-        if not 1 <= self.levels_back <= self.n_cols:
-            raise ConfigError("levels_back must be in 1..n_cols")
 
     @property
     def n_nodes(self) -> int:
@@ -169,17 +164,11 @@ class CgpConfig:
     def node_column(self, node: int) -> int:
         return node // self.n_rows
 
-    def input_choices(self, column: int) -> int:
-        """Number of sources addressable from a node in the given column."""
-        base = self.n_sources_before_nodes
-        reachable_cols = min(column, self.levels_back)
-        return base + reachable_cols * self.n_rows
-
-    def input_shift(self, column: int) -> int:
-        """Offset applied to node-range ranks when the window excludes early columns."""
-        if column <= self.levels_back:
-            return 0
-        return (column - self.levels_back) * self.n_rows
+    def input_choices(self, column):
+        """Number of sources addressable from a node in the given column (or
+        array of columns): the inputs, the constants and every node of an
+        earlier column."""
+        return self.n_sources_before_nodes + column * self.n_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,13 +255,8 @@ def validate_genotype(g: Genotype) -> None:
     codes = g.function_genes[:, 0]
     if np.any(codes < 0) or np.any(codes >= len(FUNCTION_SET)):
         raise ValueError("opcode out of range")
-    # the window mutation draws from: an input or constant, or a node whose
-    # rank (source minus the column's shift) is below the column's choices
-    choices, shifts = _input_tables(cfg)
     src = g.function_genes[:, 1:]
-    base = cfg.n_sources_before_nodes
-    rank = src - shifts[:, None]
-    bad = ~(((0 <= src) & (src < base)) | ((base <= rank) & (rank < choices[:, None])))
+    bad = (src < 0) | (src >= _input_choices(cfg)[:, None])
     if bad.any():
         j, slot = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise ValueError(f"node {j} input gene {slot + 1} out of range")
@@ -283,25 +267,17 @@ def validate_genotype(g: Genotype) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _input_tables(config: CgpConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per node: how many sources its inputs may address, and the shift that
-    maps a node-range rank past the columns outside ``levels_back``."""
-    cols = np.arange(config.n_nodes) // config.n_rows
-    choices = np.array([config.input_choices(c) for c in range(config.n_cols)])[cols]
-    shifts = np.array([config.input_shift(c) for c in range(config.n_cols)])[cols]
+def _input_choices(config: CgpConfig) -> np.ndarray:
+    """Per node, how many sources its inputs may address."""
+    choices = config.input_choices(np.arange(config.n_nodes) // config.n_rows)
     choices.setflags(write=False)
-    shifts.setflags(write=False)
-    return choices, shifts
+    return choices
 
 
 def _draw_sources(config: CgpConfig, nodes: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """One input gene for each listed node, uniform over its valid sources."""
-    choices, shifts = _input_tables(config)
-    ranks = rng.integers(0, choices[nodes])
-    if config.levels_back >= config.n_cols - 1:    # no column is shifted
-        return ranks
-    return np.where(ranks < config.n_sources_before_nodes, ranks, ranks + shifts[nodes])
+    return rng.integers(0, _input_choices(config)[nodes])
 
 
 def random_genotypes(config: CgpConfig, n: int, rng: np.random.Generator) -> Wave:
@@ -695,7 +671,7 @@ def genotype_to_dict(g: Genotype) -> dict:
             "n_rows": g.config.n_rows,
             "n_cols": g.config.n_cols,
             "n_constants": g.config.n_constants,
-            "levels_back": g.config.levels_back,
+            "levels_back": g.config.n_cols,   # every earlier column
             "n_outputs": g.config.n_outputs,
         },
         "function_genes": [int(x) for x in g.function_genes.reshape(-1)],
@@ -705,8 +681,16 @@ def genotype_to_dict(g: Genotype) -> dict:
 
 
 def genotype_from_dict(d: dict) -> Genotype:
+    """The genome of a ``genotype_to_dict`` record.  Its ``levels_back``,
+    if given, must be an int in 1..n_cols: a genome drawn within a
+    narrower window reads only sources that any node may read."""
     try:
-        cfg = CgpConfig(**d["config"])
+        config = dict(d["config"])
+        levels_back = config.pop("levels_back", 1)   # absent: nothing to check
+        cfg = CgpConfig(**config)
+        if type(levels_back) is not int or not 1 <= levels_back <= cfg.n_cols:
+            raise ValueError(f"levels_back must be an integer in 1..n_cols "
+                             f"({cfg.n_cols}), not {levels_back!r}")
         genes, outputs = d["function_genes"], d["output_genes"]
         if not all(type(x) is int for x in [*genes, *outputs]):
             raise ValueError("function and output genes must be integers")

@@ -21,7 +21,8 @@ names the option.  The config classes check the rest: what spans fields
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 Every exit 2 prints one ``config error:`` line; a size option whose
-arrays cannot be allocated (``MemoryError``) is one too.  An ``explain``
+arrays cannot be allocated (``MemoryError``) is one too.  A path that
+cannot be read or written (any ``OSError``) is a data error.  An ``explain``
 that fails removes the ``--out`` that it made; ``train`` and
 ``sample-boundary`` make theirs only once the model or sample is made.
 """
@@ -327,7 +328,11 @@ def cmd_eval(args) -> int:
     # extrapolation window: centered, total width 5x the interpolation width
     lo, hi = ranges[k]
     width = hi - lo
-    grid = np.linspace(lo - 2 * width, hi + 2 * width, args.points)
+    start, stop = lo - 2 * width, hi + 2 * width
+    if not math.isfinite(stop - start):    # an end or the span overflows
+        raise ConfigError(f"--domain {args.domain}: the extrapolation window "
+                          f"[{start:.6g}, {stop:.6g}] of feature {k} overflows")
+    grid = np.linspace(start, stop, args.points)
     X = np.tile([0.5 * (a + b) for a, b in ranges], (args.points, 1))
     X[:, k] = grid
 
@@ -352,7 +357,7 @@ def cmd_eval(args) -> int:
         "benchmark": args.benchmark, "domain": args.domain,
         "feature": k, "points": args.points,
         "interpolation": [lo, hi],
-        "extrapolation": [lo - 2 * width, hi + 2 * width],
+        "extrapolation": [start, stop],
     }, seeds=[])
     path = manifest.add("grid", out / "grid.csv")
     mlp.write_table(path, header, cols)
@@ -442,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--out", default="out", help="output directory")
         if seed:
-            p.add_argument("--seed", type=int, required=True)
+            p.add_argument("--seed", type=non_negative, required=True)
 
     p = sub.add_parser("train", help="train an MLP on a benchmark or CSV")
     common(p)
@@ -467,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.add_argument("--samples", default=None,
                    help="CSV from sample-boundary to trace instead of a dataset")
-    p.add_argument("--data-seed", type=int, default=0,
+    p.add_argument("--data-seed", type=non_negative, default=0,
                    help="seed for regenerating benchmark data")
     p.add_argument("--runs", type=count, default=1)
     p.add_argument("--threads", type=count, default=1,
@@ -575,7 +580,7 @@ def main(argv=None) -> int:
         print(f"config error: out of memory, a size option is too large "
               f"({' '.join(str(exc).split()) or 'allocation failed'})", file=sys.stderr)
         return 2
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

@@ -530,18 +530,14 @@ def train_per_layer(X, T, arch, cfg, head):
 def random_genotype_one_at_a_time(config, rng):
     """One uniformly random genome by five draws: its opcodes, each node's
     first input, each node's second input, the output genes, the constants.
-    An input is a rank below the node's ``input_choices``; a rank past the
-    inputs and constants is shifted by ``input_shift`` into the window."""
+    An input is a source below the node's ``input_choices``."""
     n_nodes = config.n_nodes
     cols = [config.node_column(j) for j in range(n_nodes)]
     choices = np.array([config.input_choices(c) for c in cols])
-    shifts = np.array([config.input_shift(c) for c in cols])
-    base = config.n_sources_before_nodes
     genes = np.empty((n_nodes, 3), dtype=np.int64)
     genes[:, 0] = rng.integers(0, len(cgp.FUNCTION_SET), n_nodes)
     for slot in (1, 2):
-        ranks = rng.integers(0, choices)
-        genes[:, slot] = np.where(ranks < base, ranks, ranks + shifts)
+        genes[:, slot] = rng.integers(0, choices)
     outputs = rng.integers(0, config.n_sources, config.n_outputs)
     constants = rng.uniform(-1.0, 1.0, config.n_constants)
     return cgp.Genotype(config, genes, outputs, constants)
@@ -551,15 +547,12 @@ def mutate_many_masked(g, n, per_gene_prob, rng):
     """n point-mutated copies of one genome by boolean-mask writes into an
     (n, n_nodes, 3) gene tensor: the same draws in the same order as
     ``cgp.mutate_many``.  One uniform per gene; the opcode hits, copy
-    after copy, get new opcodes; then each input slot's hits get ranks
-    below their node's ``input_choices``, shifted by ``input_shift`` past
-    the inputs and constants; then each constant's Gaussian nudge and
-    uniform redraw."""
+    after copy, get new opcodes; then each input slot's hits get sources
+    below their node's ``input_choices``; then each constant's Gaussian
+    nudge and uniform redraw."""
     config = g.config
     cols = [config.node_column(j) for j in range(config.n_nodes)]
     choices = np.array([config.input_choices(c) for c in cols])
-    shifts = np.array([config.input_shift(c) for c in cols])
-    base = config.n_sources_before_nodes
     genes = np.repeat(g.function_genes[None], n, axis=0)
     mask = rng.random(genes.shape) < per_gene_prob
 
@@ -567,9 +560,7 @@ def mutate_many_masked(g, n, per_gene_prob, rng):
     genes[hit, 0] = rng.integers(0, len(cgp.FUNCTION_SET), int(hit.sum()))
     for slot in (1, 2):
         hit = mask[..., slot]
-        nodes = np.nonzero(hit)[1]
-        ranks = rng.integers(0, choices[nodes])
-        genes[hit, slot] = np.where(ranks < base, ranks, ranks + shifts[nodes])
+        genes[hit, slot] = rng.integers(0, choices[np.nonzero(hit)[1]])
 
     constants = np.repeat(g.constants[None], n, axis=0)
     if config.n_constants:

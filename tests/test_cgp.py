@@ -57,8 +57,8 @@ class TestRandomGenotype:
 
     def test_always_valid(self):
         rng = np.random.default_rng(3)
-        for lb in (1, 2, 3):
-            cfg = small_config(levels_back=lb)
+        for n_cols in (1, 2, 3):
+            cfg = small_config(n_cols=n_cols)
             for _ in range(50):
                 cgp.validate_genotype(cgp.random_genotypes(cfg, 1, rng)[0])
 
@@ -93,13 +93,11 @@ def same_genes(a, b):
 
 
 class TestRandomGenotypes:
-    @pytest.mark.parametrize("levels_back", [1, 2, None])
     @pytest.mark.parametrize("n_constants", [0, 1, 3])
     @pytest.mark.parametrize("n_outputs", [1, 3])
-    def test_one_genome_draws_as_the_one_at_a_time_oracle(self, levels_back,
-                                                          n_constants, n_outputs):
+    def test_one_genome_draws_as_the_one_at_a_time_oracle(self, n_constants, n_outputs):
         cfg = small_config(n_rows=3, n_cols=4, n_constants=n_constants,
-                           levels_back=levels_back, n_outputs=n_outputs)
+                           n_outputs=n_outputs)
         for seed in range(30):
             mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(2):
@@ -107,10 +105,8 @@ class TestRandomGenotypes:
                                   random_genotype_one_at_a_time(cfg, ref))
             assert mine.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("levels_back", [1, None])
-    def test_wave_genomes_are_valid_keyed_and_own_their_arrays(self, levels_back):
-        cfg = small_config(n_rows=3, n_cols=4, n_constants=2,
-                           levels_back=levels_back, n_outputs=2)
+    def test_wave_genomes_are_valid_keyed_and_own_their_arrays(self):
+        cfg = small_config(n_rows=3, n_cols=4, n_constants=2, n_outputs=2)
         wave = cgp.random_genotypes(cfg, 60, np.random.default_rng(36))
         assert len(wave) == 60
         genomes = list(wave)
@@ -133,16 +129,12 @@ class TestRandomGenotypes:
         assert calls == [5, 5, 5]
 
     def test_wave_draws_every_valid_value(self):
-        cfg = small_config(n_rows=2, n_cols=3, levels_back=1, n_constants=2)
+        cfg = small_config(n_rows=2, n_cols=3, n_constants=2)
         wave = cgp.random_genotypes(cfg, 3000, np.random.default_rng(38))
         genes = np.stack([g.function_genes for g in wave])
         assert set(genes[:, :, 0].ravel().tolist()) == set(range(len(cgp.FUNCTION_SET)))
-        base = cfg.n_sources_before_nodes
         for j in range(cfg.n_nodes):
-            col = cfg.node_column(j)
-            shift = cfg.input_shift(col)
-            valid = {r if r < base else r + shift
-                     for r in range(cfg.input_choices(col))}
+            valid = set(range(cfg.input_choices(cfg.node_column(j))))
             for slot in (1, 2):
                 assert set(genes[:, j, slot].tolist()) == valid
         outputs = np.concatenate([g.output_genes for g in wave])
@@ -314,8 +306,8 @@ class TestMutate:
 
     def test_mutation_closure_over_sequences(self):
         rng = np.random.default_rng(8)
-        for lb in (1, 3):
-            g = cgp.random_genotypes(small_config(levels_back=lb), 1, rng)[0]
+        for n_cols in (1, 3):
+            g = cgp.random_genotypes(small_config(n_cols=n_cols), 1, rng)[0]
             for _ in range(200):
                 g = cgp.mutate_many(g, 1, rng.uniform(0, 1), rng)[0]
                 cgp.validate_genotype(g)
@@ -361,12 +353,10 @@ class TestMutateMany:
                 sigma = np.sqrt(q * (1 - q) / trials)
                 assert abs(rate[j, slot] - q) < 3 * sigma, (j, slot, rate[j, slot], q)
 
-    @pytest.mark.parametrize("levels_back", [1, 3])
     @pytest.mark.parametrize("p", [0.03, 0.4, 1.0])
-    def test_every_offspring_valid(self, levels_back, p):
+    def test_every_offspring_valid(self, p):
         rng = np.random.default_rng(17)
-        g = cgp.random_genotypes(small_config(levels_back=levels_back, n_cols=4,
-                                             n_constants=2), 1, rng)[0]
+        g = cgp.random_genotypes(small_config(n_cols=4, n_constants=2), 1, rng)[0]
         wave = cgp.mutate_many(g, 300, p, rng)
         assert len(wave) == 301     # the offspring, then the parent
         for m in wave:
@@ -438,7 +428,7 @@ class TestMutateManyMatchesMaskedOracle:
         dict(),
         dict(n_constants=0),
         dict(n_outputs=3, n_constants=2),
-        dict(n_cols=5, levels_back=2),
+        dict(n_cols=5),
     ])
     def test_bit_for_bit(self, n, p, shape):
         cfg = small_config(**shape)
@@ -471,11 +461,9 @@ def with_genes(g, genes=None, constants=None):
 
 
 class TestPhenotypes:
-    @pytest.mark.parametrize("levels_back", [1, None])
     @pytest.mark.parametrize("n_outputs", [1, 3])
-    def test_wave_pass_matches_active_nodes(self, levels_back, n_outputs):
-        cfg = small_config(n_rows=3, n_cols=5, n_constants=2,
-                           levels_back=levels_back, n_outputs=n_outputs)
+    def test_wave_pass_matches_active_nodes(self, n_outputs):
+        cfg = small_config(n_rows=3, n_cols=5, n_constants=2, n_outputs=n_outputs)
         rng = np.random.default_rng(30)
         genomes = [cgp.random_genotypes(cfg, 1, rng)[0] for _ in range(300)]
         wave = cgp.phenotypes(cfg, *stacked(genomes))
@@ -617,21 +605,19 @@ class TestEvaluateMany:
                                     g.constants.copy()))
         return out
 
-    @pytest.mark.parametrize("levels_back", [1, None])
     @pytest.mark.parametrize("n_constants,n_outputs", [(0, 1), (2, 1), (3, 3)])
     @pytest.mark.parametrize("n,block,slab", [
         (20, None, None),     # the buffer's own sizes: one block
         (20, 200, 60),        # 10-row buffer, 3-row slabs: many blocks and slabs
         (8000, None, None),   # 8-row buffer, one-row slabs read in place
     ])
-    def test_equals_each_genome_alone_and_its_trees(self, monkeypatch,
-                                                    levels_back, n_constants,
+    def test_equals_each_genome_alone_and_its_trees(self, monkeypatch, n_constants,
                                                     n_outputs, n, block, slab):
         if block is not None:
             monkeypatch.setattr(cgp, "EVAL_BLOCK", block)
             monkeypatch.setattr(cgp, "EVAL_SLAB", slab)
         cfg = small_config(n_rows=3, n_cols=4, n_constants=n_constants,
-                           levels_back=levels_back, n_outputs=n_outputs)
+                           n_outputs=n_outputs)
         rng = np.random.default_rng(37)
         X = awkward_inputs(rng, n, cfg.n_inputs)
         genomes = self.genomes(cfg, rng, 40)
@@ -819,17 +805,13 @@ class TestToInfix:
 
 
 class TestValidateGenotype:
-    @pytest.mark.parametrize("levels_back", [1, 2, 4])
-    def test_input_window_matches_straight_line_oracle(self, levels_back):
-        cfg = small_config(n_inputs=2, n_cols=4, n_constants=1,
-                           levels_back=levels_back)
+    def test_input_window_matches_straight_line_oracle(self):
+        cfg = small_config(n_inputs=2, n_cols=4, n_constants=1)
         g = cgp.random_genotypes(cfg, 1, np.random.default_rng(19))[0]
         base = cfg.n_sources_before_nodes
         for j in range(cfg.n_nodes):
             col = j // cfg.n_rows
-            first = max(0, col - levels_back)
-            window = (set(range(base))
-                      | set(range(base + first * cfg.n_rows, base + col * cfg.n_rows)))
+            window = set(range(base + col * cfg.n_rows))   # every earlier column
             for slot in (1, 2):
                 for src in range(-2, cfg.n_sources + 2):
                     genes = g.function_genes.copy()
@@ -844,7 +826,7 @@ class TestValidateGenotype:
                         assert str(exc.value) == f"node {j} input gene {slot} out of range"
 
     def test_first_bad_gene_is_named(self):
-        cfg = small_config(levels_back=1)
+        cfg = small_config()
         g = cgp.random_genotypes(cfg, 1, np.random.default_rng(20))[0]
         genes = g.function_genes.copy()
         genes[3, 2] = genes[4, 1] = cfg.n_sources

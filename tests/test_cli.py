@@ -77,7 +77,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag", [
         "--lr=0", "--lr=-0.5", "--batch-size=0", "--arch=0", "--arch=3,0",
-        "--epochs=-5", "--lr=nan", "--lr=inf",
+        "--epochs=-5", "--lr=nan", "--lr=inf", "--seed=-5",
     ])
     def test_bad_option_exits_2_before_any_artifact(self, tmp_path, flag):
         out = tmp_path / "o"
@@ -275,7 +275,7 @@ class TestExplain:
     @pytest.mark.parametrize("flag", [
         "--runs=0", "--generations=0", "--offspring=0", "--cadence=0",
         "--rows=0", "--mutation=2.0", "--mutation=-0.1", "--threads=0",
-        "--runs=two", "--target=nan",
+        "--runs=two", "--target=nan", "--seed=-1", "--data-seed=-1",
     ])
     def test_bad_option_exits_2_before_any_artifact(self, trained_k0, tmp_path,
                                                     flag):
@@ -420,6 +420,21 @@ class TestSampleBoundary:
         assert not out.exists()
 
     @pytest.mark.parametrize("from_file", [False, True])
+    def test_negative_seed_exits_2_before_any_artifact(self, toy_classifier, tmp_path,
+                                                       capsys, from_file):
+        cls_out, csv = toy_classifier
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -2\n" if from_file else "")
+        out = tmp_path / "b"
+        argv = ["sample-boundary", "--config", str(cfg),
+                "--weights", str(cls_out / "weights.json"), "--csv", str(csv),
+                "--pool", "200", "--keep", "20", "--out", str(out)]
+        assert main(argv + ([] if from_file else ["--seed", "-2"])) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("from_file", [False, True])
     @pytest.mark.parametrize("value,code,shown", [
         ("nan", 2, "'nan'"),
         ("inf", 2, "'inf'"),
@@ -482,6 +497,8 @@ class TestConfigFileValues:
         ("train", "epochs = [1, 2]"),
         ("train", "help = true"),
         ("explain", "config = x.cfg"),
+        ("train", "seed = -3"),
+        ("explain", "seed = -3"),
     ])
     def test_bad_value_exits_2_before_any_artifact(self, trained_k0, tmp_path,
                                                    command, line):
@@ -562,6 +579,9 @@ class TestConfigFileValues:
         ("explain", "--target", "0"),
         ("explain", "--target", "-1e-3"),
         ("explain", "--target", "nan"),
+        ("train", "--seed", "-5"),
+        ("explain", "--seed", "-1"),
+        ("explain", "--data-seed", "-1"),
     ])
     def test_value_a_config_class_rejects_names_the_option(
             self, trained_k0, tmp_path, capsys, command, option, value, from_file):
@@ -718,7 +738,9 @@ class TestEval:
                      "--domain=-1:1", "--points", points, "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("domain", ["nan:1", "-inf:1", "-1:inf", "1:-1", "1"])
+    @pytest.mark.parametrize("domain", ["nan:1", "-inf:1", "-1:inf", "1:-1", "1",
+                                        "-1e308:1e308",     # the window's ends overflow
+                                        "-3e307:3e307"])    # its span overflows
     def test_bad_domain_exits_2_before_any_artifact(self, tmp_path, domain):
         weights, gpath = self.make_identity_artifacts(tmp_path)
         out = tmp_path / "o"
@@ -743,6 +765,51 @@ class TestEval:
         assert Manifest.load(out / "manifest.json")["config"]["domain"] == "-2:2,-2:2"
         grid = np.loadtxt(out / "grid.csv", delimiter=",", skiprows=1)
         assert np.array_equal(grid[:, 2], grid[:, 3])
+
+    @staticmethod
+    def window_artifacts(tmp_path, config):
+        # identity MLP, and y = (x + x) * (x + x) - x on a 1 x 3 grid whose
+        # every node reads the input or the column just before it
+        weights = tmp_path / "w.json"
+        mlp.save_weights(mlp.MlpModel([(np.eye(1), np.zeros(1))]), weights)
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"chromosomes": [{
+            "cgp": {"config": {"n_inputs": 1, "n_rows": 1, "n_cols": 3,
+                               "n_constants": 0, "n_outputs": 1, **config},
+                    "function_genes": [0, 0, 0, 2, 1, 1, 1, 2, 0],
+                    "output_genes": [3], "constants": []},
+            "w": [1.0], "b": [0.0], "layer_index": 0}]}))
+        return weights, gpath
+
+    @pytest.mark.parametrize("config", [{}, {"levels_back": 3}, {"levels_back": 2},
+                                        {"levels_back": 1}])
+    def test_levels_back_in_1_to_n_cols_loads(self, tmp_path, config):
+        weights, gpath = self.window_artifacts(tmp_path, config)
+        out = tmp_path / "o"
+        assert main(["eval", "--genotype", str(gpath), "--weights", str(weights),
+                     "--domain=-1:1", "--points", "9", "--out", str(out)]) == 0
+        grid = np.loadtxt(out / "grid.csv", delimiter=",", skiprows=1)
+        x = grid[:, 0]
+        assert np.array_equal(grid[:, 2], (x + x) * (x + x) - x)
+
+    @pytest.mark.parametrize("value", [0, 4, True, "3", 2.0, None])
+    def test_levels_back_outside_1_to_n_cols_exits_3(self, tmp_path, capsys, value):
+        weights, gpath = self.window_artifacts(tmp_path, {"levels_back": value})
+        out = tmp_path / "o"
+        assert main(["eval", "--genotype", str(gpath), "--weights", str(weights),
+                     "--domain=-1:1", "--points", "9", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "levels_back" in err
+        assert not out.exists()
+
+    def test_genotype_directory_exits_3(self, tmp_path, capsys):
+        weights, _ = self.make_identity_artifacts(tmp_path)
+        out = tmp_path / "o"
+        assert main(["eval", "--genotype", str(tmp_path), "--weights", str(weights),
+                     "--domain=-1:1", "--points", "5", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("layer,field,index,value", [
         (0, "w", 0, float("nan")),
@@ -922,6 +989,37 @@ class TestOversizeOptions:
         self.check(["eval", "--genotype", str(gpath), "--weights", str(weights),
                     "--domain=-1:1", "--points", str(2 ** 55), "--out", str(out)], capsys)
         assert not out.exists()
+
+
+class TestUnwritableOut:
+    """An --out that names a file, or lies under one, exits 3 with one
+    ``data error:`` line and leaves the file as it was."""
+
+    def argv(self, command, request, tmp_path):
+        if command == "train":
+            return ["train", "--benchmark", "K0", "--seed", "0", "--epochs", "5"]
+        if command == "explain":
+            k0 = request.getfixturevalue("trained_k0")
+            return ["explain", "--weights", str(k0 / "weights.json"), "--benchmark",
+                    "K0", "--seed", "0", "--generations", "2", "--offspring", "4"]
+        if command == "sample-boundary":
+            cls_out, csv = request.getfixturevalue("toy_classifier")
+            return ["sample-boundary", "--weights", str(cls_out / "weights.json"),
+                    "--csv", str(csv), "--pool", "200", "--keep", "20", "--seed", "2"]
+        weights, gpath = TestEval().make_identity_artifacts(tmp_path)
+        return ["eval", "--genotype", str(gpath), "--weights", str(weights),
+                "--domain=-1:1", "--points", "5"]
+
+    @pytest.mark.parametrize("under", [False, True])
+    @pytest.mark.parametrize("command", ["train", "explain", "sample-boundary", "eval"])
+    def test_exits_3_and_keeps_the_file(self, request, tmp_path, capsys, command, under):
+        blocker = tmp_path / "f"
+        blocker.write_text("kept")
+        out = blocker / "o" if under else blocker
+        assert main(self.argv(command, request, tmp_path) + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert blocker.read_text() == "kept"
 
 
 class TestReport:
