@@ -11,6 +11,12 @@ log-sum-exp and loss of the candidate the last line search accepted.
 Its large temporaries are written in place into work arrays (``CeWork``),
 which a caller that fits many times keeps from one fit to the next.
 
+Both fitters also return each row's loss, taken from what the fit already
+holds: the MSE from its sums, the cross-entropy from Newton's last step.
+Such a loss is within FIT_LOSS_ERROR, relative, of what scoring the row's
+predictions (``evolve.score_rows``) gives; a row where that bound does not
+hold gets NaN, and its caller scores it.
+
 Loss convention: mean over samples, sum over neurons (or classes).
 """
 
@@ -34,6 +40,32 @@ MAX_HALVINGS = 30
 NEWTON_TOL = 1e-16         # stop once the decrement is at most this * (1 + loss)
 NEWTON_RIDGE = 1e-12       # Hessian damping, relative to each diagonal entry
 
+# The fitted losses.  A row's loss is left to its caller (NaN) when the row
+# is degenerate or not well conditioned: kappa = sqrt(n) max|f| / sqrt(S_ff)
+# at least KAPPA_MAX, a large offset with little spread.  An MSE row's loss
+# is also left when its residual sum S_tt - w S_ft, which cancels, is at
+# most CANCEL_MIN of the target's sum(t^2); a cross-entropy row's when its
+# logits are large next to its loss (``_ce_loss``).
+KAPPA_MAX = 1e3
+CANCEL_MIN = 1e-6
+ROUNDING = np.finfo(float).eps / 2     # u, the unit roundoff
+SUM_ROUNDING = 43 * ROUNDING           # numpy's pairwise sum of up to 2**31 terms
+# Every loss a fitter returns is within this share of the scored loss, to
+# first order in u.  Per neuron, with T = sum(t^2): the fitted sums S_tt,
+# S_ft, S_ff are each off by (SUM_ROUNDING + 3u) of their sum of |terms|
+# (errors in the means enter in second order only), so S_tt - w S_ft is off
+# by (4 SUM_ROUNDING + 14u) S_tt.  Scoring rounds each prediction f w + b
+# by u (|f w| + |t| + 2|r|), and centring f moves each fitted residual by
+# (u + SUM_ROUNDING) |w| max|f|; with |w| <= sqrt(S_tt / S_ff) that moves
+# the residual sum r.r by 2 sqrt(r.r) ((SUM_ROUNDING + 2u) kappa sqrt(S_tt)
+# + u sqrt(T)).  Summed over a row's neurons, with r.r > CANCEL_MIN sum(T)
+# and kappa < KAPPA_MAX, these are the first two terms below; the last
+# covers the final sums.  Cross-entropy rows are routed to keep within it.
+FIT_LOSS_ERROR = ((4 * SUM_ROUNDING + 14 * ROUNDING) / CANCEL_MIN
+                  + (2 * SUM_ROUNDING + 4 * ROUNDING) * (KAPPA_MAX + 1)
+                  / math.sqrt(CANCEL_MIN)
+                  + 2 * SUM_ROUNDING + 6 * ROUNDING)
+
 
 @dataclass(frozen=True)
 class AffineParams:
@@ -53,18 +85,21 @@ class AffineParams:
 
 
 def _centre_rows(F: np.ndarray):
-    """Row means, centred rows, their sums of squares, and which rows spread.
+    """Row means, centred rows, their sums of squares, which rows spread,
+    and each row's condition kappa = sqrt(n) max|f| / sqrt(S_ff).
 
     A row spreads when its sum of squares is finite and above
     n * (4 eps max|f|)^2, the rounding noise of centring it.
     """
     n = F.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f_mean = F.mean(axis=1)
         Fc = F - f_mean[:, None]
         s_ff = (Fc * Fc).sum(axis=1)
-        floor = n * (4.0 * np.finfo(float).eps * np.abs(F).max(axis=1)) ** 2
-    return f_mean, Fc, s_ff, (s_ff > floor) & np.isfinite(s_ff)
+        f_max = np.abs(F).max(axis=1)
+        floor = n * (4.0 * np.finfo(float).eps * f_max) ** 2
+        kappa = math.sqrt(n) * f_max / np.sqrt(s_ff)
+    return f_mean, Fc, s_ff, (s_ff > floor) & np.isfinite(s_ff), kappa
 
 
 def fit_affine_mse_rows(F: np.ndarray, targets: np.ndarray):
@@ -74,28 +109,62 @@ def fit_affine_mse_rows(F: np.ndarray, targets: np.ndarray):
     row without spread (see ``_centre_rows``), or whose fit is not finite,
     is degenerate and gets w=0, b=mean(t).  Every sum runs along one row,
     unlike a BLAS product, so equal rows get bit-equal fits wherever they
-    sit and selection ties still go to the lowest index.  Returns w, b of
-    shape (P, width) and the (P,) degenerate mask.
+    sit and selection ties still go to the lowest index.  A row's loss is
+    its residual sum over neurons, S_tt - w S_ft each, over n * width;
+    NaN where it is not within FIT_LOSS_ERROR of the scored loss (see
+    there).  Returns w, b of shape (P, width), the (P,) degenerate mask and
+    the (P,) losses.
     """
+    n, width = targets.shape
     t_mean = targets.mean(axis=0)
-    f_mean, Fc, s_ff, spread = _centre_rows(F)
+    # neuron-major and contiguous: each sum over samples is numpy's pairwise one
+    tc = np.ascontiguousarray((targets - t_mean).T)
+    f_mean, Fc, s_ff, spread, kappa = _centre_rows(F)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s_ft = np.stack([(Fc * tc).sum(axis=1) for tc in (targets - t_mean).T], axis=1)
+        s_ft = np.stack([(Fc * t).sum(axis=1) for t in tc], axis=1)
         w = s_ft / s_ff[:, None]
         b = t_mean - w * f_mean[:, None]
+        rss = ((tc * tc).sum(axis=1) - w * s_ft).sum(axis=1)
+        kept = (kappa < KAPPA_MAX) & (rss > CANCEL_MIN * (targets * targets).sum())
     degenerate = ~(spread & np.isfinite(w).all(axis=1) & np.isfinite(b).all(axis=1))
     w[degenerate] = 0.0
     b[degenerate] = t_mean
-    return w, b, degenerate
+    loss = np.where(kept & ~degenerate, rss / (n * width), np.nan)
+    return w, b, degenerate, loss
 
 
 class RowFits(NamedTuple):
-    """Batched cross-entropy fit: (P, width) parameters and per-row flags."""
+    """Batched cross-entropy fit: (P, width) parameters, per-row flags and
+    the (P,) losses (NaN where the caller scores the row)."""
     w: np.ndarray
     b: np.ndarray
     degenerate: np.ndarray
     converged: np.ndarray
     iterations: np.ndarray
+    loss: np.ndarray
+
+
+def _ce_loss(loss, tw, tb, kappa, n_classes):
+    """The Newton losses of rows with spread, NaN where one may be off by
+    more than FIT_LOSS_ERROR of its scored loss.
+
+    A row's logits w f + b = tw g + tb on its standardised values g are at
+    most twice its scale s = kappa max|tw| + max|tb| in size.  Forming them
+    as the fit does (from g) and as scoring does (from f) rounds each by at
+    most (SUM_ROUNDING + 8u) s, which moves a loss over probability targets
+    by at most twice that, on either side.  Evaluating the log-sum-exp, the
+    target products and the sums adds at most (5 SUM_ROUNDING + 13u) s and
+    (SUM_ROUNDING + 3u) log C + (2C + 4)u + (SUM_ROUNDING + 2u) loss.  So
+    the rows kept are those where (9 SUM_ROUNDING + (2C + 45)u)
+    (s + log C + 1 + loss) is at most FIT_LOSS_ERROR times the loss, and
+    whose kappa is below KAPPA_MAX.
+    """
+    error = 9 * SUM_ROUNDING + (2 * n_classes + 45) * ROUNDING
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = (kappa * np.abs(tw).max(axis=1, initial=0.0)
+                 + np.abs(tb).max(axis=1, initial=0.0) + math.log(n_classes) + 1.0)
+        kept = (kappa < KAPPA_MAX) & (error * (scale + loss) <= FIT_LOSS_ERROR * loss)
+    return np.where(kept, loss, np.nan)
 
 
 class CeWork:
@@ -165,6 +234,8 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
     along one row, so equal rows get bit-equal fits wherever they sit.
     A step starts from the logits, log-sum-exp and loss its row's accepted
     Armijo candidate computed, which are the same bits as recomputing them.
+    A row's loss is its last step's, NaN where ``_ce_loss`` does not keep
+    it and for degenerate rows.
 
     The large temporaries, (R, K, n) and (R, K, K, n) for R rows with
     spread and K = C - 1, are written in place into ``work``, made for
@@ -187,7 +258,7 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
     converged = np.zeros(P, dtype=bool)
     iterations = np.zeros(P, dtype=np.int64)
 
-    f_mean, Fc, s_ff, spread = _centre_rows(F)
+    f_mean, Fc, s_ff, spread, kappa = _centre_rows(F)
     rows = np.flatnonzero(spread)
     R = rows.size
     scale = np.sqrt(s_ff[rows] / n)
@@ -287,4 +358,7 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
     b[degenerate] = b_const
     converged[degenerate] = True
     iterations[degenerate] = 0
-    return RowFits(w, b, degenerate, converged, iterations)
+    loss = np.full(P, np.nan)
+    loss[rows] = _ce_loss(losses, tw, tb, kappa[rows], C)
+    loss[degenerate] = np.nan
+    return RowFits(w, b, degenerate, converged, iterations, loss)

@@ -24,7 +24,9 @@ Every exit 2 prints one ``config error:`` line; a size option whose
 arrays cannot be allocated (``MemoryError``) is one too.  A path that
 cannot be read or written (any ``OSError``) is a data error.  An ``explain``
 that fails removes the ``--out`` that it made; ``train`` and
-``sample-boundary`` make theirs only once the model or sample is made.
+``sample-boundary`` make theirs only once the model or sample is made, but
+check it first, so that an ``--out`` that is a file, or lies under one,
+fails before the work.
 """
 
 from __future__ import annotations
@@ -94,6 +96,15 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _check_out(args) -> None:
+    """Raise DataError unless --out is a directory or can be made one: its
+    nearest existing path must be a directory."""
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise DataError(f"--out {args.out}: {existing} is not a directory")
+
+
 def _load_table(args):
     """Dataset from --benchmark or --csv; returns (X, y, names, spec|None)."""
     if args.benchmark:
@@ -120,6 +131,7 @@ def _train_head(task, y) -> str:
 
 
 def cmd_train(args) -> int:
+    _check_out(args)
     X, y, names, spec = _load_table(args)
     arch = args.arch or (list(spec.arch) if spec else None)
     if not arch:
@@ -259,6 +271,7 @@ def _explain_runs(args, cfgs, trace, task, names, out: Path, manifest: Manifest)
 
 
 def cmd_sample_boundary(args) -> int:
+    _check_out(args)
     model = mlp.load_weights(args.weights)
     if model.head != mlp.SOFTMAX:
         raise DataError(f"{args.weights} is not a classifier (head is "
@@ -297,6 +310,8 @@ def _parse_domain(text: str) -> list[tuple[float, float]]:
             raise ConfigError(f"bad domain {part!r}; expected lo:hi") from None
         if not -np.inf < lo <= hi < np.inf:
             raise ConfigError(f"domain {part!r} needs finite lo <= hi")
+        if not math.isfinite(0.5 * (lo + hi)):    # the grid holds features there
+            raise ConfigError(f"--domain {text}: the midpoint of {part!r} overflows")
         out.append((lo, hi))
     return out
 

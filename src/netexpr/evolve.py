@@ -14,11 +14,14 @@ so broken expressions stay totally ordered and are never selected.
 At one position every individual reads the same input, so the population
 (``surrogate.Population``, waves by position) is scored as a matrix:
 individuals whose genomes share a phenotype key share one evaluation,
-one affine fit and one loss, and all losses come from one batched pass
-(``score_rows``).
-``fitness`` scores through the same loss rule on one matrix
-(``score_values``), so selection, and so the convergence log, is the
-same as scoring every individual on its own, bit for bit.
+one affine fit and one loss.  A refitted row's loss comes from its fit;
+the rows its fit cannot vouch for, and those whose fitted loss comes
+near the smallest, are scored by one batched pass (``score_rows``), as
+every row is when the affines are kept.  ``fitness`` scores through the
+same loss rule on one matrix (``score_values``), so the chosen parent,
+each position's smallest loss, and so the convergence log but for its
+``mean_total``, are the same as scoring every individual on its own, bit
+for bit.
 
 Predictions are scored neuron-major, (rows, width, n): the residual,
 the class max, ``exp`` and the log-sum-exp run along the samples, and one
@@ -38,8 +41,8 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import cgp
-from .affine import (CROSS_ENTROPY, MSE, AffineParams, CeWork, fit_affine_ce_rows,
-                     fit_affine_mse_rows)
+from .affine import (CROSS_ENTROPY, FIT_LOSS_ERROR, MSE, AffineParams, CeWork,
+                     fit_affine_ce_rows, fit_affine_mse_rows)
 from .errors import ConfigError, DimensionMismatch
 from .mlp import LayerTrace
 from .surrogate import (LayerChromosome, NetGenotype, Population, apply_affine,
@@ -52,6 +55,9 @@ CLASSIFICATION = "classification"
 CLASSIFIER_REFIT_EVERY = 50    # explain's affine refit cadence for a classifier
 
 OVERFLOW_PENALTY = 1e12
+# A fitted loss within this share of a position's smallest loss is scored
+# again: four times the fitters' bound on a fitted loss's error
+SCREEN_MARGIN = 4 * FIT_LOSS_ERROR
 SCORE_BLOCK = 1 << 15    # predictions per block of the batched loss pass
 # numpy sums a contiguous run of 8 or more values pairwise, through 8
 # accumulators, and a shorter run in sequence.  A reduce over the class
@@ -241,6 +247,42 @@ def score_rows(F: np.ndarray, W: np.ndarray, B: np.ndarray, target: np.ndarray,
     return losses
 
 
+def _confirm_near_best(F: np.ndarray, W: np.ndarray, B: np.ndarray, fitted: np.ndarray,
+                       degenerate: np.ndarray, target: np.ndarray, kind: str) -> np.ndarray:
+    """Each row's loss: its fitted loss, or ``score_rows``'s where the fit
+    left NaN or where the fitted loss comes within SCREEN_MARGIN of the
+    smallest loss.
+
+    A degenerate row has w = 0 and the same b as every other: one whose F
+    is not all finite scores the overflow penalty, and the others all
+    predict b, so one of them is scored for all.  The NaN rows go into one
+    ``score_rows`` pass with the near-best ones, and the screen repeats
+    against the smallest loss so far until no fitted loss is within the
+    margin of it.  A fitted loss is within FIT_LOSS_ERROR, a quarter of
+    the margin, of its scored loss, so every row left fitted scores above
+    the smallest loss: the smallest loss and the first row that has it
+    are those of scoring every row.
+    """
+    losses = fitted.copy()
+    flat = np.flatnonzero(degenerate)
+    finite = np.isfinite(F[flat]).all(axis=1)
+    losses[flat[~finite]] = OVERFLOW_PENALTY
+    flat = flat[finite]
+    todo = np.isnan(losses)
+    todo[flat[1:]] = False               # flat[0] is scored for them all
+    unscored = ~np.isnan(fitted)
+    while True:
+        best = np.fmin.reduce(losses)    # the smallest loss not left NaN
+        todo |= unscored & (losses <= best + SCREEN_MARGIN * abs(best))
+        if not todo.any():
+            return losses
+        rows = np.flatnonzero(todo)
+        losses[rows] = score_rows(F[rows], W[rows], B[rows], target, kind)
+        losses[flat] = losses[flat[:1]]
+        unscored &= ~todo
+        todo[:] = False
+
+
 def _distinct(keys) -> tuple[np.ndarray, np.ndarray]:
     """Where each distinct key first occurs, and the distinct slot of every key."""
     slot: dict = {}
@@ -262,18 +304,23 @@ def select_layerwise_best(population: Population | Sequence[NetGenotype],
     phenotype, so nothing is restacked; the other distinct rows are read
     in place, one ``cgp.evaluate_many`` call per wave that has any (in
     ``evolve``, one wave: the offspring, then the parent), and no gene
-    tensor is copied.  Without ``refit`` a row
-    stands only for individuals that also share one affine object, whose
-    params it is scored with; with ``refit`` the distinct rows are
+    tensor is copied.  Without ``refit`` a row stands only for
+    individuals that also share one affine object, whose params it is
+    scored with, and every loss comes from ``score_rows``, equal to what
+    ``fitness`` gives.  With ``refit`` the distinct rows are
     refitted by one batched call (closed form for MSE, Newton for
-    cross-entropy).  Losses come from ``score_rows``, equal to what
-    ``fitness`` gives; rows that are not all finite score the overflow
-    penalty (the fitters mark them degenerate).  Only the chosen
-    individual becomes a chromosome, refitted unless its row is not finite
-    (then it keeps its affine); its values are fed on unchanged.  Ties go
-    to the lowest population index.  Returns the composite genotype and
-    the (n_individuals, n_positions) loss matrix.  ``work`` holds the
-    cross-entropy fit's work arrays, for a caller that selects many times.
+    cross-entropy), which also gives each row's loss; ``score_rows``
+    scores only the rows the fit cannot vouch for and those near the
+    smallest loss (``_confirm_near_best``), so the chosen row and each
+    position's smallest loss are still what ``fitness`` gives, and every
+    other loss is within FIT_LOSS_ERROR of it.  Rows that are not all
+    finite score the overflow penalty (the fitters mark them degenerate).
+    Only the chosen individual becomes a chromosome, refitted unless its
+    row is not finite (then it keeps its affine); its values are fed on
+    unchanged.  Ties go to the lowest population index.  Returns the
+    composite genotype and the (n_individuals, n_positions) loss matrix.
+    ``work`` holds the cross-entropy fit's work arrays, for a caller that
+    selects many times.
     """
     _check_task(task)
     if not len(population):
@@ -309,11 +356,14 @@ def select_layerwise_best(population: Population | Sequence[NetGenotype],
         if not refit:
             W = np.stack([affines[i].w for i in firsts])
             B = np.stack([affines[i].b for i in firsts])
-        elif kind == MSE:
-            W, B, _ = fit_affine_mse_rows(F, target)
+            losses = score_rows(F, W, B, target, kind)
         else:
-            W, B, *_ = fit_affine_ce_rows(F, target, work)
-        losses = score_rows(F, W, B, target, kind)[row_of]
+            if kind == MSE:
+                W, B, degenerate, fitted = fit_affine_mse_rows(F, target)
+            else:
+                W, B, degenerate, *_, fitted = fit_affine_ce_rows(F, target, work)
+            losses = _confirm_near_best(F, W, B, fitted, degenerate, target, kind)
+        losses = losses[row_of]
         best = int(np.argmin(losses))     # first minimum: lowest-index tie-break
         k = row_of[best]
         choice = population.chromosome(pos, best)

@@ -22,7 +22,7 @@ import numpy as np
 from netexpr import affine, boundary, cgp, mlp
 from netexpr.affine import (ARMIJO_C, ARMIJO_SHRINK, CROSS_ENTROPY, MAX_HALVINGS, MSE,
                             NEWTON_RIDGE, NEWTON_TOL, AffineParams, RowFits,
-                            _centre_rows)
+                            _ce_loss, _centre_rows)
 from netexpr.errors import DimensionMismatch
 from netexpr.evolve import OVERFLOW_PENALTY
 from netexpr.surrogate import LayerChromosome, NetGenotype
@@ -308,6 +308,8 @@ def fit_affine_ce_rows_recomputing(F: np.ndarray, targets: np.ndarray) -> RowFit
     ``fit_affine_mse_rows``), or whose fit is not finite, is degenerate:
     w=0 and b the best constant logits.  Like the MSE fit, every sum runs
     along one row, so equal rows get bit-equal fits wherever they sit.
+    A row's loss is the one its last step computed, kept or made NaN by
+    the library's own rule (``affine._ce_loss``).
     """
     P, n = F.shape
     C = targets.shape[1]
@@ -320,7 +322,7 @@ def fit_affine_ce_rows_recomputing(F: np.ndarray, targets: np.ndarray) -> RowFit
     converged = np.zeros(P, dtype=bool)
     iterations = np.zeros(P, dtype=np.int64)
 
-    f_mean, Fc, s_ff, spread = _centre_rows(F)
+    f_mean, Fc, s_ff, spread, kappa = _centre_rows(F)
     rows = np.flatnonzero(spread)
     scale = np.sqrt(s_ff[rows] / n)
     G = Fc[rows] / scale[:, None]                  # standardised rows (R, n)
@@ -358,9 +360,11 @@ def fit_affine_ce_rows_recomputing(F: np.ndarray, targets: np.ndarray) -> RowFit
         return loss_of(idx, tw[idx], tb[idx], lse), step, (grad * step).sum(axis=1), ok
 
     active = np.arange(rows.size)
+    final = np.empty(rows.size)                    # each row's last step's loss
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while active.size:
             loss, step, slope, ok = newton_step(active)
+            final[active] = loss
             done = -0.5 * slope <= NEWTON_TOL * (1.0 + loss)
             converged[rows[active]] = done & ok
             go = ok & ~done & (iterations[rows[active]] < affine.NEWTON_MAX_ITERS)
@@ -391,7 +395,10 @@ def fit_affine_ce_rows_recomputing(F: np.ndarray, targets: np.ndarray) -> RowFit
     b[degenerate] = b_const
     converged[degenerate] = True
     iterations[degenerate] = 0
-    return RowFits(w, b, degenerate, converged, iterations)
+    losses = np.full(P, np.nan)
+    losses[rows] = _ce_loss(final, tw, tb, kappa[rows], C)
+    losses[degenerate] = np.nan
+    return RowFits(w, b, degenerate, converged, iterations, losses)
 
 
 def sample_near_boundary_whole_pool(model, cfg) -> boundary.BoundarySample:

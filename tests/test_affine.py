@@ -4,7 +4,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from netexpr import affine, cgp
+from netexpr import affine, cgp, evolve
 from netexpr.affine import AffineParams
 
 from oracles import (FitProblem, fit_affine_ce_rows_recomputing, fit_affine_lbfgs,
@@ -27,7 +27,7 @@ class RowFit(NamedTuple):
 
 def fit_mse_row(problem):
     """``fit_affine_mse_rows`` on the problem's one row, with its loss."""
-    w, b, degenerate = affine.fit_affine_mse_rows(problem.f_values[None, :],
+    w, b, degenerate, _ = affine.fit_affine_mse_rows(problem.f_values[None, :],
                                                   problem.targets)
     params = AffineParams(w[0], b[0])
     return RowFit(params, loss_and_grad(params, problem)[0], bool(degenerate[0]))
@@ -135,7 +135,7 @@ class TestBatchedRows:
             P, n = int(rng.integers(1, 51)), int(rng.integers(3, 80))
             F = rng.normal(size=(P, n)) * rng.uniform(0.5, 3.0, size=(P, 1))
             t = rng.normal(size=(n, width))
-            w, b, degenerate = affine.fit_affine_mse_rows(F, t)
+            w, b, degenerate, _ = affine.fit_affine_mse_rows(F, t)
             assert w.shape == b.shape == (P, width) and not degenerate.any()
             for row in range(P):
                 w_ref, b_ref = normal_equations_fit(F[row], t)
@@ -148,7 +148,7 @@ class TestBatchedRows:
             for width in (1, 3):
                 F = rng.normal(size=(P, 160))
                 F[[6, P - 1]] = F[3]
-                w, b, _ = affine.fit_affine_mse_rows(F, rng.normal(size=(160, width)))
+                w, b, *_ = affine.fit_affine_mse_rows(F, rng.normal(size=(160, width)))
                 for row in (6, P - 1):
                     assert np.array_equal(w[row], w[3])
                     assert np.array_equal(b[row], b[3])
@@ -158,9 +158,9 @@ class TestBatchedRows:
         rng = np.random.default_rng(10)
         F = rng.normal(size=(9, 50))
         t = rng.normal(size=(50, 4))
-        w, b, degenerate = affine.fit_affine_mse_rows(F, t)
+        w, b, degenerate, _ = affine.fit_affine_mse_rows(F, t)
         for row in range(F.shape[0]):
-            w1, b1, d1 = affine.fit_affine_mse_rows(F[row][None, :], t)
+            w1, b1, d1, _ = affine.fit_affine_mse_rows(F[row][None, :], t)
             assert np.array_equal(w1[0], w[row])
             assert np.array_equal(b1[0], b[row])
             assert d1[0] == degenerate[row]
@@ -172,7 +172,7 @@ class TestBatchedRows:
         base = rng.normal(size=(5, 40))
         F = base + offset
         t = rng.normal(size=(40, 3))
-        w, b, degenerate = affine.fit_affine_mse_rows(F, t)
+        w, b, degenerate, _ = affine.fit_affine_mse_rows(F, t)
         assert not degenerate.any()
         for row in range(5):
             w_ref, b0_ref = normal_equations_fit(F[row] - offset, t)
@@ -193,7 +193,7 @@ class TestBatchedRows:
             np.full(n, np.nan),
             spread,                                   # ordinary row
         ])
-        w, b, degenerate = affine.fit_affine_mse_rows(F, t)
+        w, b, degenerate, _ = affine.fit_affine_mse_rows(F, t)
         assert degenerate.tolist() == [True] * 5 + [False]
         assert np.all(w[:5] == 0.0)
         assert np.all(b[:5] == t.mean(axis=0))
@@ -441,6 +441,86 @@ class TestValidation:
     def test_unknown_loss(self):
         with pytest.raises(ValueError):
             FitProblem(np.array([1.0, 2.0]), np.ones((2, 1)), "huber")
+
+
+def fitted_losses(F, targets, kind):
+    """A fit of F's rows, its losses, and the losses ``score_rows`` gives."""
+    if kind == affine.MSE:
+        w, b, degenerate, loss = affine.fit_affine_mse_rows(F, targets)
+    else:
+        w, b, degenerate, *_, loss = affine.fit_affine_ce_rows(F, targets)
+    assert np.isnan(loss[degenerate]).all()
+    return loss, evolve.score_rows(F, w, b, targets, kind)
+
+
+def straddle(row, kept, left, targets, kind, steps=40):
+    """Two rows, row(x) on either side of where the fit starts to leave its
+    loss to the caller (NaN), bisected geometrically between x = kept and
+    x = left."""
+    def is_left(x):
+        return bool(np.isnan(fitted_losses(row(x)[None], targets, kind)[0][0]))
+
+    assert not is_left(kept) and is_left(left)
+    for _ in range(steps):
+        mid = math.sqrt(kept * left)
+        kept, left = (kept, mid) if is_left(mid) else (mid, left)
+    return np.stack([row(kept), row(left)])
+
+
+def left_rows(F, targets, kind):
+    """Which rows' losses the fit leaves to its caller; every loss it keeps
+    is within FIT_LOSS_ERROR of the scored one."""
+    loss, want = fitted_losses(F, targets, kind)
+    kept = ~np.isnan(loss)
+    assert (abs(loss[kept] - want[kept]) <= affine.FIT_LOSS_ERROR * want[kept]).all()
+    return (~kept).tolist()
+
+
+class TestFittedLosses:
+    """Every loss a fitter returns is within FIT_LOSS_ERROR of the scored
+    loss of its row, also on either side of each routing threshold."""
+
+    # ordinary rows, large offsets, a row either side of KAPPA_MAX, constant
+    # rows and non-finite rows
+    LEFT = [False] * 8 + [True] * 2 + [False, True] + [True] * 4
+
+    def hard_rows(self, rng, targets, kind):
+        n = targets.shape[0]
+        z = rng.normal(size=n)
+        rows = [rng.normal(size=n) * rng.uniform(0.1, 10.0) for _ in range(8)]
+        rows += [1e6 + z, 1e12 + z]
+        rows += list(straddle(lambda a: a + z, 1.0, 1e5, targets, kind))
+        rows += [np.full(n, 3.0), np.full(n, 1e12)]
+        rows += [np.where(z > 0, np.inf, z), np.full(n, np.nan)]
+        return np.stack(rows)
+
+    @pytest.mark.parametrize("n,width", [(40, 1), (160, 3), (500, 10)])
+    def test_mse(self, n, width):
+        rng = np.random.default_rng(n + width)
+        signal = rng.normal(size=n)
+        exact = signal[:, None] * rng.normal(size=width) + 0.5
+        targets = exact + 0.3 * rng.normal(size=(n, width))
+        assert left_rows(self.hard_rows(rng, targets, affine.MSE), targets,
+                         affine.MSE) == self.LEFT
+        # fits nearer and nearer exact, either side of CANCEL_MIN
+        e = rng.normal(size=n)
+        near = straddle(lambda x: signal + x * e, 1.0, 1e-9, exact, affine.MSE)
+        assert left_rows(near, exact, affine.MSE) == [False, True]
+
+    @pytest.mark.parametrize("n,width", [(60, 2), (200, 3), (500, 9)])
+    def test_cross_entropy(self, n, width):
+        rng = np.random.default_rng(n + width)
+        signal = rng.normal(size=n)
+        targets = ce_targets(rng, n, width, soft=True)
+        assert left_rows(self.hard_rows(rng, targets, affine.CROSS_ENTROPY), targets,
+                         affine.CROSS_ENTROPY) == self.LEFT
+        # hard labels the signal separates better and better: the loss falls
+        # toward 0 as the logits grow, either side of the logit-scale rule
+        edges = np.quantile(signal, np.linspace(0, 1, width + 1)[1:-1])
+        labels = np.eye(width)[np.digitize(signal, edges)]
+        e = rng.normal(size=n)
+        sharp = straddle(lambda x: signal + x * e, 1.0, 1e-9, labels, affine.CROSS_ENTROPY)
+        assert left_rows(sharp, labels, affine.CROSS_ENTROPY) == [False, True]
 
 
 class TestCeWorkArrays:

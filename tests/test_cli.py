@@ -7,6 +7,7 @@ import pytest
 
 from netexpr import benchmarks as bench
 from netexpr import evolve as ev
+from netexpr import boundary as bdry
 from netexpr import cgp, mlp, surrogate
 from netexpr.cli import Manifest, main
 
@@ -740,7 +741,8 @@ class TestEval:
 
     @pytest.mark.parametrize("domain", ["nan:1", "-inf:1", "-1:inf", "1:-1", "1",
                                         "-1e308:1e308",     # the window's ends overflow
-                                        "-3e307:3e307"])    # its span overflows
+                                        "-3e307:3e307",     # its span overflows
+                                        "-2:2,1e308:1.7e308"])  # a midpoint overflows
     def test_bad_domain_exits_2_before_any_artifact(self, tmp_path, domain):
         weights, gpath = self.make_identity_artifacts(tmp_path)
         out = tmp_path / "o"
@@ -1019,6 +1021,24 @@ class TestUnwritableOut:
         assert main(self.argv(command, request, tmp_path) + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and len(err.splitlines()) == 1
+        assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize("under", [False, True])
+    @pytest.mark.parametrize("command", ["train", "sample-boundary"])
+    def test_fails_before_the_work(self, request, tmp_path, monkeypatch, command, under):
+        # neither a model is trained nor a pool sampled for an --out that
+        # cannot be made
+        argv = self.argv(command, request, tmp_path)
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{command} started its work before checking --out")
+
+        monkeypatch.setattr(mlp, "train", never)
+        monkeypatch.setattr(bdry, "sample_near_boundary", never)
+        blocker = tmp_path / "f"
+        blocker.write_text("kept")
+        out = blocker / "o" if under else blocker
+        assert main(argv + ["--out", str(out)]) == 3
         assert blocker.read_text() == "kept"
 
 
