@@ -8,8 +8,10 @@ a batched Newton method with Armijo backtracking on standardised rows
 with one class pinned; each Hessian diagonal entry is damped by a
 relative NEWTON_RIDGE of itself, and each step reads the logits,
 log-sum-exp and loss of the candidate the last line search accepted.
-Its large temporaries are written in place into work arrays (``CeWork``),
-which a caller that fits many times keeps from one fit to the next.
+Its large temporaries, (R, K, n) for R rows and K = C - 1 classes (the
+Hessian is built one class at a time), are written in place into work
+arrays (``CeWork``), which a caller that fits many times keeps from one
+fit to the next.
 
 Both fitters also return each row's loss, taken from what the fit already
 holds: the MSE from its sums, the cross-entropy from Newton's last step.
@@ -176,7 +178,9 @@ class CeWork:
     numpy gives a fresh result, so reductions over it add in the same
     order.  A run's fits thus reuse the same memory, where fresh arrays at
     every Newton step are handed back to the system and faulted in again.
-    The contents are scratch: a fit writes every element it reads.
+    The contents are scratch: a fit writes every element it reads.  Two
+    names can swap their buffers, so that a result becomes the current
+    value without a copy.
     """
 
     def __init__(self):
@@ -189,6 +193,9 @@ class CeWork:
             buf = self._buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
 
+    def swap(self, a: str, b: str) -> None:
+        self._buffers[a], self._buffers[b] = self._buffers[b], self._buffers[a]
+
 
 def _rows_of(a, idx, work, name):
     """``a[idx]``: ``a`` itself when idx lists all of its rows (in order, as
@@ -199,23 +206,23 @@ def _rows_of(a, idx, work, name):
                    mode="clip")
 
 
-def _ce_lse(G, w, b, Z, lse, work):
-    """Logits of classes 1..K for rows G (R, n) into Z (R, K, n), and the
-    log-sum-exp over them and the pinned class 0 into lse (R, n)."""
+def _ce_lse(Z, lse, work):
+    """The log-sum-exp over logits Z (R, K, n) of classes 1..K and the
+    pinned class 0, into lse (R, n).  Its temporaries go into the Newton
+    step's "g2", "Q" and "A", which are not in use while it runs."""
     R, K, n = Z.shape
-    np.multiply(w[:, :, None], G[:, None, :], out=Z)
-    Z += b[:, :, None]
-    m = np.max(Z, axis=1, initial=0.0, out=work.take("m", R, n))
-    e = np.subtract(Z, m[:, None, :], out=work.take("e", R, K, n))
+    m = np.max(Z, axis=1, initial=0.0, out=work.take("g2", R, n))
+    e = np.subtract(Z, m[:, None, :], out=work.take("Q", R, K, n))
     np.exp(e, out=e)
     np.sum(e, axis=1, out=lse)
-    e0 = np.negative(m, out=work.take("e0", R, n))
+    e0 = np.negative(m, out=work.take("A", R, n))
     np.exp(e0, out=e0)
     np.add(e0, lse, out=lse)
     np.log(lse, out=lse)
     np.add(m, lse, out=lse)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
                        work: CeWork | None = None) -> RowFits:
     """Cross-entropy fit of targets (n, C) against every row of F (P, n).
@@ -237,13 +244,22 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
     A row's loss is its last step's, NaN where ``_ce_loss`` does not keep
     it and for degenerate rows.
 
-    The large temporaries, (R, K, n) and (R, K, K, n) for R rows with
-    spread and K = C - 1, are written in place into ``work``, made for
-    this call when none is given.  Every elementwise op and reduction is
-    the same as on fresh arrays, in the same order, so a fit does not
-    depend on what earlier fits left in ``work``.  While every row is
-    still active, a step reads the rows in place rather than gathering
-    them.
+    Every row starts from the same logits, 0 g + b = b, so the start's
+    log-sum-exp, loss sum and first probabilities, Q and Hessian factors
+    are computed once, for one row, and broadcast; only their products
+    with g and g^2 are per row.  (A row whose g is not finite has a
+    non-finite loss and gradient either way, and stops there.)  The
+    Hessian is built one class block row at a time, from the factor
+    A = Q_k (e_k - p) of shape (R, K, n), so for R rows with spread and
+    K = C - 1 every large temporary is (R, K, n) or smaller.  They are
+    written in place into ``work``, made for this call when none is given.
+    The first Armijo round's candidate logits and log-sum-exp become the
+    current ones by a swap of buffers; later rounds copy the rows they
+    accept in, and the rows left when some stop are gathered, through
+    fresh arrays (both are rare: most rows take their full step).  Every elementwise op and reduction is the same as on fresh
+    arrays, in the same order, so a fit does not depend on what earlier
+    fits left in ``work``.  While every row is still active, a step reads
+    the rows in place rather than gathering them.
     """
     if work is None:
         work = CeWork()
@@ -277,30 +293,33 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
 
     def loss_of(idx, cw, cb, lse):
         linear = (cw * TG[idx]).sum(axis=1) + (cb * t_sum).sum(axis=1)
-        mass_lse = np.multiply(mass, lse, out=work.take("mass_lse", *lse.shape))
+        mass_lse = np.multiply(mass, lse, out=work.take("A", *lse.shape))
         return (mass_lse.sum(axis=1) - linear) / n
 
-    def newton_step(idx):
-        """Newton step, its slope g'step, and whether it is finite."""
-        r = idx.size
+    def newton_step(idx, Z, lse):
+        """Newton step of rows idx from their logits Z and log-sum-exp lse,
+        or from the one row all of them share, its slope g'step, and
+        whether it is finite.  The probabilities overwrite Z."""
+        r, s = idx.size, Z.shape[0]
         g = _rows_of(G, idx, work, "g")
-        prob = np.subtract(_rows_of(Z, idx, work, "prob"),
-                           _rows_of(lse, idx, work, "lse_rows")[:, None, :],
-                           out=work.take("prob", r, K, n))
-        np.exp(prob, out=prob)
-        Q = np.multiply(mass, prob, out=work.take("Q", r, K, n))
-        Qg = np.multiply(Q, g[:, None, :], out=work.take("product", r, K, n))
-        grad = np.concatenate([Qg.sum(axis=2) - TG[idx],
-                               Q.sum(axis=2) - t_sum], axis=1) / n
-        A = np.subtract(eye, prob[:, None, :, :], out=work.take("A", r, K, K, n))
-        np.multiply(Q[:, :, None, :], A, out=A)
-        product = work.take("product", r, K, K, n)
-        H = np.empty((r, D, D))
         g2 = _rows_of(G2, idx, work, "g2")
-        H[:, :K, :K] = np.multiply(A, g2[:, None, None, :], out=product).sum(axis=3)
-        H[:, :K, K:] = H[:, K:, :K] = np.multiply(
-            A, g[:, None, None, :], out=product).sum(axis=3)
-        H[:, K:, K:] = A.sum(axis=3)
+        prob = np.subtract(Z, lse[:, None, :], out=Z)
+        np.exp(prob, out=prob)
+        Q = np.multiply(mass, prob, out=work.take("Q", s, K, n))
+        product = work.take("product", r, K, n)
+        Qg = np.multiply(Q, g[:, None, :], out=product)
+        grad = np.concatenate([Qg.sum(axis=2) - TG[idx],
+                               np.broadcast_to(Q.sum(axis=2) - t_sum, (r, K))],
+                              axis=1) / n
+        H = np.empty((r, D, D))
+        for k in range(K):
+            # row k of each of the four blocks
+            A = np.subtract(eye[k], prob, out=work.take("A", s, K, n))
+            np.multiply(Q[:, k, None, :], A, out=A)
+            H[:, k, :K] = np.multiply(A, g2[:, None, :], out=product).sum(axis=2)
+            H[:, k, K:] = H[:, K + k, :K] = np.multiply(
+                A, g[:, None, :], out=product).sum(axis=2)
+            H[:, K + k, K:] = A.sum(axis=2)
         H /= n
         H[:, diag, diag] *= 1.0 + NEWTON_RIDGE
         H[:, diag, diag] += np.finfo(float).tiny
@@ -310,49 +329,60 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
         return step, (grad * step).sum(axis=1), ok
 
     active = np.arange(R)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # each row's logits, log-sum-exp and loss at its parameters: at the
-        # start, then its accepted Armijo candidate's, which the next Newton
-        # step reads rather than recomputes
-        Z, lse = work.take("Z", R, K, n), work.take("lse", R, n)
-        _ce_lse(G, tw, tb, Z, lse, work)
-        losses = loss_of(active, tw, tb, lse)
-        while active.size:
-            step, slope, ok = newton_step(active)
-            loss = losses[active]
-            done = -0.5 * slope <= NEWTON_TOL * (1.0 + loss)
-            converged[rows[active]] = done & ok
-            go = ok & ~done & (iterations[rows[active]] < NEWTON_MAX_ITERS)
-            active, step, slope, loss = active[go], step[go], slope[go], loss[go]
+    # Z and lse: the logits and log-sum-exp of the rows of active, in
+    # order, at their accepted Armijo candidates; at the start, the one
+    # row every row shares
+    Z, lse = work.take("Z", 1, K, n), work.take("lse", 1, n)
+    Z[...] = b_const[1:, None]
+    _ce_lse(Z, lse, work)
+    losses = loss_of(active, tw, tb, lse)
+    while active.size:
+        step, slope, ok = newton_step(active, Z, lse)
+        loss = losses[active]
+        done = -0.5 * slope <= NEWTON_TOL * (1.0 + loss)
+        converged[rows[active]] = done & ok
+        go = ok & ~done & (iterations[rows[active]] < NEWTON_MAX_ITERS)
+        active, step, slope, loss = active[go], step[go], slope[go], loss[go]
 
-            # per-row Armijo backtracking; a row that never passes stops
-            t = np.ones(active.size)
-            pending = np.arange(active.size)
-            for _ in range(MAX_HALVINGS):
-                if not pending.size:
-                    break
-                idx = active[pending]
-                r = idx.size
-                cw = tw[idx] + t[pending, None] * step[pending, :K]
-                cb = tb[idx] + t[pending, None] * step[pending, K:]
-                # the step's gathers ("g", "prob", "lse_rows") are free again
-                cZ, c_lse = work.take("cZ", r, K, n), work.take("c_lse", r, n)
-                _ce_lse(_rows_of(G, idx, work, "g"), cw, cb, cZ, c_lse, work)
-                cand = loss_of(idx, cw, cb, c_lse)
-                accept = np.isfinite(cand) & (
-                    cand <= loss[pending] + ARMIJO_C * t[pending] * slope[pending])
-                won, kept = idx[accept], np.flatnonzero(accept)
-                tw[won], tb[won] = cw[accept], cb[accept]
-                Z[won] = _rows_of(cZ, kept, work, "prob")
-                lse[won] = _rows_of(c_lse, kept, work, "lse_rows")
-                losses[won] = cand[accept]
-                pending = pending[~accept]
-                t[pending] *= ARMIJO_SHRINK
-            active = np.delete(active, pending)
-            iterations[rows[active]] += 1
+        # per-row Armijo backtracking; a row that never passes stops
+        t = np.ones(active.size)
+        pending = np.arange(active.size)
+        for halving in range(MAX_HALVINGS):
+            if not pending.size:
+                break
+            idx = active[pending]
+            r = idx.size
+            cw = tw[idx] + t[pending, None] * step[pending, :K]
+            cb = tb[idx] + t[pending, None] * step[pending, K:]
+            cZ, c_lse = work.take("cZ", r, K, n), work.take("c_lse", r, n)
+            np.multiply(cw[:, :, None], _rows_of(G, idx, work, "g")[:, None, :],
+                        out=cZ)
+            cZ += cb[:, :, None]
+            _ce_lse(cZ, c_lse, work)
+            cand = loss_of(idx, cw, cb, c_lse)
+            accept = np.isfinite(cand) & (
+                cand <= loss[pending] + ARMIJO_C * t[pending] * slope[pending])
+            won = idx[accept]
+            tw[won], tb[won] = cw[accept], cb[accept]
+            losses[won] = cand[accept]
+            if halving == 0:
+                # every row of active was pending: its candidates become
+                # the current logits, rejected rows to be overwritten
+                work.swap("Z", "cZ")
+                work.swap("lse", "c_lse")
+                Z, lse = cZ, c_lse
+            else:
+                Z[pending[accept]], lse[pending[accept]] = cZ[accept], c_lse[accept]
+            pending = pending[~accept]
+            t[pending] *= ARMIJO_SHRINK
+        if pending.size:
+            # the rows that stopped leave; the others close up
+            keep = np.delete(np.arange(active.size), pending)
+            Z, lse, active = Z[keep], lse[keep], active[keep]
+        iterations[rows[active]] += 1
 
-        w[rows, 1:] = tw / scale[:, None]
-        b[rows, 1:] = tb - w[rows, 1:] * f_mean[rows, None]
+    w[rows, 1:] = tw / scale[:, None]
+    b[rows, 1:] = tb - w[rows, 1:] * f_mean[rows, None]
     degenerate = ~(spread & np.isfinite(w).all(axis=1) & np.isfinite(b).all(axis=1))
     w[degenerate] = 0.0
     b[degenerate] = b_const

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -523,23 +524,70 @@ class TestFittedLosses:
         assert left_rows(sharp, labels, affine.CROSS_ENTROPY) == [False, True]
 
 
+def reuse_cases():
+    """(F, targets) pairs to fit one after another with one ``CeWork``.
+
+    R grows and shrinks, then K goes from 1 to 8, so every fit reads
+    buffers that a larger or differently shaped fit wrote before it.  The
+    last four each take one path of the fit on buffers a larger fit left.
+    """
+    rng = np.random.default_rng(40)
+    cases = []
+    for count, n, width in [(2, 30, 2), (9, 50, 2), (1, 20, 2), (5, 45, 2),
+                            (3, 25, 9), (6, 40, 9), (2, 30, 2)]:
+        t = ce_targets(rng, n, width, soft=count % 2 == 1)
+        F = ce_rows(rng, n, count)
+        cases.append((np.concatenate([F, np.full((1, n), 3.0)]), t))  # a degenerate row
+    # Soft targets that follow the first row: every row accepts its full
+    # step at every Newton step, so each step's first Armijo round swaps
+    # its buffers in.  The last row spreads, but its scale underflows to 0,
+    # so its g is not finite and it stops at the shared start.
+    n = 50
+    F = rng.normal(size=(4, n))
+    z = 0.5 * F[0][:, None] * np.array([0.0, 1.0, -0.5])
+    underflow = np.zeros(n)
+    underflow[0] = 3e-162
+    cases.append((np.concatenate([F, underflow[None]]),
+                  np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)))
+    # Separable labels: rows backtrack, accept in later Armijo rounds (some
+    # of the pending rows, or all of them), which copy their rows in, and
+    # stop in different steps, after which the rest close up.
+    n = 12
+    x = rng.normal(size=n)
+    F = np.stack([x, x + 0.3 * rng.normal(size=n), rng.normal(size=n), x ** 3])
+    cases.append((F, np.eye(2)[(x > 0).astype(int)]))
+    cases.append((np.full((3, 20), 3.0), ce_targets(rng, 20, 3, True)))  # R = 0
+    cases.append((ce_rows(rng, 20, 2), np.ones((20, 1))))                # K = 0
+    return cases
+
+
 class TestCeWorkArrays:
     def test_reused_arrays_give_fresh_fits(self):
-        # R grows and shrinks, then K goes from 1 to 8, so every fit reads
-        # buffers that a larger or differently shaped fit wrote before it
-        rng = np.random.default_rng(40)
         work = affine.CeWork()
-        for count, n, width in [(2, 30, 2), (9, 50, 2), (1, 20, 2), (5, 45, 2),
-                                (3, 25, 9), (6, 40, 9), (2, 30, 2)]:
-            t = ce_targets(rng, n, width, soft=count % 2 == 1)
-            F = ce_rows(rng, n, count)
-            F = np.concatenate([F, np.full((1, n), 3.0)])    # a degenerate row
+        for F, t in reuse_cases():
             got = affine.fit_affine_ce_rows(F, t, work)
-            for want in (affine.fit_affine_ce_rows(F, t),
-                         fit_affine_ce_rows_recomputing(F, t)):
+            # the reference divides by the underflowed scale outside np.errstate
+            with np.errstate(divide="ignore", invalid="ignore"):
+                reference = fit_affine_ce_rows_recomputing(F, t)
+            for want in (affine.fit_affine_ce_rows(F, t), reference):
                 for name, a, b in zip(got._fields, got, want):
                     assert a.dtype == b.dtype and a.shape == b.shape, name
                     assert a.tobytes() == b.tobytes(), name
+
+    def test_work_grows_with_classes_not_their_square(self):
+        # 9 classes: an (R, K, K, n) temporary would be 8 times the (R, K, n) ones
+        rng = np.random.default_rng(41)
+        n, C, R = 500, 9, 40
+        t = ce_targets(rng, n, C, soft=True)
+        F = rng.normal(size=(R, n)) * rng.uniform(0.5, 3.0, size=(R, 1))
+        tracemalloc.start()
+        try:
+            fit = affine.fit_affine_ce_rows(F, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not fit.degenerate.any()
+        assert peak < 10 * R * (C - 1) * n * 8
 
     def test_buffers_grow_and_are_reused(self):
         work = affine.CeWork()
