@@ -3,15 +3,16 @@
 Both fitters take a whole population of scalar outputs at once, one row
 of F each.  For a squared-error loss each neuron's (w_j, b_j) is ordinary
 least squares of its target column against [f, 1], solved in closed form
-at every layer width.  The softmax cross-entropy output loss is fitted by
+at every layer width from sums taken over row blocks of at most MSE_BLOCK
+elements.  The softmax cross-entropy output loss is fitted by
 a batched Newton method with Armijo backtracking on standardised rows
 with one class pinned; each Hessian diagonal entry is damped by a
 relative NEWTON_RIDGE of itself, and each step reads the logits,
 log-sum-exp and loss of the candidate the last line search accepted.
 Its large temporaries, (R, K, n) for R rows and K = C - 1 classes (the
 Hessian is built one class at a time), are written in place into work
-arrays (``CeWork``), which a caller that fits many times keeps from one
-fit to the next.
+arrays (``CeWork``) that serve every step of one fit and are freed when
+it returns.
 
 Both fitters also return each row's loss, taken from what the fit already
 holds: the MSE from its sums, the cross-entropy from Newton's last step.
@@ -41,6 +42,7 @@ ARMIJO_SHRINK = 0.5
 MAX_HALVINGS = 30
 NEWTON_TOL = 1e-16         # stop once the decrement is at most this * (1 + loss)
 NEWTON_RIDGE = 1e-12       # Hessian damping, relative to each diagonal entry
+MSE_BLOCK = 1 << 16        # elements of F per row block of the MSE fit
 
 # The fitted losses.  A row's loss is left to its caller (NaN) when the row
 # is degenerate or not well conditioned: kappa = sqrt(n) max|f| / sqrt(S_ff)
@@ -111,19 +113,30 @@ def fit_affine_mse_rows(F: np.ndarray, targets: np.ndarray):
     row without spread (see ``_centre_rows``), or whose fit is not finite,
     is degenerate and gets w=0, b=mean(t).  Every sum runs along one row,
     unlike a BLAS product, so equal rows get bit-equal fits wherever they
-    sit and selection ties still go to the lowest index.  A row's loss is
-    its residual sum over neurons, S_tt - w S_ft each, over n * width;
+    sit and selection ties still go to the lowest index.  The rows are
+    centred and summed in blocks of at most MSE_BLOCK elements (one row
+    when a row is longer), so no temporary is as large as F.  A row's loss
+    is its residual sum over neurons, S_tt - w S_ft each, over n * width;
     NaN where it is not within FIT_LOSS_ERROR of the scored loss (see
     there).  Returns w, b of shape (P, width), the (P,) degenerate mask and
     the (P,) losses.
     """
     n, width = targets.shape
+    P = F.shape[0]
     t_mean = targets.mean(axis=0)
     # neuron-major and contiguous: each sum over samples is numpy's pairwise one
     tc = np.ascontiguousarray((targets - t_mean).T)
-    f_mean, Fc, s_ff, spread, kappa = _centre_rows(F)
+    f_mean, s_ff, kappa = np.empty(P), np.empty(P), np.empty(P)
+    spread = np.empty(P, dtype=bool)
+    s_ft = np.empty((P, width))
+    step = max(1, MSE_BLOCK // max(n, 1))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s_ft = np.stack([(Fc * t).sum(axis=1) for t in tc], axis=1)
+        for lo in range(0, P, step):
+            block = slice(lo, lo + step)
+            f_mean[block], Fc, s_ff[block], spread[block], kappa[block] = (
+                _centre_rows(F[block]))
+            for j, t in enumerate(tc):
+                s_ft[block, j] = (Fc * t).sum(axis=1)
         w = s_ft / s_ff[:, None]
         b = t_mean - w * f_mean[:, None]
         rss = ((tc * tc).sum(axis=1) - w * s_ft).sum(axis=1)
@@ -171,16 +184,16 @@ def _ce_loss(loss, tw, tb, kappa, n_classes):
 
 class CeWork:
     """Work arrays that ``fit_affine_ce_rows`` writes its large temporaries
-    into, owned by a caller that fits many times (``evolve``, for one run).
+    into: made for one fit unless its caller gives one, and freed with it.
 
     Each name holds one flat buffer.  It grows to the largest size asked
     of it and is handed out as a C-ordered view of its front, the layout
     numpy gives a fresh result, so reductions over it add in the same
-    order.  A run's fits thus reuse the same memory, where fresh arrays at
-    every Newton step are handed back to the system and faulted in again.
-    The contents are scratch: a fit writes every element it reads.  Two
-    names can swap their buffers, so that a result becomes the current
-    value without a copy.
+    order.  A fit's Newton steps and Armijo rounds thus reuse the same
+    memory.  The contents are scratch: a fit writes every element it
+    reads, so a fit given work arrays an earlier fit used gives the same
+    bits as one on fresh arrays.  Two names can swap their buffers, so
+    that a result becomes the current value without a copy.
     """
 
     def __init__(self):
@@ -252,13 +265,15 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
     Hessian is built one class block row at a time, from the factor
     A = Q_k (e_k - p) of shape (R, K, n), so for R rows with spread and
     K = C - 1 every large temporary is (R, K, n) or smaller.  They are
-    written in place into ``work``, made for this call when none is given.
+    written in place into ``work``, made for this call when none is given
+    (``evolve`` gives none), so they are freed when the fit returns.
     The first Armijo round's candidate logits and log-sum-exp become the
     current ones by a swap of buffers; later rounds copy the rows they
     accept in, and the rows left when some stop are gathered, through
-    fresh arrays (both are rare: most rows take their full step).  Every elementwise op and reduction is the same as on fresh
-    arrays, in the same order, so a fit does not depend on what earlier
-    fits left in ``work``.  While every row is still active, a step reads
+    fresh arrays (both are rare: most rows take their full step).  Every
+    elementwise op and reduction is the same as on fresh arrays, in the
+    same order, so a fit does not depend on what earlier fits left in
+    ``work``.  While every row is still active, a step reads
     the rows in place rather than gathering them.
     """
     if work is None:

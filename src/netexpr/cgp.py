@@ -15,7 +15,9 @@ callers can detect with ``np.isfinite``.
 
 What a genome computes is its phenotype: the active nodes, reached
 backwards from the output genes, and the constants they read.  Genomes
-of one config are kept as a ``Wave`` of stacked arrays; one vectorised
+of one config are kept as a ``Wave`` of stacked arrays, its genes in the
+smallest signed integer type that holds the config's source count
+(``CgpConfig.gene_dtype``: int16 up to 32 767 sources); one vectorised
 pass (``phenotypes``) finds every genome's active steps and an exact
 byte key: equal keys compute equal values, bit for bit.  Waves come from
 ``random_genotypes``, ``mutate_many`` (a genome's offspring, then the
@@ -54,8 +56,9 @@ EVAL_SLAB = 1 << 13   # elements of each operand slab it gathers
 
 
 def p_div(a, b, out=None):
-    small = np.abs(b) < DIV_EPS
-    out = np.divide(a, np.where(small, 1.0, b), out=out)
+    out = np.abs(b, out=out)
+    small = out < DIV_EPS
+    np.divide(a, b, out=out, where=~small)
     np.copyto(out, a, where=small)
     return out
 
@@ -66,11 +69,10 @@ def p_sqrt(a, out=None):
 
 
 def p_ln(a, out=None):
-    absa = np.abs(a)
-    zero = absa == 0
-    absa[zero] = 1.0
-    out = np.log(absa, out=out)
-    out[zero] = LN_SENTINEL
+    out = np.abs(a, out=out)
+    zero = out == 0
+    np.log(out, out=out, where=~zero)
+    np.copyto(out, LN_SENTINEL, where=zero)
     return out
 
 
@@ -161,6 +163,15 @@ class CgpConfig:
     def n_sources(self) -> int:
         return self.n_sources_before_nodes + self.n_nodes
 
+    @property
+    def gene_dtype(self) -> np.dtype:
+        """The integer type of this config's gene tensors: the smallest of
+        int16, int32 and int64 that holds its source count."""
+        for dtype in (np.int16, np.int32):
+            if self.n_sources <= np.iinfo(dtype).max:
+                return np.dtype(dtype)
+        return np.dtype(np.int64)
+
     def node_column(self, node: int) -> int:
         return node // self.n_rows
 
@@ -184,8 +195,8 @@ class Genotype:
     """
     fset: ClassVar[FunctionSet] = FUNCTION_SET   # the table, read-only
     config: CgpConfig
-    function_genes: np.ndarray   # (n_nodes, 3) int
-    output_genes: np.ndarray     # (n_outputs,) int
+    function_genes: np.ndarray   # (n_nodes, 3) int, config.gene_dtype in a wave
+    output_genes: np.ndarray     # (n_outputs,) int, likewise
     constants: np.ndarray        # (n_constants,) float
     wave: "Wave | None" = field(default=None, repr=False)
 
@@ -282,11 +293,13 @@ def _draw_sources(config: CgpConfig, nodes: np.ndarray,
 
 def random_genotypes(config: CgpConfig, n: int, rng: np.random.Generator) -> Wave:
     """n uniformly random valid genomes drawn as one (n, n_nodes, 3) gene
-    tensor, constants uniform in [-1, 1], by five RNG calls whatever n is."""
+    tensor of the config's ``gene_dtype``, constants uniform in [-1, 1], by
+    five RNG calls whatever n is."""
     nodes = np.broadcast_to(np.arange(config.n_nodes), (n, config.n_nodes))
-    genes = np.stack([rng.integers(0, len(FUNCTION_SET), nodes.shape),
-                      _draw_sources(config, nodes, rng),
-                      _draw_sources(config, nodes, rng)], axis=-1)
+    genes = np.empty((n, config.n_nodes, 3), dtype=config.gene_dtype)
+    genes[..., 0] = rng.integers(0, len(FUNCTION_SET), nodes.shape)
+    genes[..., 1] = _draw_sources(config, nodes, rng)
+    genes[..., 2] = _draw_sources(config, nodes, rng)
     outputs = rng.integers(0, config.n_sources, (n, config.n_outputs))
     constants = rng.uniform(-1.0, 1.0, (n, config.n_constants))
     return phenotypes(config, genes, outputs, constants)
@@ -297,19 +310,22 @@ def phenotypes(config: CgpConfig, genes: np.ndarray, outputs: np.ndarray,
     """The wave of P genomes, their phenotypes found in one pass.
 
     ``genes`` is (P, n_nodes, 3), ``outputs`` (P, n_outputs) and
-    ``constants`` (P, n_constants).  Sources are marked as read column by
-    column, from the outputs back to the inputs, over the whole stack at
-    once; a node is active when it is read, and ``reads`` keeps which
-    constants are.  A genome's steps are (node, opcode, input_a, input_b)
-    for each active node in node order, with input_b = -1 for arity-1 ops.
-    Its key is the bytes of the int64s
-    [step count, output genes, steps, bit patterns of the constants read];
+    ``constants`` (P, n_constants); the wave holds the genes and output
+    genes in the config's ``gene_dtype``, cast only when given another
+    type.  Sources are marked as read column by column, from the outputs
+    back to the inputs, over the whole stack at once; a node is active
+    when it is read, and ``reads`` keeps which constants are.  A genome's
+    steps are (node, opcode, input_a, input_b) for each active node in
+    node order, with input_b = -1 for arity-1 ops.  Its key is the bytes
+    of the int64s [step count, output genes, steps, bit patterns of the
+    constants read], whatever the gene type;
     the count and the steps fix how many constants follow, so equal keys
     mean equal phenotypes.
     """
     P = genes.shape[0]
     rows, base, n_out = config.n_rows, config.n_sources_before_nodes, config.n_outputs
-    genes = np.asarray(genes, dtype=np.int64)
+    genes = np.asarray(genes, dtype=config.gene_dtype)
+    outputs = np.asarray(outputs, dtype=config.gene_dtype)
     read = np.zeros((P, config.n_sources), dtype=bool)
     read[np.arange(P)[:, None], outputs] = True
     for col in range(config.n_cols - 1, -1, -1):
@@ -355,7 +371,8 @@ def stack(genomes: Sequence[Genotype]) -> Wave:
 def mutate_many(g: Genotype, n: int, per_gene_prob: float,
                 rng: np.random.Generator) -> Wave:
     """The next wave of one genome: n point-mutated copies, then g itself,
-    unmutated, as row n, in one (n + 1, n_nodes, 3) gene tensor.
+    unmutated, as row n, in one (n + 1, n_nodes, 3) gene tensor of g's
+    gene type.
 
     Each function and input gene of each copy is resampled with the given
     probability, uniformly from its valid value set (so the observable
@@ -704,7 +721,9 @@ def genotype_from_dict(d: dict) -> Genotype:
         validate_genotype(g)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    return g
+    # every gene is a valid source, so the config's gene type holds it
+    return Genotype(cfg, genes.astype(cfg.gene_dtype), outputs.astype(cfg.gene_dtype),
+                    constants)
 
 
 def genotype_to_json(g: Genotype) -> str:

@@ -41,7 +41,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import cgp
-from .affine import (CROSS_ENTROPY, FIT_LOSS_ERROR, MSE, AffineParams, CeWork,
+from .affine import (CROSS_ENTROPY, FIT_LOSS_ERROR, MSE, AffineParams,
                      fit_affine_ce_rows, fit_affine_mse_rows)
 from .errors import ConfigError, DimensionMismatch
 from .mlp import LayerTrace
@@ -291,8 +291,7 @@ def _distinct(keys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def select_layerwise_best(population: Population | Sequence[NetGenotype],
-                          trace: LayerTrace, task: str, refit: bool = True,
-                          work: CeWork | None = None):
+                          trace: LayerTrace, task: str, refit: bool = True):
     """Assemble the per-position best chromosomes into one composite parent.
 
     A list of networks is made a ``Population`` first.  Positions are
@@ -319,8 +318,8 @@ def select_layerwise_best(population: Population | Sequence[NetGenotype],
     row is not finite (then it keeps its affine); its values are fed on
     unchanged.  Ties go to the lowest population index.  Returns the
     composite genotype and the (n_individuals, n_positions) loss matrix.
-    ``work`` holds the cross-entropy fit's work arrays, for a caller that
-    selects many times.
+    Each cross-entropy fit makes its own work arrays and frees them on
+    return, so nothing of one call's fits is kept for the next.
     """
     _check_task(task)
     if not len(population):
@@ -361,7 +360,7 @@ def select_layerwise_best(population: Population | Sequence[NetGenotype],
             if kind == MSE:
                 W, B, degenerate, fitted = fit_affine_mse_rows(F, target)
             else:
-                W, B, degenerate, *_, fitted = fit_affine_ce_rows(F, target, work)
+                W, B, degenerate, *_, fitted = fit_affine_ce_rows(F, target)
             losses = _confirm_near_best(F, W, B, fitted, degenerate, target, kind)
         losses = losses[row_of]
         best = int(np.argmin(losses))     # first minimum: lowest-index tie-break
@@ -414,12 +413,11 @@ def evolve(trace: LayerTrace, task: str, cfg: EvolveConfig,
 
     best_geno: NetGenotype | None = None
     best_total = math.inf
-    work = CeWork()      # the cross-entropy fits' work arrays, for this run
     start = time.perf_counter()
     for gen in range(cfg.max_generations):
         refit = gen % cfg.affine_refit_every == 0
         parent, loss_matrix = select_layerwise_best(
-            population, trace, task, refit=refit, work=work)
+            population, trace, task, refit=refit)
         per_pos = loss_matrix.min(axis=0).tolist()
         report = FitnessReport(tuple(per_pos[:-1]), per_pos[-1])
         if report.total <= best_total:       # ties drift to the newer parent

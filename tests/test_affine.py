@@ -203,6 +203,57 @@ class TestBatchedRows:
         assert np.allclose(b[5], b_ref, rtol=1e-10)
 
 
+class TestMseRowBlocks:
+    @staticmethod
+    def awkward_rows(rng, n):
+        """Ordinary rows among degenerate, non-finite and constant ones."""
+        F = rng.normal(size=(23, n)) * rng.uniform(0.5, 3.0, size=(23, 1))
+        F[2] = 5.0                                            # constant
+        F[5] = 1e12                                           # constant, large
+        F[7] = 1e12 + np.where(rng.random(n) > 0.5, 1.2e-4, 0.0)   # one-ulp steps
+        F[8, n // 2] = np.inf
+        F[11] = np.nan
+        F[12, 0] = -np.inf
+        F[13] += 1e9                                          # large offset
+        F[17] = F[0]                                          # a duplicate
+        F[20] = 0.0
+        return F
+
+    @pytest.mark.parametrize("n", [1, 9, 160])
+    def test_blocked_fit_equals_one_block_bit_for_bit(self, monkeypatch, n):
+        rng = np.random.default_rng(43 + n)
+        F = self.awkward_rows(rng, n)
+        for width in (1, 3):
+            t = rng.normal(size=(n, width))
+            monkeypatch.setattr(affine, "MSE_BLOCK", F.size)
+            whole = affine.fit_affine_mse_rows(F, t)
+            if n > 1:
+                assert whole[2][[2, 5, 7, 8, 11, 12, 20]].all() and not whole[2][0]
+            # one row per block, blocks of two and of five rows, and a
+            # block smaller than one row
+            for block in (n, 2 * n + 1, 5 * n, 1):
+                monkeypatch.setattr(affine, "MSE_BLOCK", block)
+                got = affine.fit_affine_mse_rows(F, t)
+                for a, b in zip(got, whole):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes(), block
+
+    def test_memory_does_not_grow_with_the_rows(self):
+        # the one-pass fit held two (R, n) temporaries at once: a 51 MB peak here
+        rng = np.random.default_rng(44)
+        R, n, width = 400, 8000, 3
+        F = rng.normal(size=(R, n))
+        t = rng.normal(size=(n, width))
+        tracemalloc.start()
+        try:
+            w, *_ = affine.fit_affine_mse_rows(F, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.shape == (R, width)
+        assert peak < 4 * 8 * (affine.MSE_BLOCK + n * width)
+
+
 def ce_targets(rng, n, width, soft):
     if soft:
         z = rng.normal(size=(n, width)) * 2.0

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -859,3 +860,116 @@ class TestSerialization:
             cgp.genotype_from_json("{not json")
         with pytest.raises(SchemaError):
             cgp.genotype_from_json('{"config": {"n_inputs": 1}}')
+
+
+def div_substituting(a, b):
+    """``p_div`` by dividing by a substitute denominator of 1 where |b| is small."""
+    small = np.abs(b) < cgp.DIV_EPS
+    out = np.divide(a, np.where(small, 1.0, b))
+    np.copyto(out, a, where=small)
+    return out
+
+
+def ln_substituting(a):
+    """``p_ln`` by taking the log of 1 at zero and then writing the sentinel."""
+    absa = np.abs(a)
+    zero = absa == 0
+    absa[zero] = 1.0
+    out = np.log(absa)
+    out[zero] = cgp.LN_SENTINEL
+    return out
+
+
+class TestGuardedOps:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 1e-10, -1e-10,
+               1e-9, 3.0, -2.5, 1e300, -1e300]
+
+    @staticmethod
+    def warnings_of(fn, *args):
+        with np.errstate(all="warn"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = fn(*args)
+        return out, sorted(str(w.message) for w in caught)
+
+    def test_division_equals_the_substituting_form(self):
+        # every pair of special values, one pair at a time: the same raw bits
+        # (NaN sign and payload included) and the same floating-point warnings
+        for x in self.SPECIAL:
+            for y in self.SPECIAL:
+                a, b = np.array([x]), np.array([y])
+                got, got_warned = self.warnings_of(cgp.p_div, a, b)
+                want, want_warned = self.warnings_of(div_substituting, a, b)
+                assert got.view(np.int64)[0] == want.view(np.int64)[0], (x, y)
+                assert got_warned == want_warned, (x, y)
+                into = np.empty(1)
+                with np.errstate(all="ignore"):
+                    assert cgp.p_div(a, b, out=into) is into
+                assert into.view(np.int64)[0] == want.view(np.int64)[0], (x, y)
+
+    def test_log_equals_the_substituting_form_and_never_warns(self):
+        a = np.array(self.SPECIAL)
+        got, warned = self.warnings_of(cgp.p_ln, a)
+        want = ln_substituting(a)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert warned == []
+        into = np.empty_like(a)
+        assert cgp.p_ln(a, out=into) is into
+        assert np.array_equal(into.view(np.int64), want.view(np.int64))
+        assert np.array_equal(a, self.SPECIAL, equal_nan=True)   # left as it was
+
+    @pytest.mark.parametrize("n", [7, 160, 8000])
+    def test_long_rows_equal_the_substituting_forms(self, n):
+        rng = np.random.default_rng(n)
+        a, b = (rng.normal(0.0, 3.0, n) * rng.choice([1.0, 1e-12, 1e5], n)
+                for _ in range(2))
+        for x in (a, b):
+            hit = rng.random(n) < 0.3
+            x[hit] = rng.choice(self.SPECIAL, int(hit.sum()))
+        with np.errstate(all="ignore"):
+            assert np.array_equal(cgp.p_div(a, b).view(np.int64),
+                                  div_substituting(a, b).view(np.int64))
+            assert np.array_equal(cgp.p_ln(a).view(np.int64),
+                                  ln_substituting(a).view(np.int64))
+
+
+class TestGeneType:
+    def test_narrowest_type_that_holds_the_source_count(self):
+        assert cgp.CgpConfig(n_inputs=2).gene_dtype == np.int16
+        # 32 767 sources (inputs, a constant, one node) fit int16, 32 768 do not
+        assert cgp.CgpConfig(n_inputs=32765, n_rows=1, n_cols=1).gene_dtype == np.int16
+        assert cgp.CgpConfig(n_inputs=32766, n_rows=1, n_cols=1).gene_dtype == np.int32
+        assert cgp.CgpConfig(n_inputs=2, n_rows=200, n_cols=200).gene_dtype == np.int32
+
+    @pytest.mark.parametrize("cfg", [
+        cgp.CgpConfig(n_inputs=2),
+        cgp.CgpConfig(n_inputs=32765, n_rows=1, n_cols=1),
+        cgp.CgpConfig(n_inputs=2, n_rows=200, n_cols=200, n_outputs=2),
+    ])
+    def test_waves_hold_the_config_gene_type(self, cfg):
+        rng = np.random.default_rng(71)
+        drawn = cgp.random_genotypes(cfg, 3, rng)
+        mutated = cgp.mutate_many(drawn[0], 4, 0.4, rng)
+        loaded = cgp.genotype_from_dict(cgp.genotype_to_dict(mutated[1]))
+        for wave in (drawn, mutated, cgp.stack([loaded])):
+            assert wave.genes.dtype == wave.outputs.dtype == cfg.gene_dtype
+            assert wave.steps.dtype == np.int64
+        for g in (drawn[2], mutated[4], loaded):
+            assert g.function_genes.dtype == g.output_genes.dtype == cfg.gene_dtype
+
+    def test_records_and_keys_are_those_of_int64_genes(self):
+        cfg = small_config(n_rows=3, n_cols=4, n_constants=2, n_outputs=2)
+        wave = cgp.random_genotypes(cfg, 20, np.random.default_rng(72))
+        ends = np.cumsum(wave.n_steps)
+        for i, g in enumerate(wave):
+            wide = cgp.Genotype(cfg, g.function_genes.astype(np.int64),
+                                g.output_genes.astype(np.int64), g.constants.copy())
+            assert cgp.genotype_to_dict(g) == cgp.genotype_to_dict(wide)
+            assert cgp.genotype_to_json(g) == cgp.genotype_to_json(wide)
+            # the key: step count, output genes, steps and the bits of the
+            # constants read, as int64s
+            steps = wave.steps[ends[i] - wave.n_steps[i]:ends[i]]
+            read = g.constants[wave.reads[i]].view(np.int64)
+            want = np.concatenate([[wave.n_steps[i]], g.output_genes, steps.reshape(-1),
+                                   read]).astype(np.int64)
+            assert wave.keys[i] == want.tobytes()
+            assert cgp.stack([wide]).keys == [wave.keys[i]]
