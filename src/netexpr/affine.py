@@ -9,10 +9,9 @@ a batched Newton method with Armijo backtracking on standardised rows
 with one class pinned; each Hessian diagonal entry is damped by a
 relative NEWTON_RIDGE of itself, and each step reads the logits,
 log-sum-exp and loss of the candidate the last line search accepted.
-Its large temporaries, (R, K, n) for R rows and K = C - 1 classes (the
-Hessian is built one class at a time), are written in place into work
-arrays (``CeWork``) that serve every step of one fit and are freed when
-it returns.
+Its large temporaries are (R, K, n) for R rows and K = C - 1 classes
+(the Hessian is built one class at a time), made within one Newton step
+and freed with it.
 
 Both fitters also return each row's loss, taken from what the fit already
 holds: the MSE from its sums, the cross-entropy from Newton's last step.
@@ -182,62 +181,27 @@ def _ce_loss(loss, tw, tb, kappa, n_classes):
     return np.where(kept, loss, np.nan)
 
 
-class CeWork:
-    """Work arrays that ``fit_affine_ce_rows`` writes its large temporaries
-    into: made for one fit unless its caller gives one, and freed with it.
-
-    Each name holds one flat buffer.  It grows to the largest size asked
-    of it and is handed out as a C-ordered view of its front, the layout
-    numpy gives a fresh result, so reductions over it add in the same
-    order.  A fit's Newton steps and Armijo rounds thus reuse the same
-    memory.  The contents are scratch: a fit writes every element it
-    reads, so a fit given work arrays an earlier fit used gives the same
-    bits as one on fresh arrays.  Two names can swap their buffers, so
-    that a result becomes the current value without a copy.
-    """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, *shape: int) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size)
-        return buf[:size].reshape(shape)
-
-    def swap(self, a: str, b: str) -> None:
-        self._buffers[a], self._buffers[b] = self._buffers[b], self._buffers[a]
-
-
-def _rows_of(a, idx, work, name):
+def _rows_of(a, idx):
     """``a[idx]``: ``a`` itself when idx lists all of its rows (in order, as
-    every caller's do), else gathered into the work array ``name``."""
-    if idx.size == a.shape[0]:
-        return a
-    return np.take(a, idx, axis=0, out=work.take(name, idx.size, *a.shape[1:]),
-                   mode="clip")
+    every caller's do)."""
+    return a if idx.size == a.shape[0] else a[idx]
 
 
-def _ce_lse(Z, lse, work):
-    """The log-sum-exp over logits Z (R, K, n) of classes 1..K and the
-    pinned class 0, into lse (R, n).  Its temporaries go into the Newton
-    step's "g2", "Q" and "A", which are not in use while it runs."""
-    R, K, n = Z.shape
-    m = np.max(Z, axis=1, initial=0.0, out=work.take("g2", R, n))
-    e = np.subtract(Z, m[:, None, :], out=work.take("Q", R, K, n))
+def _ce_lse(Z):
+    """The log-sum-exp (R, n) over logits Z (R, K, n) of classes 1..K and
+    the pinned class 0."""
+    m = np.max(Z, axis=1, initial=0.0)
+    e = Z - m[:, None, :]
     np.exp(e, out=e)
-    np.sum(e, axis=1, out=lse)
-    e0 = np.negative(m, out=work.take("A", R, n))
-    np.exp(e0, out=e0)
-    np.add(e0, lse, out=lse)
+    lse = e.sum(axis=1)
+    lse += np.exp(-m)
     np.log(lse, out=lse)
-    np.add(m, lse, out=lse)
+    lse += m
+    return lse
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
-                       work: CeWork | None = None) -> RowFits:
+def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray) -> RowFits:
     """Cross-entropy fit of targets (n, C) against every row of F (P, n).
 
     Softmax is shift-invariant, so class 0 is pinned (w_0 = b_0 = 0) and
@@ -248,14 +212,16 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
     curvature.  Each row takes its own Armijo backtracking step and stops
     once its Newton decrement g'H^-1g/2 is at most NEWTON_TOL * (1 + loss)
     (converged), or when no step decreases the loss; NEWTON_MAX_ITERS
-    steps is a backstop only.  A row without spread (as in
-    ``fit_affine_mse_rows``), or whose fit is not finite, is degenerate:
-    w=0 and b the best constant logits.  Like the MSE fit, every sum runs
-    along one row, so equal rows get bit-equal fits wherever they sit.
-    A step starts from the logits, log-sum-exp and loss its row's accepted
-    Armijo candidate computed, which are the same bits as recomputing them.
-    A row's loss is its last step's, NaN where ``_ce_loss`` does not keep
-    it and for degenerate rows.
+    steps is a backstop only.  A row whose Hessian is singular in floating
+    point (a class whose probabilities underflow) stops where it is, as a
+    row whose Hessian or gradient is not finite does.  A row without
+    spread (as in ``fit_affine_mse_rows``), or whose fit is not finite, is
+    degenerate: w=0 and b the best constant logits.  Like the MSE fit,
+    every sum runs along one row, so equal rows get bit-equal fits
+    wherever they sit.  A step starts from the logits, log-sum-exp and
+    loss its row's accepted Armijo candidate computed, which are the same
+    bits as recomputing them.  A row's loss is its last step's, NaN where
+    ``_ce_loss`` does not keep it and for degenerate rows.
 
     Every row starts from the same logits, 0 g + b = b, so the start's
     log-sum-exp, loss sum and first probabilities, Q and Hessian factors
@@ -264,20 +230,13 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
     non-finite loss and gradient either way, and stops there.)  The
     Hessian is built one class block row at a time, from the factor
     A = Q_k (e_k - p) of shape (R, K, n), so for R rows with spread and
-    K = C - 1 every large temporary is (R, K, n) or smaller.  They are
-    written in place into ``work``, made for this call when none is given
-    (``evolve`` gives none), so they are freed when the fit returns.
-    The first Armijo round's candidate logits and log-sum-exp become the
-    current ones by a swap of buffers; later rounds copy the rows they
-    accept in, and the rows left when some stop are gathered, through
-    fresh arrays (both are rare: most rows take their full step).  Every
-    elementwise op and reduction is the same as on fresh arrays, in the
-    same order, so a fit does not depend on what earlier fits left in
-    ``work``.  While every row is still active, a step reads
-    the rows in place rather than gathering them.
+    K = C - 1 every large temporary is (R, K, n) or smaller.  The first
+    Armijo round's candidate logits and log-sum-exp become the current
+    ones; later rounds copy the rows they accept in, and the rows left
+    when some stop are gathered (both are rare: most rows take their full
+    step).  While every row is still active, a step reads the rows in
+    place rather than gathering them.
     """
-    if work is None:
-        work = CeWork()
     P, n = F.shape
     C = targets.shape[1]
     K, D = C - 1, 2 * (C - 1)
@@ -294,10 +253,10 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
     R = rows.size
     scale = np.sqrt(s_ff[rows] / n)
     # standardised rows (R, n), divided in place once gathered
-    G = np.divide(_rows_of(Fc, rows, work, "G"), scale[:, None],
-                  out=work.take("G", R, n))
+    G = _rows_of(Fc, rows)
     del Fc
-    G2 = np.multiply(G, G, out=work.take("G2", R, n))
+    G /= scale[:, None]
+    G2 = G * G
     T = targets[:, 1:].T                           # (K, n)
     t_sum = T.sum(axis=1)
     TG = (G[:, None, :] * T).sum(axis=2)           # (R, K)
@@ -308,28 +267,26 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
 
     def loss_of(idx, cw, cb, lse):
         linear = (cw * TG[idx]).sum(axis=1) + (cb * t_sum).sum(axis=1)
-        mass_lse = np.multiply(mass, lse, out=work.take("A", *lse.shape))
-        return (mass_lse.sum(axis=1) - linear) / n
+        return ((mass * lse).sum(axis=1) - linear) / n
 
     def newton_step(idx, Z, lse):
         """Newton step of rows idx from their logits Z and log-sum-exp lse,
         or from the one row all of them share, its slope g'step, and
-        whether it is finite.  The probabilities overwrite Z."""
+        whether it is finite and solvable.  The probabilities overwrite Z."""
         r, s = idx.size, Z.shape[0]
-        g = _rows_of(G, idx, work, "g")
-        g2 = _rows_of(G2, idx, work, "g2")
+        g, g2 = _rows_of(G, idx), _rows_of(G2, idx)
         prob = np.subtract(Z, lse[:, None, :], out=Z)
         np.exp(prob, out=prob)
-        Q = np.multiply(mass, prob, out=work.take("Q", s, K, n))
-        product = work.take("product", r, K, n)
-        Qg = np.multiply(Q, g[:, None, :], out=product)
-        grad = np.concatenate([Qg.sum(axis=2) - TG[idx],
+        Q = mass * prob
+        product = Q * g[:, None, :]
+        grad = np.concatenate([product.sum(axis=2) - TG[idx],
                                np.broadcast_to(Q.sum(axis=2) - t_sum, (r, K))],
                               axis=1) / n
         H = np.empty((r, D, D))
+        A = np.empty((s, K, n))
         for k in range(K):
             # row k of each of the four blocks
-            A = np.subtract(eye[k], prob, out=work.take("A", s, K, n))
+            np.subtract(eye[k], prob, out=A)
             np.multiply(Q[:, k, None, :], A, out=A)
             H[:, k, :K] = np.multiply(A, g2[:, None, :], out=product).sum(axis=2)
             H[:, k, K:] = H[:, K + k, :K] = np.multiply(
@@ -340,16 +297,24 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
         H[:, diag, diag] += np.finfo(float).tiny
         ok = np.isfinite(H).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
         step = np.zeros((r, D))
-        step[ok] = np.linalg.solve(H[ok], -grad[ok][:, :, None])[:, :, 0]
+        try:
+            step[ok] = np.linalg.solve(H[ok], -grad[ok][:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # a Hessian singular in floating point: solve row by row
+            for i in np.flatnonzero(ok):
+                try:
+                    step[i] = np.linalg.solve(H[i], -grad[i])
+                except np.linalg.LinAlgError:
+                    ok[i] = False
         return step, (grad * step).sum(axis=1), ok
 
     active = np.arange(R)
     # Z and lse: the logits and log-sum-exp of the rows of active, in
     # order, at their accepted Armijo candidates; at the start, the one
     # row every row shares
-    Z, lse = work.take("Z", 1, K, n), work.take("lse", 1, n)
+    Z = np.empty((1, K, n))
     Z[...] = b_const[1:, None]
-    _ce_lse(Z, lse, work)
+    lse = _ce_lse(Z)
     losses = loss_of(active, tw, tb, lse)
     while active.size:
         step, slope, ok = newton_step(active, Z, lse)
@@ -366,14 +331,11 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
             if not pending.size:
                 break
             idx = active[pending]
-            r = idx.size
             cw = tw[idx] + t[pending, None] * step[pending, :K]
             cb = tb[idx] + t[pending, None] * step[pending, K:]
-            cZ, c_lse = work.take("cZ", r, K, n), work.take("c_lse", r, n)
-            np.multiply(cw[:, :, None], _rows_of(G, idx, work, "g")[:, None, :],
-                        out=cZ)
+            cZ = cw[:, :, None] * _rows_of(G, idx)[:, None, :]
             cZ += cb[:, :, None]
-            _ce_lse(cZ, c_lse, work)
+            c_lse = _ce_lse(cZ)
             cand = loss_of(idx, cw, cb, c_lse)
             accept = np.isfinite(cand) & (
                 cand <= loss[pending] + ARMIJO_C * t[pending] * slope[pending])
@@ -383,8 +345,6 @@ def fit_affine_ce_rows(F: np.ndarray, targets: np.ndarray,
             if halving == 0:
                 # every row of active was pending: its candidates become
                 # the current logits, rejected rows to be overwritten
-                work.swap("Z", "cZ")
-                work.swap("lse", "c_lse")
                 Z, lse = cZ, c_lse
             else:
                 Z[pending[accept]], lse[pending[accept]] = cZ[accept], c_lse[accept]

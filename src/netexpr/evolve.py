@@ -224,26 +224,26 @@ def fitness(g: NetGenotype, trace: LayerTrace, task: str) -> FitnessReport:
 
 
 def score_rows(F: np.ndarray, W: np.ndarray, B: np.ndarray, target: np.ndarray,
-               kind: str) -> np.ndarray:
+               kind: str, rows: np.ndarray | None = None) -> np.ndarray:
     """``score_values(apply_affine(F[i], (W[i], B[i])), target, kind)`` for
-    every row i of F (R, n), bit for bit.
+    every row i of F (R, n), or each i in ``rows``, bit for bit.
 
-    Rows are taken in blocks of at most SCORE_BLOCK predictions, so the
+    Rows are gathered in blocks of at most SCORE_BLOCK predictions, so the
     temporaries stay small; each block's predictions are made neuron-major,
     (rows, width, n), in one buffer that ``_layer_losses`` then scores in
     place against the target made neuron-major once.
     """
-    R, n = F.shape
-    width = target.shape[1]
+    rows = np.arange(F.shape[0]) if rows is None else rows
+    n, width = F.shape[1], target.shape[1]
     target = np.ascontiguousarray(target.T)
-    losses = np.empty(R)
+    losses = np.empty(rows.size)
     step = max(1, SCORE_BLOCK // (n * width))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, R, step):
-            block = slice(lo, lo + step)
+        for lo in range(0, rows.size, step):
+            block = rows[lo:lo + step]
             x = F[block, None, :] * W[block, :, None]
             x += B[block, :, None]
-            losses[block] = _layer_losses(x, target, kind)
+            losses[lo:lo + step] = _layer_losses(x, target, kind)
     return losses
 
 
@@ -277,7 +277,7 @@ def _confirm_near_best(F: np.ndarray, W: np.ndarray, B: np.ndarray, fitted: np.n
         if not todo.any():
             return losses
         rows = np.flatnonzero(todo)
-        losses[rows] = score_rows(F[rows], W[rows], B[rows], target, kind)
+        losses[rows] = score_rows(F, W, B, target, kind, rows)
         losses[flat] = losses[flat[:1]]
         unscored &= ~todo
         todo[:] = False

@@ -57,6 +57,8 @@ class MlpModel:
     def __post_init__(self):
         if self.head not in (LINEAR, SOFTMAX):
             raise ValueError(f"unknown head {self.head!r}")
+        if not self.layers:
+            raise DimensionMismatch("a model needs at least one layer")
         dims = self.dims
         for i, (W, b) in enumerate(self.layers):
             if W.ndim != 2 or b.ndim != 1 or W.shape[1] != b.shape[0]:

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -365,6 +366,19 @@ class TestScoreRows:
         assert loss_c == loss_f == score_values_plain(kept, target, kind)
         assert np.array_equal(pred_c, kept) and np.array_equal(pred_f, kept)
 
+    @pytest.mark.parametrize("kind", [ev.MSE, ev.CROSS_ENTROPY])
+    def test_listed_rows_equal_their_rows_scored_alone(self, kind, monkeypatch):
+        rng = np.random.default_rng(47)
+        n, width, R = 60, 3, 20
+        target = (soft_targets(rng, n, width) if kind == ev.CROSS_ENTROPY
+                  else rng.normal(size=(n, width)))
+        F, W, B = rng.normal(size=(R, n)), rng.normal(size=(R, width)), rng.normal(size=(R, width))
+        rows = np.array([1, 4, 5, 11, 19])
+        want = ev.score_rows(F[rows], W[rows], B[rows], target, kind)
+        monkeypatch.setattr(ev, "SCORE_BLOCK", 2 * n * width)
+        got = ev.score_rows(F, W, B, target, kind, rows)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_no_rows(self):
         target = np.zeros((10, 2))
         out = ev.score_rows(np.zeros((0, 10)), np.zeros((0, 2)), np.zeros((0, 2)),
@@ -671,6 +685,25 @@ class TestFittedLosses:
                     == list(report.per_layer_mse) + [report.output_loss])
         assert fitted_kept > 0       # fitted losses were kept, not all scored
 
+    def test_rescored_rows_are_gathered_block_by_block(self):
+        # F0's output position: rows with a large offset and little spread
+        # leave their fitted loss NaN, so every row is scored again
+        rng = np.random.default_rng(48)
+        n, P = 8000, 390
+        target = 3.12 + 0.0079 * rng.normal(size=(n, 1))
+        F = 1e3 + 0.1 * rng.normal(size=(P, n))
+        W, B, degenerate, fitted = ev.fit_affine_mse_rows(F, target)
+        assert np.isnan(fitted).all()
+        tracemalloc.start()
+        try:
+            losses = ev._confirm_near_best(F, W, B, fitted, degenerate, target, ev.MSE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = ev.score_rows(F, W, B, target, ev.MSE)
+        assert np.array_equal(losses.view(np.int64), want.view(np.int64))
+        assert peak < F.nbytes / 8          # a copy of the rescored rows is all of F
+
     def test_all_non_finite_position_takes_the_penalty_and_picks_row_0(self):
         # six distinct phenotypes, none finite on sample 0
         trace, exact = planted_regression_setup()
@@ -912,33 +945,6 @@ class TestEvolve:
         best, log = ev.evolve(trace, ev.CLASSIFICATION, cfg)
         assert len(log.records) == 5
         assert np.isfinite(log.records[-1].best_total)
-
-    @pytest.mark.parametrize("widths", [(3, 2), (4, 9)])
-    def test_classification_log_equals_fits_on_fresh_arrays(self, monkeypatch, widths):
-        # evolve passes no work arrays, so each cross-entropy fit makes its
-        # own, and the convergence log is as fits on fresh arrays write it
-        trace = random_trace(np.random.default_rng(47), n=40, widths=widths,
-                             task=ev.CLASSIFICATION)
-        cfg = self.small_cfg(n_offspring=30, max_generations=8, fitness_target=1e-12)
-        works = []
-
-        def fit(F, targets, work=None):
-            works.append(work)
-            return original(F, targets, work)
-
-        def fresh(F, targets, work=None):
-            return original(F, targets)
-
-        original = ev.fit_affine_ce_rows
-        logs = []
-        for patched in (fit, fresh):
-            monkeypatch.setattr(ev, "fit_affine_ce_rows", patched)
-            stream = io.StringIO()
-            ev.evolve(trace, ev.CLASSIFICATION, cfg, log_stream=stream,
-                      include_timing=False)
-            logs.append(stream.getvalue())
-        assert logs[0] == logs[1]
-        assert works == [None] * 8
 
     def test_incremental_stream_matches_log(self):
         rng = np.random.default_rng(13)

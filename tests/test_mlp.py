@@ -237,6 +237,17 @@ class TestWeightFiles:
         with pytest.raises(SchemaError):
             mlp.load_weights(path)
 
+    def test_no_layers_is_schema_error(self, tmp_path):
+        import json
+        model = mlp.init_model(2, [3], 1, mlp.LINEAR, np.random.default_rng(14))
+        path = tmp_path / "m.json"
+        mlp.save_weights(model, path)
+        record = json.loads(path.read_text())
+        record["layers"] = []
+        path.write_text(json.dumps(record))
+        with pytest.raises(SchemaError):
+            mlp.load_weights(path)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_weight_is_a_numeric_error_and_no_file(self, tmp_path, value):
         model = mlp.init_model(2, [3], 1, mlp.LINEAR, np.random.default_rng(15))
